@@ -1,5 +1,6 @@
 //! ML-substrate micro-benchmarks: training and scoring kernels for each
-//! of the six classifier families, plus the ROC/AUC metric.
+//! of the six classifier families, a forest fit on imbalanced
+//! mixed-cardinality data, plus the ROC/AUC metric.
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
 use ssd_ml::{
@@ -20,6 +21,33 @@ fn train_set() -> Dataset {
         }
         let label = (row[0] > 0.5) != (row[5] > 0.6) || row[29] > 0.9;
         d.push_row(&row, label, i as u32);
+    }
+    d
+}
+
+/// Imbalanced drive-day-shaped training set: ~50k rows, ~0.6 % positives,
+/// 31 columns of mixed cardinality — 12 continuous (more than 256
+/// distinct values) beside 19 sparse counts and flags (at most a few
+/// dozen distinct values), like the per-kind error counts and status bits
+/// of the prediction dataset.
+fn imbalanced_set() -> Dataset {
+    let mut rng = SplitMix64::new(5);
+    let mut d = Dataset::with_dims(31);
+    let mut row = vec![0f32; 31];
+    for i in 0..50_000 {
+        for v in &mut row[..12] {
+            *v = (rng.next_f64() * 5000.0).floor() as f32;
+        }
+        for v in &mut row[12..30] {
+            *v = if rng.next_f64() < 0.05 {
+                (-(1.0 - rng.next_f64()).ln() * 3.0).floor().min(40.0) as f32
+            } else {
+                0.0
+            };
+        }
+        row[30] = f32::from(u8::from(rng.next_f64() < 0.02));
+        let p = 0.002 + 0.15 * f64::from(u8::from(row[12] > 2.0)) + 0.05 * f64::from(row[30]);
+        d.push_row(&row, rng.next_f64() < p, i as u32);
     }
     d
 }
@@ -55,6 +83,18 @@ fn bench_training(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_imbalanced_training(c: &mut Criterion) {
+    let data = imbalanced_set();
+    let forest = ForestConfig {
+        n_trees: 30,
+        ..Default::default()
+    };
+    let mut g = c.benchmark_group("train_imbalanced");
+    g.sample_size(10);
+    g.bench_function("forest_30", |b| b.iter(|| forest.fit(&data, 0)));
+    g.finish();
+}
+
 fn bench_scoring(c: &mut Criterion) {
     let data = train_set();
     let forest = ForestConfig {
@@ -80,5 +120,11 @@ fn bench_metrics(c: &mut Criterion) {
         .bench_function("roc_auc_200k", |b| b.iter(|| roc_auc(&scores, &labels)));
 }
 
-criterion_group!(benches, bench_training, bench_scoring, bench_metrics);
+criterion_group!(
+    benches,
+    bench_training,
+    bench_imbalanced_training,
+    bench_scoring,
+    bench_metrics
+);
 criterion_main!(benches);

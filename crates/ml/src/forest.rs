@@ -3,9 +3,9 @@
 //! The paper's best model across every experiment (Tables 6–8): "we find
 //! that Random Forest models perform best on this data set … since they
 //! work well with discrete data \[and\] are able to model nonlinear effects"
-//! (Section 5.2). Trees are trained in parallel (rayon), each from an
-//! independent deterministic seed, so the fitted forest is reproducible
-//! regardless of thread count.
+//! (Section 5.2). Trees are trained in parallel on the in-tree worker pool
+//! (`ssd_parallel`), each from an independent deterministic seed, so the
+//! fitted forest is reproducible regardless of thread count.
 
 use crate::classifier::{Classifier, Trainer};
 use crate::dataset::Dataset;

@@ -99,8 +99,10 @@ const LAMBDA: f64 = 1.0; // L2 on leaf values, as in standard GBDT
 
 /// Grows one regression tree over the pre-sorted column buffers in a
 /// [`TreeScratch`] (`grad`/`hess` gathered per slot). Nodes are segments
-/// `[lo, hi)` of the shared per-feature orders.
+/// `[lo, hi)` of the shared per-feature orders; every column is sorted
+/// ([`PresortedDataset::build_sorted`]), so feature `f` is sorted column `f`.
 struct RegBuilder<'a> {
+    pre: &'a PresortedDataset,
     scratch: &'a mut TreeScratch,
     n_features: usize,
     max_depth: usize,
@@ -145,7 +147,7 @@ impl<'a> RegBuilder<'a> {
             |n_c: usize| depth + 1 >= self.max_depth || n_c < 2 * self.min_leaf;
         let (left, right) = if child_is_leaf(split_at) && child_is_leaf(n - split_at) {
             let (mut gl, mut hl) = (0.0, 0.0);
-            for &s in self.scratch.cols.order_segment(feature, lo, lo + split_at) {
+            for &s in self.scratch.cols.order_segment(usize::from(feature), lo, lo + split_at) {
                 gl += self.scratch.grad[usize_from_u32(s)];
                 hl += self.scratch.hess[usize_from_u32(s)];
             }
@@ -155,7 +157,7 @@ impl<'a> RegBuilder<'a> {
             });
             (me + 1, me + 2)
         } else {
-            self.scratch.apply_split(lo, hi, feature, split_at);
+            self.scratch.cols.apply_split(self.pre, lo, hi, feature, threshold, split_at);
             let left = self.build(lo, lo + split_at, depth + 1);
             let right = self.build(lo + split_at, hi, depth + 1);
             (left, right)
@@ -182,14 +184,14 @@ impl<'a> RegBuilder<'a> {
         let mut crit =
             NewtonCriterion::new(&self.scratch.grad, &self.scratch.hess, g_tot, h_tot, LAMBDA);
         let mut best: Option<(u16, f32, usize, f64)> = None;
-        for f in 0..u16_from_usize(self.n_features) {
+        for f in 0..self.n_features {
             let order = self.scratch.cols.order_segment(f, lo, hi);
             let values = self.scratch.cols.values_of(f);
             if let Some((threshold, gain, split_at)) =
                 scan_feature(order, values, self.min_leaf, &mut crit)
             {
                 if best.map_or(true, |b| gain > b.3) {
-                    best = Some((f, threshold, split_at, gain));
+                    best = Some((u16_from_usize(f), threshold, split_at, gain));
                 }
             }
         }
@@ -254,7 +256,7 @@ impl Gbdt {
         let mut pool: Vec<usize> = (0..n).collect();
         // The feature columns never change across rounds: sort them once
         // and derive each round's subsample orders from the shared result.
-        let pre = PresortedDataset::build(data);
+        let pre = PresortedDataset::build_sorted(data);
         // One scratch serves every boosting round: the column buffers are
         // recycled, so a round allocates nothing but its node vector.
         let mut scratch = TreeScratch::new();
@@ -275,6 +277,7 @@ impl Gbdt {
             let indices = &pool[..sample_size.min(n)];
             scratch.prepare_newton_from(&pre, indices, &grad, &hess);
             let mut builder = RegBuilder {
+                pre: &pre,
                 scratch: &mut scratch,
                 n_features: data.n_features(),
                 max_depth: config.max_depth,

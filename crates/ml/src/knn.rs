@@ -4,7 +4,8 @@
 //! training set. At the paper's training sizes — a few thousand rows after
 //! 1:1 downsampling (Section 5.1) — brute force with a bounded max-heap is
 //! faster in practice than tree indexes in ~20 dimensions, and batch
-//! prediction parallelizes trivially with rayon.
+//! prediction parallelizes trivially on the in-tree worker pool
+//! (`ssd_parallel`).
 
 use crate::classifier::{Classifier, Trainer};
 use crate::dataset::{Dataset, Scaler};

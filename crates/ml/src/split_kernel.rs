@@ -1,38 +1,68 @@
-//! Pre-sorted column split kernel shared by the CART tree and the GBDT.
+//! Pre-sorted and binned column split kernel shared by the CART tree and
+//! the GBDT.
 //!
 //! The naive CART recipe clones and re-sorts every candidate feature column
-//! at every node — `O(d · n log n)` *per node*. This module implements the
-//! sklearn/XGBoost alternative: sort each feature's row order **once per
-//! tree** at fit time, then at every node
+//! at every node — `O(d · n log n)` *per node*. This module never sorts
+//! inside a tree. [`PresortedDataset::build`] looks at each feature column
+//! once per ensemble fit and stores it as one of two kinds:
 //!
-//! 1. scan each feature's pre-sorted order restricted to the node's
-//!    segment (`O(n)` per feature, no sorting), and
-//! 2. apply the winning split with a single **stable partition** of all
-//!    per-feature index buffers (`O(d · n)` total, no sorting).
+//! * **Sorted columns** (the sklearn/XGBoost recipe). The column's row
+//!   order is sorted once; every tree derives its sample's slot order from
+//!   it by one linear walk. A node scans its segment of that order
+//!   (`O(n)`, no sorting), and applying a split re-segments the order with
+//!   one **stable partition**, so each segment stays sorted by value for
+//!   the node that owns it.
+//! * **Binned columns.** A column with at most 256 distinct values is
+//!   stored as `u8` codes plus its ascending distinct values. A node scans
+//!   it by building a per-code `(count, positives)` histogram over the
+//!   node's slots and walking the occupied codes in ascending order —
+//!   `O(n + occupied code range)`, not `O(256)`. A split never moves it.
 //!
-//! Because the partition is stable, every per-feature segment stays sorted
-//! by `(value, slot)` for the node that owns it, so step 1 never has to
-//! re-sort. The same scan loop serves both learners through the
-//! [`SplitCriterion`] trait: [`GiniCriterion`] for the classification tree
-//! and [`NewtonCriterion`] for the GBDT's second-order objective.
+//! Besides the sorted orders, each tree keeps one node-slot list,
+//! partitioned stably like an order, so a node's slots stay ascending.
+//! Applying a split computes a per-slot goes-right mask once from the
+//! winning column, whichever kind it is, then partitions only the sorted
+//! orders and the slot list.
 //!
-//! # Determinism
+//! Only the Gini criterion bins. The GBDT's [`NewtonCriterion`] sums `f64`
+//! gradients, whose rounding depends on the order they are added in, so
+//! the GBDT runs on an all-sorted layout (`PresortedDataset::build_sorted`).
 //!
-//! All ordering uses `f32::total_cmp` with the slot id as a tie-break, so
-//! the per-node sequence for a feature is a pure function of the node's
-//! member *set* — independent of insertion order, thread count, and of the
-//! path of partitions that produced the node. Split gains for the Gini
-//! criterion are sums of `1.0`s (exact in `f64`), so the chosen
-//! `(feature, threshold, split_at)` is identical to what the naive
-//! re-sorting finder picks; [`reference_best_split_gini`] is retained as
-//! that naive finder and the property suite pins the equivalence.
+//! # Determinism and bit-identity
+//!
+//! Sorting uses `f32::total_cmp` with the row and slot ids as tie-breaks,
+//! so a node's per-feature sequence is a pure function of its member
+//! *set* — independent of insertion order, thread count, and of the path
+//! of partitions that produced the node. The Gini split a node picks is
+//! the naive re-sorting finder's, bit for bit:
+//!
+//! * Gini gains are computed from integer counts — exactly the sums of
+//!   `1.0`s the naive finder accumulates.
+//! * Codes group values equal under `==`, as the sorted scan's boundary
+//!   test does (so `-0.0` and `+0.0` share a code). The binned walk
+//!   therefore visits exactly the boundaries between distinct values that
+//!   the sorted scan visits, with the same `n_left`/`pos_left`, the same
+//!   `min_leaf`/`GAIN_EPS` tests, the same earliest-wins tie rule and the
+//!   same [`split_threshold`] of the two adjacent distinct values. (A zero
+//!   code stores `+0.0`; [`split_threshold`] returns the same bits for
+//!   either sign of a zero operand.)
+//! * Feature subsampling draws nothing from the column kinds.
+//!
+//! [`reference_best_split_gini`] retains the naive finder, and the
+//! property suite pins the binned, sorted and naive finders to each other.
 
 use crate::dataset::Dataset;
-use ssd_types::cast::{f64_from_usize, u16_from_usize, u32_from_usize, usize_from_u32};
+use ssd_types::cast::{
+    f64_from_usize, u16_from_usize, u32_from_u64, u32_from_usize, u64_from_usize, u8_from_usize,
+    usize_from_u32,
+};
 
 /// Gains at or below this threshold are not worth a split (guards against
 /// floating-point noise producing size-zero improvements).
 pub(crate) const GAIN_EPS: f64 = 1e-12;
+
+/// Columns with at most this many distinct values are binned (`u8` codes).
+const MAX_BINS: usize = 256;
 
 /// Gini impurity of a node with `pos` positives out of `n`.
 #[inline]
@@ -78,6 +108,14 @@ pub struct SplitChoice {
     pub split_at: usize,
 }
 
+/// A Gini split plus its left-side positive count, taken from the scan
+/// that found it so neither child re-counts labels.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GiniSplit {
+    pub(crate) choice: SplitChoice,
+    pub(crate) pos_left: usize,
+}
+
 /// Left-accumulating split objective evaluated at candidate boundaries.
 ///
 /// The scan walks a node's samples in ascending feature-value order,
@@ -92,49 +130,64 @@ pub trait SplitCriterion {
     fn gain(&self, n_left: usize) -> f64;
 }
 
-/// Gini impurity decrease for the classification tree.
-///
-/// `pos_left` is a sum of `1.0`s, so gains are exact and independent of
-/// the order samples are folded in.
+/// Gini gain arithmetic for one node: its size, positive count and
+/// impurity.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GiniNode {
+    n: f64,
+    n_pos: f64,
+    impurity: f64,
+}
+
+impl GiniNode {
+    /// A node of `n` samples, `n_pos` of them positive.
+    pub(crate) fn new(n: usize, n_pos: usize) -> Self {
+        let (n, n_pos) = (f64_from_usize(n), f64_from_usize(n_pos));
+        GiniNode { n, n_pos, impurity: gini(n_pos, n) }
+    }
+
+    /// Impurity decrease of a split with `n_left` samples, `pos_left` of
+    /// them positive, on the left. Counts convert to `f64` exactly, so this
+    /// equals the gain over a left side summed as `1.0`s in any order.
+    #[inline]
+    fn gain(&self, n_left: usize, pos_left: usize) -> f64 {
+        let n_left = f64_from_usize(n_left);
+        let pos_left = f64_from_usize(pos_left);
+        let n_right = self.n - n_left;
+        let imp_left = gini(pos_left, n_left);
+        let imp_right = gini(self.n_pos - pos_left, n_right);
+        let weighted = (n_left * imp_left + n_right * imp_right) / self.n;
+        self.impurity - weighted
+    }
+}
+
+/// Gini impurity decrease for the classification tree, as a
+/// [`SplitCriterion`] for the naive reference finder.
 pub struct GiniCriterion<'a> {
     labels: &'a [bool],
-    n: f64,
-    n_pos_total: f64,
-    node_impurity: f64,
-    pos_left: f64,
+    node: GiniNode,
+    pos_left: usize,
 }
 
 impl<'a> GiniCriterion<'a> {
     /// Criterion for a node with `n` samples, `n_pos` positives, over
     /// per-slot `labels`.
-    pub fn new(labels: &'a [bool], n: usize, n_pos: usize, node_impurity: f64) -> Self {
-        GiniCriterion {
-            labels,
-            n: f64_from_usize(n),
-            n_pos_total: f64_from_usize(n_pos),
-            node_impurity,
-            pos_left: 0.0,
-        }
+    pub fn new(labels: &'a [bool], n: usize, n_pos: usize) -> Self {
+        GiniCriterion { labels, node: GiniNode::new(n, n_pos), pos_left: 0 }
     }
 }
 
 impl SplitCriterion for GiniCriterion<'_> {
     fn begin_feature(&mut self) {
-        self.pos_left = 0.0;
+        self.pos_left = 0;
     }
 
     fn add_left(&mut self, slot: usize) {
-        // Branchless: labels are ~50/50 inside a node being split.
-        self.pos_left += f64::from(u8::from(self.labels[slot]));
+        self.pos_left += usize::from(self.labels[slot]);
     }
 
     fn gain(&self, n_left: usize) -> f64 {
-        let n_left = f64_from_usize(n_left);
-        let n_right = self.n - n_left;
-        let imp_left = gini(self.pos_left, n_left);
-        let imp_right = gini(self.n_pos_total - self.pos_left, n_right);
-        let weighted = (n_left * imp_left + n_right * imp_right) / self.n;
-        self.node_impurity - weighted
+        self.node.gain(n_left, self.pos_left)
     }
 }
 
@@ -226,221 +279,296 @@ pub fn scan_feature<C: SplitCriterion>(
     best
 }
 
-/// Per-feature pre-sorted slot orders over one training sample.
-///
-/// "Slots" are positions `0..n` into the index list a tree is fitted on
-/// (bootstrap draws may repeat dataset rows; slots are always unique).
-/// `values` caches the feature matrix column-major by slot, and `order`
-/// holds, per feature, every slot sorted by `(value, slot)`. Node
-/// segmentation is shared across features: a node owns `[lo, hi)` of every
-/// per-feature order simultaneously.
-pub struct PresortedColumns {
-    n_slots: usize,
-    n_features: usize,
-    /// Column-major values: `values[f * n_slots + slot]`.
-    values: Vec<f32>,
-    /// Column-major orders: `order[f * n_slots + k]` is the slot with the
-    /// k-th smallest value of feature `f` within its node segment.
-    order: Vec<u32>,
+/// [`scan_feature`] specialised to the Gini tree: counts positives as an
+/// integer and also returns the winning boundary's `pos_left`.
+fn scan_sorted_gini(
+    order: &[u32],
+    values: &[f32],
+    labels: &[bool],
+    min_leaf: usize,
+    node: GiniNode,
+) -> Option<(f32, f64, usize, usize)> {
+    let n = order.len();
+    if n < 2 {
+        return None;
+    }
+    let mut best: Option<(f32, f64, usize, usize)> = None;
+    let mut pos_left = 0usize;
+    for k in 0..n - 1 {
+        let slot = usize_from_u32(order[k]);
+        pos_left += usize::from(labels[slot]);
+        let v_here = values[slot];
+        let v_next = values[usize_from_u32(order[k + 1])];
+        if v_here == v_next {
+            continue; // can only split between distinct values
+        }
+        let n_left = k + 1;
+        if n_left < min_leaf || n - n_left < min_leaf {
+            continue;
+        }
+        let gain = node.gain(n_left, pos_left);
+        if gain > GAIN_EPS && best.map_or(true, |b| gain > b.1) {
+            best = Some((split_threshold(v_here, v_next), gain, n_left, pos_left));
+        }
+    }
+    best
 }
 
-impl PresortedColumns {
-    /// An empty buffer; [`build`](Self::build) sizes it.
-    pub fn new() -> Self {
-        PresortedColumns {
-            n_slots: 0,
-            n_features: 0,
-            values: Vec::new(),
-            order: Vec::new(),
-        }
+/// The binned counterpart of [`scan_sorted_gini`]: histograms the node's
+/// `slots` by code into `hist` (all zero on entry and on return), then
+/// walks the occupied codes in ascending order, evaluating the boundary
+/// between each pair of adjacent occupied codes.
+fn scan_binned_gini(
+    slots: &[u32],
+    codes: &[u8],
+    bins: &[f32],
+    labels: &[bool],
+    min_leaf: usize,
+    node: GiniNode,
+    hist: &mut [[u32; 2]],
+) -> Option<(f32, f64, usize, usize)> {
+    let n = slots.len();
+    if n < 2 {
+        return None;
     }
-
-    /// (Re)builds the columns for the rows of `data` listed in `indices`,
-    /// reusing the existing allocations. One `O(n log n)` sort per feature
-    /// — the only sorting a whole tree fit performs.
-    pub fn build(&mut self, data: &Dataset, indices: &[usize]) {
-        let n = indices.len();
-        let d = data.n_features();
-        self.n_slots = n;
-        self.n_features = d;
-        self.values.clear();
-        self.values.resize(d * n, 0.0);
-        for (slot, &row_id) in indices.iter().enumerate() {
-            for (f, &v) in data.row(row_id).iter().enumerate() {
-                self.values[f * n + slot] = v;
+    let (mut c_min, mut c_max) = (u8::MAX, 0u8);
+    for &s in slots {
+        let s = usize_from_u32(s);
+        let c = codes[s];
+        let h = &mut hist[usize::from(c)];
+        h[0] += 1;
+        h[1] += u32::from(labels[s]);
+        c_min = c_min.min(c);
+        c_max = c_max.max(c);
+    }
+    let mut best: Option<(f32, f64, usize, usize)> = None;
+    let (mut n_left, mut pos_left) = (0usize, 0usize);
+    let mut prev: Option<usize> = None;
+    for c in usize::from(c_min)..=usize::from(c_max) {
+        let [count, pos] = std::mem::take(&mut hist[c]);
+        if count == 0 {
+            continue;
+        }
+        if let Some(p) = prev {
+            if n_left >= min_leaf && n - n_left >= min_leaf {
+                let gain = node.gain(n_left, pos_left);
+                if gain > GAIN_EPS && best.map_or(true, |b| gain > b.1) {
+                    best = Some((split_threshold(bins[p], bins[c]), gain, n_left, pos_left));
+                }
             }
         }
-        self.order.clear();
-        self.order.resize(d * n, 0);
-        for f in 0..d {
-            let vals = &self.values[f * n..(f + 1) * n];
-            let ord = &mut self.order[f * n..(f + 1) * n];
-            for (k, o) in ord.iter_mut().enumerate() {
-                *o = u32_from_usize(k);
-            }
-            ord.sort_unstable_by(|&a, &b| {
-                vals[usize_from_u32(a)]
-                    .total_cmp(&vals[usize_from_u32(b)])
-                    .then(a.cmp(&b))
-            });
-        }
+        n_left += usize_from_u32(count);
+        pos_left += usize_from_u32(pos);
+        prev = Some(c);
     }
+    best
+}
 
-    /// Number of slots (rows of the fitted sample).
-    pub fn n_slots(&self) -> usize {
-        self.n_slots
-    }
+/// Where a feature column lives: its index among the sorted or among the
+/// binned columns of a [`PresortedDataset`] (and of the per-tree
+/// [`PresortedColumns`] derived from it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Column {
+    Sorted(usize),
+    Binned(usize),
+}
 
-    /// The node segment `[lo, hi)` of feature `f`'s sorted order.
-    #[inline]
-    pub fn order_segment(&self, f: u16, lo: usize, hi: usize) -> &[u32] {
-        let base = usize::from(f) * self.n_slots;
-        &self.order[base + lo..base + hi]
-    }
-
-    /// Feature `f`'s full per-slot value column.
-    #[inline]
-    pub fn values_of(&self, f: u16) -> &[f32] {
-        let base = usize::from(f) * self.n_slots;
-        &self.values[base..base + self.n_slots]
-    }
-
-    /// Applies a chosen split to node `[lo, hi)`: stably partitions every
-    /// per-feature order segment so the `split_at` left-going slots occupy
-    /// `[lo, lo + split_at)` — still sorted — and the rest `[lo + split_at,
-    /// hi)`. `tmp` is spill space for the right side.
-    ///
-    /// Left membership is `value <= cut` on the winning column, where
-    /// `cut` is the largest left-side value: split boundaries only exist
-    /// between *distinct* values, so the comparison reproduces exactly the
-    /// winning segment's first `split_at` slots — no membership mask
-    /// needed. The winning feature itself is already partitioned (its
-    /// left block *is* its first `split_at` positions) and is skipped.
-    pub fn apply_split(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        feature: u16,
-        split_at: usize,
-        tmp: &mut Vec<u32>,
-    ) {
-        let n = self.n_slots;
-        debug_assert!(lo + split_at < hi && split_at > 0);
-        let win = usize::from(feature) * n;
-        let cut = self.values[win + usize_from_u32(self.order[win + lo + split_at - 1])];
-        let win_vals = &self.values[win..win + n];
-        tmp.resize(hi - lo, 0);
-        for f in 0..self.n_features {
-            if f == usize::from(feature) {
-                continue;
-            }
-            let seg = &mut self.order[f * n + lo..f * n + hi];
-            let (mut wl, mut wr) = (0usize, 0usize);
-            // Branchless two-way spill: store to both cursors
-            // unconditionally (`wl <= k` keeps the in-place left write from
-            // clobbering unread input) and advance one of them — the
-            // 50/50-unpredictable side test never becomes a branch.
-            for k in 0..seg.len() {
-                let s = seg[k];
-                let right = usize::from(win_vals[usize_from_u32(s)] > cut);
-                seg[wl] = s;
-                tmp[wr] = s;
-                wl += 1 - right;
-                wr += right;
-            }
-            debug_assert_eq!(wl, split_at);
-            seg[wl..].copy_from_slice(&tmp[..wr]);
-        }
+/// A column value with `-0.0` mapped to `+0.0`, so that `total_cmp` on
+/// keys orders values and groups exactly the ones equal under `==`.
+#[inline]
+fn bin_key(v: f32) -> f32 {
+    // lint:allow(float-determinism) -- `==` is exactly the equivalence binning must mirror: it matches both zeros
+    if v == 0.0 {
+        0.0
+    } else {
+        v
     }
 }
 
-impl Default for PresortedColumns {
-    fn default() -> Self {
-        Self::new()
+/// An unsigned key whose order is `f32::total_cmp`'s.
+#[inline]
+fn total_order_key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 0x8000_0000
     }
 }
 
-/// Fully-sorted feature columns over an entire dataset, built **once per
-/// ensemble fit** and shared (immutably) by every tree.
+/// The ascending distinct keys of `col`, or `None` when it holds more than
+/// `max` of them or a NaN (which equals nothing, not even itself).
+fn distinct_keys(col: &[f32], max: usize) -> Option<Vec<f32>> {
+    let mut keys: Vec<f32> = Vec::new();
+    let mut last = f32::NAN;
+    for &v in col {
+        if v == last {
+            continue;
+        }
+        if v.is_nan() {
+            return None;
+        }
+        let key = bin_key(v);
+        if let Err(at) = keys.binary_search_by(|k| k.total_cmp(&key)) {
+            if keys.len() == max {
+                return None;
+            }
+            keys.insert(at, key);
+        }
+        last = v;
+    }
+    Some(keys)
+}
+
+/// Fully-sorted or binned feature columns over an entire dataset, built
+/// **once per ensemble fit** and shared (immutably) by every tree.
 ///
 /// A bootstrap resample is a multiset of dataset rows, so each tree's
 /// per-slot sorted order can be *derived* from the full-data order by one
-/// linear merge — `O(d · (N + n))` per tree instead of `O(d · n log n)`.
-/// With 50 trees per forest the per-tree sort was over half the training
-/// time on wide datasets; this removes it.
+/// linear merge — `O(N + n)` per sorted column and tree instead of
+/// `O(n log n)`. Binned columns need no order at all: a tree gathers their
+/// codes per slot.
 pub struct PresortedDataset {
     n_rows: usize,
-    n_features: usize,
-    /// Column-major values: `values[f * n_rows + row]`.
+    /// Per feature, where its column lives.
+    columns: Vec<Column>,
+    /// Sorted columns' values, column-major: `values[k * n_rows + row]`.
     values: Vec<f32>,
-    /// Per-feature row ids sorted by `(value, row)`:
-    /// `order[f * n_rows + k]`.
+    /// Sorted columns' row ids by `(value, row)`: `order[k * n_rows + i]`.
     order: Vec<u32>,
+    /// Binned columns' codes, column-major: `codes[b * n_rows + row]`.
+    codes: Vec<u8>,
+    /// Binned columns' distinct values, ascending: code `c` of binned
+    /// column `b` stands for `bins[b][c]`.
+    bins: Vec<Vec<f32>>,
 }
 
 impl PresortedDataset {
-    /// Sorts every feature column of `data` — the only `O(N log N)` work
-    /// an ensemble fit performs.
+    /// The Gini tree's layout: columns with at most 256 distinct values
+    /// are binned, every other column is sorted — the only `O(N log N)`
+    /// work an ensemble fit performs.
     pub fn build(data: &Dataset) -> Self {
+        Self::build_with(data, MAX_BINS)
+    }
+
+    /// Every column sorted, none binned: the layout of the GBDT, whose
+    /// Newton scan must add gradients in value order.
+    pub(crate) fn build_sorted(data: &Dataset) -> Self {
+        Self::build_with(data, 0)
+    }
+
+    fn build_with(data: &Dataset, max_bins: usize) -> Self {
         let n = data.n_rows();
         let d = data.n_features();
-        let mut values = vec![0f32; d * n];
-        for row in 0..n {
-            for (f, &v) in data.row(row).iter().enumerate() {
-                values[f * n + row] = v;
-            }
-        }
-        let mut order = vec![0u32; d * n];
-        for f in 0..d {
-            let vals = &values[f * n..(f + 1) * n];
-            let ord = &mut order[f * n..(f + 1) * n];
-            for (k, o) in ord.iter_mut().enumerate() {
-                *o = u32_from_usize(k);
-            }
-            ord.sort_unstable_by(|&a, &b| {
-                vals[usize_from_u32(a)]
-                    .total_cmp(&vals[usize_from_u32(b)])
-                    .then(a.cmp(&b))
-            });
-        }
-        PresortedDataset {
+        let mut pre = PresortedDataset {
             n_rows: n,
-            n_features: d,
-            values,
-            order,
+            columns: Vec::with_capacity(d),
+            values: Vec::new(),
+            order: Vec::new(),
+            codes: Vec::new(),
+            bins: Vec::new(),
+        };
+        let mut col = Vec::with_capacity(n);
+        let mut keyed: Vec<u64> = Vec::new();
+        for f in 0..d {
+            col.clear();
+            col.extend((0..n).map(|row| data.row(row)[f]));
+            if let Some(keys) = distinct_keys(&col, max_bins) {
+                pre.columns.push(Column::Binned(pre.bins.len()));
+                pre.codes.extend(col.iter().map(|&v| {
+                    let key = bin_key(v);
+                    u8_from_usize(keys.partition_point(|k| k.total_cmp(&key).is_lt()))
+                }));
+                pre.bins.push(keys);
+            } else {
+                pre.columns.push(Column::Sorted(pre.n_sorted()));
+                // Sorting `(value key, row)` packed into one `u64` orders
+                // rows by `(value, row)` without an indirect comparator.
+                keyed.clear();
+                keyed.extend(col.iter().enumerate().map(|(row, &v)| {
+                    u64::from(total_order_key(v)) << 32 | u64_from_usize(row)
+                }));
+                keyed.sort_unstable();
+                pre.order.extend(keyed.iter().map(|&k| u32_from_u64(k & u64::from(u32::MAX))));
+                pre.values.extend_from_slice(&col);
+            }
         }
+        pre
     }
 
     /// Number of dataset rows.
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }
+
+    fn n_sorted(&self) -> usize {
+        self.columns.len() - self.bins.len()
+    }
+}
+
+/// Per-tree columns over one training sample, derived from a
+/// [`PresortedDataset`].
+///
+/// "Slots" are positions `0..n` into the index list a tree is fitted on
+/// (bootstrap draws may repeat dataset rows; slots are always unique).
+/// Node segmentation is shared: a node owns `[lo, hi)` of every sorted
+/// column's order and of the slot list simultaneously.
+pub(crate) struct PresortedColumns {
+    n_slots: usize,
+    /// Sorted columns' values by slot: `values[k * n_slots + slot]`.
+    values: Vec<f32>,
+    /// Sorted columns' orders: `order[k * n_slots + i]` is the slot with
+    /// the i-th smallest value of sorted column `k` within its node
+    /// segment.
+    order: Vec<u32>,
+    /// Binned columns' codes by slot: `codes[b * n_slots + slot]`.
+    codes: Vec<u8>,
+    /// Every slot, ascending within each node segment.
+    slots: Vec<u32>,
+    /// Goes-right mask by slot, written for a node's slots when a split is
+    /// applied to it.
+    right: Vec<u8>,
+    /// Right-side spill buffer for the stable partition.
+    tmp: Vec<u32>,
+    /// CSR row→slot offsets for [`build_from`](Self::build_from).
+    row_offsets: Vec<u32>,
+    /// CSR row→slot buckets for [`build_from`](Self::build_from).
+    row_slots: Vec<u32>,
 }
 
 impl PresortedColumns {
-    /// Derives the per-slot orders for the sample `indices` from a
-    /// [`PresortedDataset`] without sorting: slots are bucketed by dataset
-    /// row (CSR layout in `offsets`/`slot_list`), then each feature's full
-    /// order is walked once, emitting every sampled row's slots in place.
+    fn new() -> Self {
+        PresortedColumns {
+            n_slots: 0,
+            values: Vec::new(),
+            order: Vec::new(),
+            codes: Vec::new(),
+            slots: Vec::new(),
+            right: Vec::new(),
+            tmp: Vec::new(),
+            row_offsets: Vec::new(),
+            row_slots: Vec::new(),
+        }
+    }
+
+    /// Derives the per-slot columns for the sample `indices` from `pre`
+    /// without sorting: slots are bucketed by dataset row (CSR layout in
+    /// `row_offsets`/`row_slots`), then each sorted column's full order is
+    /// walked once, emitting every sampled row's slots in place. Binned
+    /// codes are gathered by slot.
     ///
-    /// The derived order is sorted by `(value, row, slot)` — within a run
-    /// of equal values this may differ from [`build`](Self::build)'s
-    /// `(value, slot)` order, which is unobservable to the split scan:
-    /// boundaries only exist between *distinct* values, and the stable
-    /// partition preserves whichever canonical order the tree started
-    /// with.
-    pub fn build_from(
-        &mut self,
-        pre: &PresortedDataset,
-        indices: &[usize],
-        offsets: &mut Vec<u32>,
-        slot_list: &mut Vec<u32>,
-    ) {
+    /// Derived orders are sorted by `(value, row, slot)`. Within a run of
+    /// equal values this may differ from a `(value, slot)` sort, which is
+    /// unobservable to the Gini scan (boundaries only exist between
+    /// *distinct* values and positives are counted exactly), and the
+    /// stable partition preserves whichever canonical order the tree
+    /// started with.
+    fn build_from(&mut self, pre: &PresortedDataset, indices: &[usize]) {
         let n = indices.len();
         let big_n = pre.n_rows;
-        let d = pre.n_features;
+        let n_sorted = pre.n_sorted();
         self.n_slots = n;
-        self.n_features = d;
+        let (offsets, slot_list) = (&mut self.row_offsets, &mut self.row_slots);
 
         // CSR bucket: slots of dataset row r live at
         // slot_list[offsets[r]..offsets[r + 1]], ascending.
@@ -467,48 +595,153 @@ impl PresortedColumns {
         offsets[0] = 0;
 
         self.values.clear();
-        self.values.resize(d * n, 0.0);
+        self.values.resize(n_sorted * n, 0.0);
         self.order.clear();
-        self.order.resize(d * n, 0);
-        for f in 0..d {
-            let src = &pre.values[f * big_n..(f + 1) * big_n];
-            let dst = &mut self.values[f * n..(f + 1) * n];
+        self.order.resize(n_sorted * n, 0);
+        for k in 0..n_sorted {
+            let src = &pre.values[k * big_n..(k + 1) * big_n];
+            let dst = &mut self.values[k * n..(k + 1) * n];
             for (slot, &row) in indices.iter().enumerate() {
                 dst[slot] = src[row];
             }
-            let ord = &mut self.order[f * n..(f + 1) * n];
-            let mut k = 0usize;
-            for &row in &pre.order[f * big_n..(f + 1) * big_n] {
+            let ord = &mut self.order[k * n..(k + 1) * n];
+            let mut i = 0usize;
+            for &row in &pre.order[k * big_n..(k + 1) * big_n] {
                 let row = usize_from_u32(row);
                 let (s, e) = (usize_from_u32(offsets[row]), usize_from_u32(offsets[row + 1]));
-                ord[k..k + (e - s)].copy_from_slice(&slot_list[s..e]);
-                k += e - s;
+                ord[i..i + (e - s)].copy_from_slice(&slot_list[s..e]);
+                i += e - s;
             }
-            debug_assert_eq!(k, n);
+            debug_assert_eq!(i, n);
+        }
+
+        self.codes.clear();
+        self.codes.resize(pre.bins.len() * n, 0);
+        for (b, dst) in self.codes.chunks_exact_mut(n.max(1)).enumerate() {
+            let src = &pre.codes[b * big_n..(b + 1) * big_n];
+            for (slot, &row) in indices.iter().enumerate() {
+                dst[slot] = src[row];
+            }
+        }
+
+        self.slots.clear();
+        self.slots.extend(0..u32_from_usize(n));
+        self.right.clear();
+        self.right.resize(n, 0);
+    }
+
+    /// The node segment `[lo, hi)` of sorted column `k`'s order.
+    #[inline]
+    pub(crate) fn order_segment(&self, k: usize, lo: usize, hi: usize) -> &[u32] {
+        let base = k * self.n_slots;
+        &self.order[base + lo..base + hi]
+    }
+
+    /// Sorted column `k`'s full per-slot values.
+    #[inline]
+    pub(crate) fn values_of(&self, k: usize) -> &[f32] {
+        &self.values[k * self.n_slots..(k + 1) * self.n_slots]
+    }
+
+    /// Binned column `b`'s full per-slot codes.
+    #[inline]
+    fn codes_of(&self, b: usize) -> &[u8] {
+        &self.codes[b * self.n_slots..(b + 1) * self.n_slots]
+    }
+
+    /// Applies a chosen split to node `[lo, hi)`: marks each of the node's
+    /// slots whose `feature` value exceeds `threshold` as going right, then
+    /// stably partitions the slot list and every sorted order segment so
+    /// the `split_at` left-going slots occupy `[lo, lo + split_at)` — still
+    /// in order — and the rest `[lo + split_at, hi)`.
+    ///
+    /// A sorted winner's own order is already partitioned (its left block
+    /// *is* its first `split_at` positions) and is skipped; a binned
+    /// column is never moved.
+    pub(crate) fn apply_split(
+        &mut self,
+        pre: &PresortedDataset,
+        lo: usize,
+        hi: usize,
+        feature: u16,
+        threshold: f32,
+        split_at: usize,
+    ) {
+        debug_assert!(lo + split_at < hi && split_at > 0);
+        let n = self.n_slots;
+        let winner = pre.columns[usize::from(feature)];
+        let node = &self.slots[lo..hi];
+        match winner {
+            Column::Sorted(k) => {
+                let vals = &self.values[k * n..(k + 1) * n];
+                for &s in node {
+                    let s = usize_from_u32(s);
+                    self.right[s] = u8::from(vals[s] > threshold);
+                }
+            }
+            Column::Binned(b) => {
+                // Codes at or above `cut` stand for values above the
+                // threshold.
+                let cut = pre.bins[b].partition_point(|&v| v <= threshold);
+                let codes = &self.codes[b * n..(b + 1) * n];
+                for &s in node {
+                    let s = usize_from_u32(s);
+                    self.right[s] = u8::from(usize::from(codes[s]) >= cut);
+                }
+            }
+        }
+        let tmp = &mut self.tmp;
+        tmp.resize(hi - lo, 0);
+        partition(&mut self.slots[lo..hi], &self.right, split_at, tmp);
+        for k in 0..pre.n_sorted() {
+            if winner == Column::Sorted(k) {
+                continue;
+            }
+            let base = k * n;
+            partition(&mut self.order[base + lo..base + hi], &self.right, split_at, tmp);
         }
     }
 }
 
-/// Reusable tree-training scratch: pre-sorted columns, partition buffers,
-/// and per-slot statistics, sized on first use and recycled across fits.
+/// Stably moves the slots of `seg` not marked in `right` to its front
+/// (there are `n_left` of them) and the marked ones behind.
+#[inline]
+fn partition(seg: &mut [u32], right: &[u8], n_left: usize, tmp: &mut [u32]) {
+    let (mut wl, mut wr) = (0usize, 0usize);
+    // Branchless two-way spill: store to both cursors unconditionally
+    // (`wl <= k` keeps the in-place left write from clobbering unread
+    // input) and advance one of them — the 50/50-unpredictable side test
+    // never becomes a branch.
+    for k in 0..seg.len() {
+        let s = seg[k];
+        let r = usize::from(right[usize_from_u32(s)]);
+        seg[wl] = s;
+        tmp[wr] = s;
+        wl += 1 - r;
+        wr += r;
+    }
+    debug_assert_eq!(wl, n_left);
+    seg[wl..].copy_from_slice(&tmp[..wr]);
+}
+
+/// Reusable tree-training scratch: per-tree columns, partition buffers,
+/// per-slot statistics and the binned-scan histogram, sized on first use
+/// and recycled across fits.
 ///
 /// One instance serves any number of *sequential* tree fits; the forest
 /// threads one through each parallel worker so growing a node allocates
 /// nothing.
 pub struct TreeScratch {
     pub(crate) cols: PresortedColumns,
-    /// Right-side spill buffer for the stable partition.
-    pub(crate) tmp: Vec<u32>,
     /// Per-slot labels (classification tree).
-    pub(crate) labels: Vec<bool>,
+    labels: Vec<bool>,
     /// Per-slot gradients (GBDT).
     pub(crate) grad: Vec<f64>,
     /// Per-slot hessians (GBDT).
     pub(crate) hess: Vec<f64>,
-    /// CSR row→slot offsets for [`PresortedColumns::build_from`].
-    row_offsets: Vec<u32>,
-    /// CSR row→slot buckets for [`PresortedColumns::build_from`].
-    row_slots: Vec<u32>,
+    /// Per-code `(count, positives)` for binned scans; all zero between
+    /// scans.
+    hist: Vec<[u32; 2]>,
 }
 
 impl TreeScratch {
@@ -516,45 +749,32 @@ impl TreeScratch {
     pub fn new() -> Self {
         TreeScratch {
             cols: PresortedColumns::new(),
-            tmp: Vec::new(),
             labels: Vec::new(),
             grad: Vec::new(),
             hess: Vec::new(),
-            row_offsets: Vec::new(),
-            row_slots: Vec::new(),
+            hist: vec![[0; 2]; MAX_BINS],
         }
     }
 
-    /// Builds columns + per-slot labels for a classification-tree fit.
-    /// Returns the number of positive slots.
-    pub(crate) fn prepare_gini(&mut self, data: &Dataset, indices: &[usize]) -> usize {
-        self.cols.build(data, indices);
-        self.finish_gini(data, indices)
-    }
-
-    /// [`prepare_gini`](Self::prepare_gini) deriving the orders from a
-    /// shared [`PresortedDataset`] instead of sorting — the ensemble path.
+    /// Derives the columns for a classification-tree fit on `indices` from
+    /// `pre` and gathers per-slot labels. Returns the number of positive
+    /// slots.
     pub(crate) fn prepare_gini_from(
         &mut self,
         pre: &PresortedDataset,
         data: &Dataset,
         indices: &[usize],
     ) -> usize {
-        self.cols
-            .build_from(pre, indices, &mut self.row_offsets, &mut self.row_slots);
-        self.finish_gini(data, indices)
-    }
-
-    fn finish_gini(&mut self, data: &Dataset, indices: &[usize]) -> usize {
+        self.cols.build_from(pre, indices);
         self.labels.clear();
         self.labels.extend(indices.iter().map(|&i| data.label(i)));
         self.labels.iter().filter(|&&l| l).count()
     }
 
-    /// Builds columns + per-slot gradient statistics for a GBDT round,
-    /// deriving the orders from a shared [`PresortedDataset`] (the data,
-    /// and hence the full-column sort, never changes across rounds).
-    /// `grad`/`hess` are indexed by dataset row.
+    /// Derives the columns for a GBDT round from an all-sorted `pre` (the
+    /// data, and hence the full-column sort, never changes across rounds)
+    /// and gathers per-slot gradient statistics. `grad`/`hess` are indexed
+    /// by dataset row.
     pub(crate) fn prepare_newton_from(
         &mut self,
         pre: &PresortedDataset,
@@ -562,22 +782,47 @@ impl TreeScratch {
         grad: &[f64],
         hess: &[f64],
     ) {
-        self.cols
-            .build_from(pre, indices, &mut self.row_offsets, &mut self.row_slots);
-        self.finish_newton(indices, grad, hess);
-    }
-
-    fn finish_newton(&mut self, indices: &[usize], grad: &[f64], hess: &[f64]) {
+        debug_assert!(pre.bins.is_empty(), "the Newton scan needs every column sorted");
+        self.cols.build_from(pre, indices);
         self.grad.clear();
         self.grad.extend(indices.iter().map(|&i| grad[i]));
         self.hess.clear();
         self.hess.extend(indices.iter().map(|&i| hess[i]));
     }
 
-    /// Partitions node `[lo, hi)` around the winning feature's first
-    /// `split_at` slots. See [`PresortedColumns::apply_split`].
-    pub(crate) fn apply_split(&mut self, lo: usize, hi: usize, feature: u16, split_at: usize) {
-        self.cols.apply_split(lo, hi, feature, split_at, &mut self.tmp);
+    /// Scans feature `f` over node `[lo, hi)` for its best Gini split,
+    /// through whichever kind of column `pre` stores it as.
+    pub(crate) fn scan_gini(
+        &mut self,
+        pre: &PresortedDataset,
+        f: u16,
+        lo: usize,
+        hi: usize,
+        min_leaf: usize,
+        node: GiniNode,
+    ) -> Option<GiniSplit> {
+        let found = match pre.columns[usize::from(f)] {
+            Column::Sorted(k) => scan_sorted_gini(
+                self.cols.order_segment(k, lo, hi),
+                self.cols.values_of(k),
+                &self.labels,
+                min_leaf,
+                node,
+            ),
+            Column::Binned(b) => scan_binned_gini(
+                &self.cols.slots[lo..hi],
+                self.cols.codes_of(b),
+                &pre.bins[b],
+                &self.labels,
+                min_leaf,
+                node,
+                &mut self.hist,
+            ),
+        };
+        found.map(|(threshold, gain, split_at, pos_left)| GiniSplit {
+            choice: SplitChoice { feature: f, threshold, gain, split_at },
+            pos_left,
+        })
     }
 }
 
@@ -600,8 +845,7 @@ pub fn reference_best_split_gini(
 ) -> Option<SplitChoice> {
     let labels: Vec<bool> = indices.iter().map(|&i| data.label(i)).collect();
     let n_pos = labels.iter().filter(|&&l| l).count();
-    let node_impurity = gini(f64_from_usize(n_pos), f64_from_usize(indices.len()));
-    let mut crit = GiniCriterion::new(&labels, indices.len(), n_pos, node_impurity);
+    let mut crit = GiniCriterion::new(&labels, indices.len(), n_pos);
     reference_scan(data, indices, min_leaf, &mut crit)
 }
 
@@ -635,12 +879,7 @@ fn reference_scan<C: SplitCriterion>(
     let mut best: Option<SplitChoice> = None;
     for f in 0..u16_from_usize(data.n_features()) {
         let vals: Vec<f32> = indices.iter().map(|&i| data.row(i)[usize::from(f)]).collect();
-        let mut order: Vec<u32> = (0..u32_from_usize(m)).collect();
-        order.sort_unstable_by(|&a, &b| {
-            vals[usize_from_u32(a)]
-                .total_cmp(&vals[usize_from_u32(b)])
-                .then(a.cmp(&b))
-        });
+        let order = naive_order(&vals);
         if let Some((threshold, gain, split_at)) = scan_feature(&order, &vals, min_leaf, crit) {
             if best.map_or(true, |b| gain > b.gain) {
                 best = Some(SplitChoice { feature: f, threshold, gain, split_at });
@@ -650,22 +889,62 @@ fn reference_scan<C: SplitCriterion>(
     best
 }
 
-/// Runs the production pre-sorted kernel as a one-shot root-node split
-/// finder over all features — the head-to-head counterpart of
+/// Slots `0..vals.len()` sorted by `(value, slot)`.
+fn naive_order(vals: &[f32]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..u32_from_usize(vals.len())).collect();
+    order.sort_unstable_by(|&a, &b| {
+        vals[usize_from_u32(a)]
+            .total_cmp(&vals[usize_from_u32(b)])
+            .then(a.cmp(&b))
+    });
+    order
+}
+
+/// Runs the production Gini kernel as a one-shot root-node split finder
+/// over all features, with low-cardinality columns binned as in every
+/// tree fit — the head-to-head counterpart of
 /// [`reference_best_split_gini`] for the equivalence property tests.
+pub fn binned_best_split_gini(
+    data: &Dataset,
+    indices: &[usize],
+    min_leaf: usize,
+) -> Option<SplitChoice> {
+    root_split_gini(&PresortedDataset::build(data), data, indices, min_leaf)
+}
+
+/// [`binned_best_split_gini`] with every column sorted, none binned.
 pub fn presorted_best_split_gini(
     data: &Dataset,
     indices: &[usize],
     min_leaf: usize,
 ) -> Option<SplitChoice> {
-    let mut scratch = TreeScratch::new();
-    let n_pos = scratch.prepare_gini(data, indices);
-    let node_impurity = gini(f64_from_usize(n_pos), f64_from_usize(indices.len()));
-    let mut crit = GiniCriterion::new(&scratch.labels, indices.len(), n_pos, node_impurity);
-    presorted_scan(&scratch.cols, data.n_features(), indices.len(), min_leaf, &mut crit)
+    root_split_gini(&PresortedDataset::build_sorted(data), data, indices, min_leaf)
 }
 
-/// Pre-sorted counterpart of [`reference_best_split_newton`].
+fn root_split_gini(
+    pre: &PresortedDataset,
+    data: &Dataset,
+    indices: &[usize],
+    min_leaf: usize,
+) -> Option<SplitChoice> {
+    let mut scratch = TreeScratch::new();
+    let n_pos = scratch.prepare_gini_from(pre, data, indices);
+    let node = GiniNode::new(indices.len(), n_pos);
+    let mut best: Option<SplitChoice> = None;
+    for f in 0..u16_from_usize(data.n_features()) {
+        if let Some(s) = scratch.scan_gini(pre, f, 0, indices.len(), min_leaf, node) {
+            if best.map_or(true, |b| s.choice.gain > b.gain) {
+                best = Some(s.choice);
+            }
+        }
+    }
+    best
+}
+
+/// Pre-sorted counterpart of [`reference_best_split_newton`], on the
+/// GBDT's all-sorted layout. The sample is materialised as its own dataset
+/// so that dataset rows are slots: ties then keep the reference's
+/// `(value, slot)` order, on which the `f64` gradient sums depend.
 pub fn presorted_best_split_newton(
     data: &Dataset,
     indices: &[usize],
@@ -674,28 +953,22 @@ pub fn presorted_best_split_newton(
     lambda: f64,
     min_leaf: usize,
 ) -> Option<SplitChoice> {
-    let mut cols = PresortedColumns::new();
-    cols.build(data, indices);
+    let sample = data.select(indices);
+    let slots: Vec<usize> = (0..indices.len()).collect();
+    let mut scratch = TreeScratch::new();
+    scratch.cols.build_from(&PresortedDataset::build_sorted(&sample), &slots);
     let g_tot: f64 = grad.iter().sum();
     let h_tot: f64 = hess.iter().sum();
     let mut crit = NewtonCriterion::new(grad, hess, g_tot, h_tot, lambda);
-    presorted_scan(&cols, data.n_features(), indices.len(), min_leaf, &mut crit)
-}
-
-fn presorted_scan<C: SplitCriterion>(
-    cols: &PresortedColumns,
-    d: usize,
-    n: usize,
-    min_leaf: usize,
-    crit: &mut C,
-) -> Option<SplitChoice> {
     let mut best: Option<SplitChoice> = None;
-    for f in 0..u16_from_usize(d) {
-        let order = cols.order_segment(f, 0, n);
-        let values = cols.values_of(f);
-        if let Some((threshold, gain, split_at)) = scan_feature(order, values, min_leaf, crit) {
+    for f in 0..data.n_features() {
+        let order = scratch.cols.order_segment(f, 0, indices.len());
+        let values = scratch.cols.values_of(f);
+        let found = scan_feature(order, values, min_leaf, &mut crit);
+        if let Some((threshold, gain, split_at)) = found {
             if best.map_or(true, |b| gain > b.gain) {
-                best = Some(SplitChoice { feature: f, threshold, gain, split_at });
+                let feature = u16_from_usize(f);
+                best = Some(SplitChoice { feature, threshold, gain, split_at });
             }
         }
     }
@@ -717,20 +990,36 @@ mod tests {
     }
 
     #[test]
-    fn presort_orders_every_feature() {
-        let d = two_feature_data();
-        let indices: Vec<usize> = (0..d.n_rows()).collect();
-        let mut cols = PresortedColumns::new();
-        cols.build(&d, &indices);
-        for f in 0..2u16 {
-            let vals = cols.values_of(f);
-            let ord = cols.order_segment(f, 0, d.n_rows());
-            for w in ord.windows(2) {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                assert!(
-                    vals[a] < vals[b] || (vals[a] == vals[b] && a < b),
-                    "feature {f} not (value, slot)-sorted"
-                );
+    fn low_cardinality_columns_are_binned() {
+        // 256 distinct values bin, 257 do not; -0.0 and +0.0 count once.
+        let mut d = Dataset::with_dims(3);
+        for i in 0..257 {
+            let zero = if i % 2 == 0 { 0.0 } else { -0.0 };
+            let capped = if i < 256 { i as f32 } else { -0.0 };
+            d.push_row(&[capped, i as f32, zero], i % 3 == 0, i as u32);
+        }
+        let pre = PresortedDataset::build(&d);
+        assert_eq!(pre.columns, vec![Column::Binned(0), Column::Sorted(0), Column::Binned(1)]);
+        assert_eq!(pre.bins[0].len(), 256);
+        assert_eq!(pre.bins[1], vec![0.0]);
+        assert_eq!(pre.codes[..3], [0, 1, 2]);
+        assert_eq!(pre.codes[256], 0, "-0.0 shares +0.0's code");
+        assert!(pre.codes[257..].iter().all(|&c| c == 0));
+        let sorted = PresortedDataset::build_sorted(&d);
+        assert!(sorted.bins.is_empty());
+        assert_eq!(sorted.n_sorted(), 3);
+    }
+
+    #[test]
+    fn total_order_key_matches_total_cmp() {
+        let vals = [
+            f32::NEG_INFINITY, -2.5, -f32::MIN_POSITIVE, -f32::from_bits(1), -0.0, 0.0,
+            f32::from_bits(1), 1.0, f32::MAX, f32::INFINITY,
+        ];
+        for a in vals {
+            for b in vals {
+                let got = total_order_key(a).cmp(&total_order_key(b));
+                assert_eq!(got, a.total_cmp(&b), "{a} vs {b}");
             }
         }
     }
@@ -739,39 +1028,70 @@ mod tests {
     fn kernel_finds_the_separating_split() {
         let d = two_feature_data();
         let indices: Vec<usize> = (0..d.n_rows()).collect();
-        let got = presorted_best_split_gini(&d, &indices, 1).expect("split");
-        assert_eq!(got.feature, 0);
-        assert_eq!(got.split_at, 4);
-        assert!(got.threshold >= 3.0 / 8.0 && got.threshold < 0.5);
         let reference = reference_best_split_gini(&d, &indices, 1).expect("split");
-        assert_eq!(got, reference);
+        for got in [
+            presorted_best_split_gini(&d, &indices, 1).expect("split"),
+            binned_best_split_gini(&d, &indices, 1).expect("split"),
+        ] {
+            assert_eq!(got.feature, 0);
+            assert_eq!(got.split_at, 4);
+            assert!(got.threshold >= 3.0 / 8.0 && got.threshold < 0.5);
+            assert_eq!(got, reference);
+        }
     }
 
     #[test]
     fn partition_keeps_segments_sorted() {
         let d = two_feature_data();
         let indices: Vec<usize> = (0..d.n_rows()).collect();
-        let mut scratch = TreeScratch::new();
-        scratch.prepare_gini(&d, &indices);
-        scratch.apply_split(0, 8, 0, 4);
-        for f in 0..2u16 {
-            let vals = scratch.cols.values_of(f);
-            for seg in [
-                scratch.cols.order_segment(f, 0, 4),
-                scratch.cols.order_segment(f, 4, 8),
-            ] {
-                for w in seg.windows(2) {
-                    let (a, b) = (w[0] as usize, w[1] as usize);
-                    assert!(vals[a] < vals[b] || (vals[a] == vals[b] && a < b));
+        for pre in [PresortedDataset::build_sorted(&d), PresortedDataset::build(&d)] {
+            let mut scratch = TreeScratch::new();
+            scratch.prepare_gini_from(&pre, &d, &indices);
+            scratch.cols.apply_split(&pre, 0, 8, 0, 0.4, 4);
+            let cols = &scratch.cols;
+            for k in 0..pre.n_sorted() {
+                let vals = cols.values_of(k);
+                for seg in [cols.order_segment(k, 0, 4), cols.order_segment(k, 4, 8)] {
+                    for w in seg.windows(2) {
+                        let (a, b) = (w[0] as usize, w[1] as usize);
+                        assert!(vals[a] < vals[b] || (vals[a] == vals[b] && a < b));
+                    }
                 }
+                // The left block holds exactly the low-x slots 0..4.
+                let mut left = cols.order_segment(k, 0, 4).to_vec();
+                left.sort_unstable();
+                assert_eq!(left, vec![0, 1, 2, 3]);
             }
+            // The slot list stays ascending within each child.
+            assert_eq!(cols.slots, vec![0, 1, 2, 3, 4, 5, 6, 7]);
         }
-        // Left block of every feature holds exactly the low-x slots 0..4.
-        for f in 0..2u16 {
-            let mut left: Vec<u32> = scratch.cols.order_segment(f, 0, 4).to_vec();
-            left.sort_unstable();
-            assert_eq!(left, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn binned_winner_partitions_sorted_orders() {
+        // Feature 0 has three levels and wins; feature 1 is continuous
+        // (sorted) and must be re-segmented around the binned winner's cut.
+        let mut d = Dataset::with_dims(2);
+        for i in 0..300u32 {
+            let x = ((i * 7) % 3) as f32;
+            d.push_row(&[x, (i * 37 % 300) as f32], x > 0.5, i);
         }
+        let pre = PresortedDataset::build(&d);
+        assert_eq!(pre.columns, vec![Column::Binned(0), Column::Sorted(0)]);
+        let indices: Vec<usize> = (0..d.n_rows()).collect();
+        let mut scratch = TreeScratch::new();
+        let n_pos = scratch.prepare_gini_from(&pre, &d, &indices);
+        let s = scratch.scan_gini(&pre, 0, 0, 300, 1, GiniNode::new(300, n_pos)).expect("split");
+        assert_eq!((s.choice.split_at, s.pos_left), (100, 0));
+        scratch.cols.apply_split(&pre, 0, 300, 0, s.choice.threshold, s.choice.split_at);
+        let left: Vec<u32> = (0..300).filter(|&i| d.row(i as usize)[0] == 0.0).collect();
+        assert_eq!(scratch.cols.slots[..100], left[..]);
+        let seg = scratch.cols.order_segment(0, 0, 100);
+        let vals = scratch.cols.values_of(0);
+        assert!(seg.windows(2).all(|w| vals[w[0] as usize] < vals[w[1] as usize]));
+        let mut seg = seg.to_vec();
+        seg.sort_unstable();
+        assert_eq!(seg, left);
     }
 
     #[test]
@@ -787,38 +1107,29 @@ mod tests {
 
     #[test]
     fn derived_orders_match_per_sample_sort() {
-        // Identity indices: build_from's (value, row, slot) key collapses
-        // to build's (value, slot) key, so the orders agree exactly.
+        // Derived orders equal a naive per-sample sort keyed by
+        // (value, row, slot); with identity indices that key collapses to
+        // the reference finder's (value, slot).
         let d = two_feature_data();
+        let pre = PresortedDataset::build_sorted(&d);
+        let mut scratch = TreeScratch::new();
         let identity: Vec<usize> = (0..d.n_rows()).collect();
-        let pre = PresortedDataset::build(&d);
-        let (mut sorted, mut derived) = (PresortedColumns::new(), PresortedColumns::new());
-        sorted.build(&d, &identity);
-        let (mut off, mut slots) = (Vec::new(), Vec::new());
-        derived.build_from(&pre, &identity, &mut off, &mut slots);
-        assert_eq!(sorted.values, derived.values);
-        assert_eq!(sorted.order, derived.order);
-
-        // Bootstrap-style duplicates: values gather identically and every
-        // derived order is (value, slot-of-equal-row)-sorted.
         let boot = vec![3usize, 0, 3, 5, 1, 1, 7];
-        sorted.build(&d, &boot);
-        derived.build_from(&pre, &boot, &mut off, &mut slots);
-        assert_eq!(sorted.values, derived.values);
-        for f in 0..2u16 {
-            let vals = derived.values_of(f);
-            let ord = derived.order_segment(f, 0, boot.len());
-            for w in ord.windows(2) {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                assert!(
-                    vals[a] < vals[b]
-                        || (vals[a] == vals[b] && (boot[a], a) < (boot[b], b)),
-                    "feature {f} derived order violates (value, row, slot)"
-                );
+        for indices in [identity, boot] {
+            scratch.cols.build_from(&pre, &indices);
+            for f in 0..2 {
+                let vals: Vec<f32> = indices.iter().map(|&i| d.row(i)[f]).collect();
+                assert_eq!(scratch.cols.values_of(f), &vals[..]);
+                let mut want: Vec<u32> = (0..indices.len() as u32).collect();
+                want.sort_by(|&a, &b| {
+                    let (a, b) = (a as usize, b as usize);
+                    vals[a].total_cmp(&vals[b]).then((indices[a], a).cmp(&(indices[b], b)))
+                });
+                assert_eq!(scratch.cols.order_segment(f, 0, indices.len()), &want[..]);
+                if indices.len() == d.n_rows() {
+                    assert_eq!(want, naive_order(&vals));
+                }
             }
-            let mut seen: Vec<u32> = ord.to_vec();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..boot.len() as u32).collect::<Vec<_>>());
         }
     }
 
@@ -827,8 +1138,13 @@ mod tests {
         // Bootstrap draws repeat rows; each draw must be its own slot.
         let d = two_feature_data();
         let indices = vec![0usize, 0, 0, 7, 7, 7];
-        let got = presorted_best_split_gini(&d, &indices, 1).expect("split");
-        assert_eq!(got.split_at, 3);
-        assert_eq!(got, reference_best_split_gini(&d, &indices, 1).unwrap());
+        let reference = reference_best_split_gini(&d, &indices, 1).unwrap();
+        for got in [
+            presorted_best_split_gini(&d, &indices, 1).expect("split"),
+            binned_best_split_gini(&d, &indices, 1).expect("split"),
+        ] {
+            assert_eq!(got.split_at, 3);
+            assert_eq!(got, reference);
+        }
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::classifier::{Classifier, Trainer};
 use crate::dataset::Dataset;
-use crate::split_kernel::{gini, scan_feature, GiniCriterion, PresortedDataset, TreeScratch};
+use crate::split_kernel::{GiniNode, GiniSplit, PresortedDataset, TreeScratch};
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{
     f32_from_usize, f64_from_usize, u16_from_usize, u32_from_usize, u64_from_usize,
@@ -87,14 +87,15 @@ pub struct DecisionTree {
     n_features: usize,
 }
 
-/// Grows one tree over the pre-sorted column buffers in a [`TreeScratch`].
+/// Grows one tree over the per-tree columns in a [`TreeScratch`].
 ///
-/// Nodes are segments `[lo, hi)` of the shared per-feature orders; the
-/// positive count is threaded down the recursion (computed once at the
-/// root, split counts derived during partitioning) so no node ever
+/// Nodes are segments `[lo, hi)` of the shared sorted orders and slot
+/// list; the positive count is threaded down the recursion (computed once
+/// at the root, split counts taken from the winning scan) so no node ever
 /// re-counts labels.
 struct Builder<'a> {
     config: &'a TreeConfig,
+    pre: &'a PresortedDataset,
     scratch: &'a mut TreeScratch,
     n_features: usize,
     nodes: Vec<Node>,
@@ -110,8 +111,6 @@ impl<'a> Builder<'a> {
     /// positives; returns its node id.
     fn build(&mut self, lo: usize, hi: usize, pos: usize, depth: usize) -> u32 {
         let n = hi - lo;
-        let node_impurity = gini(f64_from_usize(pos), f64_from_usize(n));
-
         let make_leaf = |nodes: &mut Vec<Node>| {
             let prob = if n == 0 { 0.5 } else { f32_from_usize(pos) / f32_from_usize(n) };
             nodes.push(Node::Leaf { prob });
@@ -126,24 +125,14 @@ impl<'a> Builder<'a> {
             return make_leaf(&mut self.nodes);
         }
 
-        let Some((feature, threshold, gain, split_at)) =
-            self.best_split(lo, hi, pos, node_impurity)
-        else {
+        let Some(GiniSplit { choice, pos_left }) = self.best_split(lo, hi, pos) else {
             return make_leaf(&mut self.nodes);
         };
+        let (feature, threshold, split_at) = (choice.feature, choice.threshold, choice.split_at);
 
         // Accumulate MDI: impurity decrease weighted by node mass.
-        self.importances[usize::from(feature)] += gain * f64_from_usize(n) / self.n_total;
+        self.importances[usize::from(feature)] += choice.gain * f64_from_usize(n) / self.n_total;
 
-        // The winning feature's first `split_at` slots are the left child;
-        // count its positives here so neither child re-counts labels.
-        let pos_left = self
-            .scratch
-            .cols
-            .order_segment(feature, lo, lo + split_at)
-            .iter()
-            .filter(|&&s| self.scratch.labels[usize_from_u32(s)])
-            .count();
         let (n_left, n_right) = (split_at, n - split_at);
         let pos_right = pos - pos_left;
 
@@ -164,8 +153,8 @@ impl<'a> Builder<'a> {
             self.nodes.push(Node::Leaf { prob: f32_from_usize(pos_right) / f32_from_usize(n_right) });
             ((me + 1), (me + 2))
         } else {
-            // One stable O(n·d) pass re-segments every feature order.
-            self.scratch.apply_split(lo, hi, feature, split_at);
+            // One stable pass re-segments the slot list and sorted orders.
+            self.scratch.cols.apply_split(self.pre, lo, hi, feature, threshold, split_at);
             let left = self.build(lo, lo + split_at, pos_left, depth + 1);
             let right = self.build(lo + split_at, hi, pos_right, depth + 1);
             (left, right)
@@ -179,18 +168,10 @@ impl<'a> Builder<'a> {
         me
     }
 
-    /// Finds the best (feature, threshold) over the configured feature
-    /// subset by scanning each candidate's pre-sorted node segment.
-    /// Returns `(feature, threshold, impurity_gain, left_count)`.
-    fn best_split(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        n_pos: usize,
-        node_impurity: f64,
-    ) -> Option<(u16, f32, f64, usize)> {
+    /// Finds the best split over the configured feature subset by scanning
+    /// each candidate's column over the node.
+    fn best_split(&mut self, lo: usize, hi: usize, n_pos: usize) -> Option<GiniSplit> {
         let d = self.n_features;
-        let n = hi - lo;
 
         // Choose candidate features: all, or a fresh random subset.
         self.feature_pool.clear();
@@ -203,19 +184,15 @@ impl<'a> Builder<'a> {
             }
         }
 
-        let mut crit = GiniCriterion::new(&self.scratch.labels, n, n_pos, node_impurity);
-        let mut best: Option<(u16, f32, f64, usize)> = None;
+        let node = GiniNode::new(hi - lo, n_pos);
         let min_leaf = self.config.min_samples_leaf;
-
+        let mut best: Option<GiniSplit> = None;
         for ci in 0..n_candidates {
             let f = self.feature_pool[ci];
-            let order = self.scratch.cols.order_segment(f, lo, hi);
-            let values = self.scratch.cols.values_of(f);
-            if let Some((threshold, gain, split_at)) =
-                scan_feature(order, values, min_leaf, &mut crit)
-            {
-                if best.map_or(true, |b| gain > b.2) {
-                    best = Some((f, threshold, gain, split_at));
+            let found = self.scratch.scan_gini(self.pre, f, lo, hi, min_leaf, node);
+            if let Some(s) = found {
+                if best.map_or(true, |b| s.choice.gain > b.choice.gain) {
+                    best = Some(s);
                 }
             }
         }
@@ -233,8 +210,9 @@ impl DecisionTree {
     }
 
     /// [`fit_on`](Self::fit_on) with caller-provided scratch, so repeated
-    /// fits (forest workers, boosting rounds) reuse the column buffers
-    /// instead of allocating per tree.
+    /// fits reuse the column buffers instead of allocating per tree.
+    /// Builds a [`PresortedDataset`] over `data` and fits through
+    /// [`fit_with_presorted`](Self::fit_with_presorted).
     pub fn fit_on_with_scratch(
         config: &TreeConfig,
         data: &Dataset,
@@ -242,16 +220,13 @@ impl DecisionTree {
         seed: u64,
         scratch: &mut TreeScratch,
     ) -> Self {
-        config.validate();
-        assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
-        let n_pos = scratch.prepare_gini(data, indices);
-        Self::grow(config, data, indices, seed, scratch, n_pos)
+        let pre = PresortedDataset::build(data);
+        Self::fit_with_presorted(config, data, &pre, indices, seed, scratch)
     }
 
-    /// The ensemble path: like
-    /// [`fit_on_with_scratch`](Self::fit_on_with_scratch), but the per-slot
-    /// sorted orders are derived from a shared [`PresortedDataset`] built
-    /// once per forest, so no per-tree sorting happens at all.
+    /// The ensemble path: the per-tree columns are derived from a
+    /// [`PresortedDataset`] built once per forest and shared by every
+    /// tree, so no per-tree sorting happens at all.
     pub fn fit_with_presorted(
         config: &TreeConfig,
         data: &Dataset,
@@ -263,19 +238,9 @@ impl DecisionTree {
         config.validate();
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
         let n_pos = scratch.prepare_gini_from(pre, data, indices);
-        Self::grow(config, data, indices, seed, scratch, n_pos)
-    }
-
-    fn grow(
-        config: &TreeConfig,
-        data: &Dataset,
-        indices: &[usize],
-        seed: u64,
-        scratch: &mut TreeScratch,
-        n_pos: usize,
-    ) -> Self {
         let mut b = Builder {
             config,
+            pre,
             scratch,
             n_features: data.n_features(),
             nodes: Vec::new(),

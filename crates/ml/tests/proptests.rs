@@ -2,8 +2,8 @@
 //! invariants, and classifier output contracts.
 
 use ssd_ml::split_kernel::{
-    presorted_best_split_gini, presorted_best_split_newton, reference_best_split_gini,
-    reference_best_split_newton,
+    binned_best_split_gini, presorted_best_split_gini, presorted_best_split_newton,
+    reference_best_split_gini, reference_best_split_newton,
 };
 use ssd_ml::{
     downsample_majority, grouped_kfold, roc_auc, Classifier, Confusion, Dataset, DecisionTree,
@@ -161,21 +161,65 @@ fn downsampling_keeps_all_positives_and_ratio() {
     });
 }
 
-/// Random dataset for kernel-equivalence checks: up to 4 features, each
-/// column independently either continuous or quantized to very few levels
-/// (heavy ties are where boundary-handling bugs live), plus
-/// bootstrap-style index lists with duplicate rows.
+/// One generated feature column of `n` values, of a kind picked to land
+/// on either side of the kernel's 256-distinct-value binning cut and on
+/// the boundary cases of the split scan.
+fn kernel_column(g: &mut Gen, n: usize) -> Vec<f32> {
+    match g.usize_in(0, 6) {
+        // Continuous: (almost surely) all distinct.
+        0 => (0..n).map(|_| g.f64_unit() as f32).collect(),
+        // Heavy ties: 1-4 quantized levels.
+        1 => {
+            let lv = g.usize_in(1, 4) as f64;
+            (0..n).map(|_| ((g.f64_unit() * lv).floor() / lv) as f32).collect()
+        }
+        // Exactly 256 or 257 distinct values (fewer on small cases), each
+        // present at least once, in shuffled row order.
+        2 => {
+            let k = if g.bool() { 256 } else { 257 }.min(n);
+            let step = g.f64_in(0.001, 3.0) as f32;
+            let mut col: Vec<f32> = (0..n)
+                .map(|i| if i < k { i } else { g.usize_in(0, k - 1) })
+                .map(|c| c as f32 * step - 7.0)
+                .collect();
+            for i in (1..n).rev() {
+                col.swap(i, g.usize_in(0, i));
+            }
+            col
+        }
+        // Signed zeros beside their nearest neighbours.
+        3 => {
+            let tiny = f32::from_bits(1);
+            let pool = [-0.0, 0.0, tiny, -tiny, 0.5, -0.5];
+            (0..n).map(|_| *g.choose(&pool)).collect()
+        }
+        // Adjacent f32 values, where the midpoint threshold clamps.
+        4 => {
+            let base = 0x3F80_0001 + g.u32_in(0, 1);
+            (0..n).map(|_| f32::from_bits(base + g.u32_in(0, 2))).collect()
+        }
+        // Constant column: never splittable.
+        5 => vec![g.f64_in(-2.0, 2.0) as f32; n],
+        // Continuous with a few repeats (a low-cardinality mass point).
+        _ => (0..n)
+            .map(|_| if g.ratio(0.3) { 1.0 } else { g.f64_unit() as f32 })
+            .collect(),
+    }
+}
+
+/// Random dataset for kernel-equivalence checks: up to 4 columns of mixed
+/// kinds ([`kernel_column`]) on either a small node (6-60 rows) or a
+/// larger one (257-600 rows, so a column can exceed the binning cut),
+/// plus bootstrap-style index lists with duplicate rows.
 fn kernel_case(g: &mut Gen) -> (Dataset, Vec<usize>) {
-    let n = g.usize_in(6, 60);
+    let n = if g.bool() { g.usize_in(6, 60) } else { g.usize_in(257, 600) };
     let d = g.usize_in(1, 4);
-    // Per-column quantization: 0 = continuous, else k discrete levels.
-    let levels: Vec<usize> = (0..d).map(|_| if g.bool() { g.usize_in(1, 4) } else { 0 }).collect();
+    let cols: Vec<Vec<f32>> = (0..d).map(|_| kernel_column(g, n)).collect();
     let mut data = Dataset::with_dims(d);
     let mut row = vec![0f32; d];
     for i in 0..n {
-        for (v, &lv) in row.iter_mut().zip(&levels) {
-            let x = g.f64_unit();
-            *v = if lv == 0 { x as f32 } else { ((x * lv as f64).floor() / lv as f64) as f32 };
+        for (v, col) in row.iter_mut().zip(&cols) {
+            *v = col[i];
         }
         data.push_row(&row, g.bool(), i as u32);
     }
@@ -194,17 +238,23 @@ fn presorted_gini_split_matches_naive_reference() {
         let (data, indices) = kernel_case(g);
         let min_leaf = g.usize_in(1, 4);
         let want = reference_best_split_gini(&data, &indices, min_leaf);
-        let got = presorted_best_split_gini(&data, &indices, min_leaf);
-        match (&want, &got) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.feature, b.feature, "feature: {a:?} vs {b:?}");
-                assert_eq!(a.threshold.to_bits(), b.threshold.to_bits(), "{a:?} vs {b:?}");
-                assert_eq!(a.split_at, b.split_at, "{a:?} vs {b:?}");
-                // Both paths evaluate the identical count arithmetic.
-                assert_eq!(a.gain.to_bits(), b.gain.to_bits(), "{a:?} vs {b:?}");
+        let finders = [
+            ("presorted", presorted_best_split_gini(&data, &indices, min_leaf)),
+            ("binned", binned_best_split_gini(&data, &indices, min_leaf)),
+        ];
+        for (name, got) in finders {
+            match (&want, &got) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.feature, b.feature, "{name} feature: {a:?} vs {b:?}");
+                    let (ta, tb) = (a.threshold.to_bits(), b.threshold.to_bits());
+                    assert_eq!(ta, tb, "{name}: {a:?} vs {b:?}");
+                    assert_eq!(a.split_at, b.split_at, "{name}: {a:?} vs {b:?}");
+                    // Every path evaluates the identical count arithmetic.
+                    assert_eq!(a.gain.to_bits(), b.gain.to_bits(), "{name}: {a:?} vs {b:?}");
+                }
+                _ => panic!("split disagreement: reference {want:?}, {name} {got:?}"),
             }
-            _ => panic!("split disagreement: reference {want:?}, presorted {got:?}"),
         }
     });
 }
@@ -264,6 +314,46 @@ fn forest_predictions_identical_across_pool_sizes() {
             })
     };
     let (scores_1, imp_1) = fit_and_score(1);
+    for threads in [2, 5] {
+        let (scores, imp) = fit_and_score(threads);
+        let same = scores.iter().zip(&scores_1).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "pool size {threads} changed forest predictions");
+        assert_eq!(imp, imp_1, "pool size {threads} changed importances");
+    }
+}
+
+#[test]
+fn forest_with_both_column_kinds_identical_across_pool_sizes() {
+    // 700 rows: two continuous columns (sorted) beside a 3-level, a
+    // 40-level and a 256-level column (binned), so parallel fits exercise
+    // both scans and binned winners partitioning sorted orders.
+    let mut rng = ssd_stats::SplitMix64::new(0xB1_4A7D);
+    let mut d = Dataset::with_dims(5);
+    for i in 0..700 {
+        let a = rng.next_f64() as f32;
+        let b = rng.next_f64() as f32;
+        let c3 = (rng.next_f64() * 3.0).floor() as f32;
+        let c40 = (rng.next_f64() * 40.0).floor() as f32;
+        let c256 = (i % 256) as f32;
+        let label = a + c3 / 3.0 + c40 / 80.0 > 1.2 || (c256 < 4.0 && b > 0.5);
+        d.push_row(&[a, c3, b, c40, c256], label, i as u32);
+    }
+    let cfg = ForestConfig {
+        n_trees: 12,
+        ..Default::default()
+    };
+    let fit_and_score = |threads: usize| {
+        ssd_parallel::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| {
+                let m = RandomForest::fit(&cfg, &d, 11);
+                (m.predict_batch(&d), m.feature_importances().to_vec())
+            })
+    };
+    let (scores_1, imp_1) = fit_and_score(1);
+    assert!(imp_1.iter().all(|&v| v > 0.0), "every column should win splits: {imp_1:?}");
     for threads in [2, 5] {
         let (scores, imp) = fit_and_score(threads);
         let same = scores.iter().zip(&scores_1).all(|(a, b)| a.to_bits() == b.to_bits());

@@ -65,6 +65,14 @@ pub fn u16_from_usize(x: usize) -> u16 {
     x as u16
 }
 
+/// `usize` → `u8`; the caller asserts the value fits (bin codes of
+/// low-cardinality feature columns).
+#[inline]
+pub fn u8_from_usize(x: usize) -> u8 {
+    debug_assert!(u8::try_from(x).is_ok(), "usize {x} exceeds u8");
+    x as u8
+}
+
 /// `usize` → `f64`, exact while the value stays below 2^53 — true for
 /// every row, drive, and bin count this workspace can hold in memory.
 #[inline]
@@ -93,6 +101,7 @@ mod tests {
         assert_eq!(u32_from_usize(4_294_967_295), u32::MAX);
         assert_eq!(u32_from_u64(7), 7);
         assert_eq!(u16_from_usize(65_535), u16::MAX);
+        assert_eq!(u8_from_usize(255), u8::MAX);
     }
 
     #[test]

@@ -47,7 +47,8 @@ cargo bench --no-run --offline --workspace
 echo "== bench smoke: bench_sim (incl. fastforward + encode_stream/decode_stream) + ML kernels + flat predict + history compare =="
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_sim
 
-SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels train_2k_rows
+# "train_" selects both training groups: train_2k_rows and train_imbalanced.
+SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels train_
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_flat_predict flat_predict
 scripts/bench_compare.sh
 
