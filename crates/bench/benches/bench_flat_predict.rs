@@ -35,6 +35,22 @@ fn score_set() -> Dataset {
     d
 }
 
+/// Scores a pointer ensemble row by row through the trait's default
+/// parallel `predict_batch`. The ensembles' own `predict_batch` flattens
+/// first and scores through `ssd_ml::flat`, so this wrapper is what keeps
+/// the pointer-tree walk measurable.
+struct PointerWalk<'a>(&'a dyn Classifier);
+
+impl Classifier for PointerWalk<'_> {
+    fn predict_proba(&self, row: &[f32]) -> f64 {
+        self.0.predict_proba(row)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
 fn bench_flat_vs_pointer(c: &mut Criterion) {
     let data = score_set();
     let forest = RandomForest::fit(
@@ -58,11 +74,15 @@ fn bench_flat_vs_pointer(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("flat_predict");
     g.sample_size(20);
-    g.bench_function("pointer_forest_50", |b| b.iter(|| forest.predict_batch(&data)));
+    g.bench_function("pointer_forest_50", |b| {
+        b.iter(|| PointerWalk(&forest).predict_batch(&data))
+    });
     g.bench_function("flat_forest", |b| {
         b.iter(|| flat_forest.predict_rows(data.raw_features(), data.n_features()))
     });
-    g.bench_function("pointer_gbdt_50", |b| b.iter(|| gbdt.predict_batch(&data)));
+    g.bench_function("pointer_gbdt_50", |b| {
+        b.iter(|| PointerWalk(&gbdt).predict_batch(&data))
+    });
     g.bench_function("flat_gbdt", |b| {
         b.iter(|| flat_gbdt.predict_rows(data.raw_features(), data.n_features()))
     });

@@ -1,6 +1,7 @@
 //! ML-substrate micro-benchmarks: training and scoring kernels for each
 //! of the six classifier families, a forest fit on imbalanced
-//! mixed-cardinality data, plus the ROC/AUC metric.
+//! mixed-cardinality data, batch scoring of one cross-validation fold,
+//! plus the ROC/AUC metric.
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
 use ssd_ml::{
@@ -110,6 +111,62 @@ fn bench_scoring(c: &mut Criterion) {
     g.finish();
 }
 
+/// One mixed-cardinality row: 12 continuous columns and 19 sparse counts
+/// and flags. Positive rows draw their counts more often and larger.
+fn fold_row(rng: &mut SplitMix64, positive: bool, row: &mut [f32]) {
+    let (rate, scale) = if positive { (0.3, 6.0) } else { (0.05, 3.0) };
+    for v in &mut row[..12] {
+        *v = (rng.next_f64() * 5000.0).floor() as f32;
+    }
+    for v in &mut row[12..30] {
+        *v = if rng.next_f64() < rate {
+            (-(1.0 - rng.next_f64()).ln() * scale).floor().min(40.0) as f32
+        } else {
+            0.0
+        };
+    }
+    row[30] = f32::from(u8::from(rng.next_f64() < if positive { 0.2 } else { 0.02 }));
+}
+
+/// A cross-validation fold shaped like Table 6's at a 7-day lookahead:
+/// a 1:1 downsampled training set of ~5.5k rows and an imbalanced test
+/// set of ~45k rows with ~1.5 % positives, over 31 mixed-cardinality
+/// columns.
+fn cv_fold() -> (Dataset, Dataset) {
+    let mut rng = SplitMix64::new(7);
+    let mut row = vec![0f32; 31];
+    let mut train = Dataset::with_dims(31);
+    for i in 0..5_500 {
+        let positive = i % 2 == 0;
+        fold_row(&mut rng, positive, &mut row);
+        train.push_row(&row, positive, i as u32);
+    }
+    let mut test = Dataset::with_dims(31);
+    for i in 0..45_000 {
+        let positive = rng.next_f64() < 0.015;
+        fold_row(&mut rng, positive, &mut row);
+        test.push_row(&row, positive, i as u32);
+    }
+    (train, test)
+}
+
+fn bench_cv_fold_scoring(c: &mut Criterion) {
+    let (train, test) = cv_fold();
+    let mut g = c.benchmark_group("score_cv_fold");
+    g.sample_size(10);
+    // Fits happen inside the closures so a filtered-out run skips them;
+    // only the batch scoring (forest flattening included) is timed.
+    g.bench_function("knn", |b| {
+        let knn = KnnConfig::default().fit(&train, 0);
+        b.iter(|| knn.predict_batch(&test))
+    });
+    g.bench_function("forest_100", |b| {
+        let forest = ForestConfig::default().fit(&train, 0);
+        b.iter(|| forest.predict_batch(&test))
+    });
+    g.finish();
+}
+
 fn bench_metrics(c: &mut Criterion) {
     let mut rng = SplitMix64::new(9);
     let n = 200_000;
@@ -125,6 +182,7 @@ criterion_group!(
     bench_training,
     bench_imbalanced_training,
     bench_scoring,
+    bench_cv_fold_scoring,
     bench_metrics
 );
 criterion_main!(benches);

@@ -9,7 +9,10 @@
 //! breadth-first order with sibling children adjacent, and evaluates rows
 //! in blocks with a tree-outer / row-inner loop: one tree's hot upper
 //! levels stay resident in cache across a whole block of rows instead of
-//! the whole forest competing for cache on every row.
+//! the whole forest competing for cache on every row. It is the only
+//! batch path: `RandomForest::predict_batch` and `Gbdt::predict_batch`
+//! flatten once and score here, and the pointer trees keep just their
+//! per-row `predict_proba` walk as the reference.
 //!
 //! Equivalence contract: for every row, [`FlatForest`] and [`FlatGbdt`]
 //! return probabilities *bit-identical* to the pointer models they were
@@ -530,9 +533,13 @@ mod tests {
             let q = flat.predict_proba(data.row(i));
             assert_eq!(p.to_bits(), q.to_bits(), "row {i}: {p} vs {q}");
         }
-        let batch_ptr = forest.predict_batch(&data);
-        let batch_flat = flat.predict_batch(&data);
-        assert_eq!(batch_ptr, batch_flat);
+        // Both batch entry points score through the flat arrays; they
+        // must reproduce the pointer trees' per-row walk.
+        let per_row: Vec<f64> = (0..data.n_rows())
+            .map(|i| forest.predict_proba(data.row(i)))
+            .collect();
+        assert_eq!(flat.predict_batch(&data), per_row);
+        assert_eq!(forest.predict_batch(&data), per_row);
     }
 
     #[test]
@@ -553,6 +560,11 @@ mod tests {
             let q = flat.predict_proba(data.row(i));
             assert_eq!(p.to_bits(), q.to_bits(), "row {i}: {p} vs {q}");
         }
+        let per_row: Vec<f64> = (0..data.n_rows())
+            .map(|i| model.predict_proba(data.row(i)))
+            .collect();
+        assert_eq!(flat.predict_batch(&data), per_row);
+        assert_eq!(model.predict_batch(&data), per_row);
     }
 
     #[test]
@@ -595,7 +607,10 @@ mod tests {
         assert!(flat.predict_rows(&[], 2).is_empty());
         let scores = flat.predict_rows(data.raw_features(), 2);
         assert_eq!(scores.len(), data.n_rows());
-        assert_eq!(scores, forest.predict_batch(&data));
+        let per_row: Vec<f64> = (0..data.n_rows())
+            .map(|i| forest.predict_proba(data.row(i)))
+            .collect();
+        assert_eq!(scores, per_row);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::classifier::{Classifier, Trainer};
 use crate::dataset::Dataset;
+use crate::flat::FlatForest;
 use crate::split_kernel::{PresortedDataset, TreeScratch};
 use crate::tree::{DecisionTree, TreeConfig};
 use ssd_parallel::prelude::*;
@@ -160,13 +161,10 @@ impl Classifier for RandomForest {
         sum / f64_from_usize(self.trees.len())
     }
 
-    /// Parallel over rows; within a row, trees are reduced sequentially so
-    /// the result is a deterministic left-to-right average.
+    /// Flattens once and scores through [`FlatForest`], bit-identical to
+    /// [`predict_proba`](Self::predict_proba) on every row.
     fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.n_rows())
-            .into_par_iter()
-            .map(|i| self.predict_proba(data.row(i)))
-            .collect()
+        FlatForest::from_forest(self).predict_batch(data)
     }
 
     fn name(&self) -> &'static str {
@@ -189,7 +187,6 @@ mod tests {
     use super::*;
     use crate::metrics::roc_auc;
     use ssd_stats::SplitMix64;
-use ssd_types::cast::{f64_from_usize, u64_from_usize, usize_from_u64};
 
     fn noisy_nonlinear(n: usize, seed: u64) -> Dataset {
         // Ring classification with label noise: forests should beat

@@ -14,6 +14,7 @@
 
 use crate::classifier::{sigmoid, Classifier, Trainer};
 use crate::dataset::Dataset;
+use crate::flat::FlatGbdt;
 use crate::split_kernel::{scan_feature, NewtonCriterion, PresortedDataset, TreeScratch};
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{f64_from_usize, u16_from_usize, u32_from_usize, u64_from_usize, usize_from_u32, usize_from_u64};
@@ -328,6 +329,12 @@ impl Classifier for Gbdt {
             score += self.learning_rate * t.predict(row);
         }
         sigmoid(score)
+    }
+
+    /// Flattens once and scores through [`FlatGbdt`], bit-identical to
+    /// [`predict_proba`](Self::predict_proba) on every row.
+    fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
+        FlatGbdt::from_gbdt(self).predict_batch(data)
     }
 
     fn name(&self) -> &'static str {

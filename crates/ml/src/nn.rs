@@ -5,6 +5,7 @@
 
 use crate::classifier::{sigmoid, Classifier, Trainer};
 use crate::dataset::{Dataset, Scaler};
+use ssd_parallel::prelude::*;
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{f64_from_usize, u64_from_usize, usize_from_u64};
 
@@ -207,23 +208,50 @@ impl Mlp {
     }
 }
 
-impl Classifier for Mlp {
-    fn predict_proba(&self, row: &[f32]) -> f64 {
-        let mut buf = Vec::with_capacity(row.len());
-        self.scaler.transform_row(row, &mut buf);
-        let mut cur: Vec<f64> = buf.iter().map(|&v| f64::from(v)).collect();
-        let mut next = Vec::new();
+/// Per-worker scoring buffers: the standardized row and the two
+/// activation vectors the layers ping-pong between.
+#[derive(Default)]
+struct Scratch {
+    scaled: Vec<f32>,
+    cur: Vec<f64>,
+    next: Vec<f64>,
+}
+
+impl Mlp {
+    /// Forward pass for one row through reusable buffers.
+    fn score(&self, row: &[f32], scratch: &mut Scratch) -> f64 {
+        let Scratch { scaled, cur, next } = scratch;
+        self.scaler.transform_row(row, scaled);
+        cur.clear();
+        cur.extend(scaled.iter().map(|&v| f64::from(v)));
         let n_layers = self.layers.len();
         for (l, layer) in self.layers.iter().enumerate() {
-            layer.forward(&cur, &mut next);
+            layer.forward(cur, next);
             if l + 1 < n_layers {
                 for v in next.iter_mut() {
                     *v = v.max(0.0);
                 }
             }
-            std::mem::swap(&mut cur, &mut next);
+            std::mem::swap(cur, next);
         }
         sigmoid(cur[0])
+    }
+}
+
+impl Classifier for Mlp {
+    fn predict_proba(&self, row: &[f32]) -> f64 {
+        self.score(row, &mut Scratch::default())
+    }
+
+    /// Parallel over rows, with one set of buffers per worker instead of
+    /// three allocations per row.
+    fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
+        (0..data.n_rows())
+            .into_par_iter()
+            .map_init(Scratch::default, |scratch, i| {
+                self.score(data.row(i), scratch)
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -281,6 +309,26 @@ mod tests {
         let a = Mlp::fit(&cfg, &train, 11);
         let b = Mlp::fit(&cfg, &train, 11);
         assert_eq!(a.predict_batch(&train), b.predict_batch(&train));
+    }
+
+    #[test]
+    fn batch_scores_match_per_row_scores_bitwise() {
+        let train = xor_data(150, 7);
+        let cfg = MlpConfig {
+            hidden: vec![6, 3],
+            epochs: 5,
+            ..Default::default()
+        };
+        let m = Mlp::fit(&cfg, &train, 2);
+        let test = xor_data(300, 8);
+        let batch = m.predict_batch(&test);
+        for (i, b) in batch.iter().enumerate() {
+            assert_eq!(
+                b.to_bits(),
+                m.predict_proba(test.row(i)).to_bits(),
+                "row {i}"
+            );
+        }
     }
 
     #[test]

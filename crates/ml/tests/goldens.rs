@@ -1,4 +1,4 @@
-//! Golden-prediction pins for the tree-family learners.
+//! Golden-prediction pins for the tree-family learners and k-NN.
 //!
 //! The exact scores of `DecisionTree`, `RandomForest`, and `Gbdt` on fixed
 //! seeds were captured from the per-node-sorting implementation that
@@ -8,12 +8,16 @@
 //! bit-for-bit: same candidate thresholds, same tie handling, same seeded
 //! feature draws.
 //!
+//! The `Knn` scores were captured from the row-at-a-time early-exit scan
+//! that predates the lane-blocked scan; both the per-row and the batch
+//! path must reproduce them bit-for-bit.
+//!
 //! Regenerate the constants with
 //! `SSD_GOLDEN_PRINT=1 cargo test -p ssd-ml --test goldens -- --nocapture`
 //! — but only after convincing yourself the change is *supposed* to move
 //! predictions.
 
-use ssd_ml::{Classifier, Dataset, ForestConfig, Gbdt, GbdtConfig, RandomForest};
+use ssd_ml::{Classifier, Dataset, ForestConfig, Gbdt, GbdtConfig, Knn, KnnConfig, RandomForest};
 use ssd_ml::{DecisionTree, TreeConfig};
 use ssd_stats::SplitMix64;
 
@@ -105,6 +109,29 @@ fn gbdt_scores_are_pinned() {
     }
 }
 
+#[test]
+fn knn_scores_are_pinned() {
+    let data = golden_data();
+    let probes = probe_rows();
+    let mut batch = Dataset::with_dims(8);
+    for (i, r) in probes.iter().enumerate() {
+        batch.push_row(r, false, i as u32);
+    }
+    for (name, distance_weighted, want) in [
+        ("knn_weighted", true, &KNN_WEIGHTED_GOLDEN),
+        ("knn_uniform", false, &KNN_UNIFORM_GOLDEN),
+    ] {
+        let cfg = KnnConfig {
+            k: 15,
+            distance_weighted,
+        };
+        let model = Knn::fit(&cfg, &data);
+        let got: Vec<f64> = probes.iter().map(|r| model.predict_proba(r)).collect();
+        check(name, &got, want);
+        check(name, &model.predict_batch(&batch), want);
+    }
+}
+
 const TREE_GOLDEN: [u64; 10] = [
     0x3FD24924A0000000,
     0x3FF0000000000000,
@@ -159,4 +186,32 @@ const GBDT_PRE_REWRITE: [u64; 10] = [
     0x3FD8E50A0089E3D7,
     0x3FD5206C57224A82,
     0x3FE061705E366613,
+];
+
+/// k = 15, inverse-distance votes.
+const KNN_WEIGHTED_GOLDEN: [u64; 10] = [
+    0x3FCF2D30ECDE84FB,
+    0x3FEBC0FDD885AB94,
+    0x3FDD165931420C48,
+    0x3FE4124C982A4733,
+    0x3FDA0CC76BE3006F,
+    0x3FEC188FE9ADA3F5,
+    0x3FE106574AD71FAA,
+    0x3FD3EABE6DEC74D1,
+    0x3FE4D92DA6867EB4,
+    0x3FD8C18C2B5B7565,
+];
+
+/// k = 15, uniform votes.
+const KNN_UNIFORM_GOLDEN: [u64; 10] = [
+    0x3FD1111111111111,
+    0x3FEBBBBBBBBBBBBC,
+    0x3FDDDDDDDDDDDDDE,
+    0x3FE3333333333333,
+    0x3FD999999999999A,
+    0x3FEBBBBBBBBBBBBC,
+    0x3FDDDDDDDDDDDDDE,
+    0x3FD5555555555555,
+    0x3FE5555555555555,
+    0x3FD999999999999A,
 ];

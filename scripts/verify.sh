@@ -49,6 +49,8 @@ SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_sim
 
 # "train_" selects both training groups: train_2k_rows and train_imbalanced.
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels train_
+# Batch scoring of one Table-6-shaped CV fold: k-NN and a 100-tree forest.
+SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels score_cv_fold
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_flat_predict flat_predict
 scripts/bench_compare.sh
 
