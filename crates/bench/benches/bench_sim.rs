@@ -1,10 +1,10 @@
 //! Substrate benchmark: fleet generation throughput (parallel vs
-//! sequential), fast-forward vs day-by-day traversal, and trace codec
+//! sequential), the span walker on event-sparse fleets, and trace codec
 //! performance.
 
 use ssd_bench::{criterion_group, criterion_main, BatchSize, Criterion};
 use ssd_field_study_core::streaming::SummaryAccumulator;
-use ssd_sim::{FleetGen, GenMode, SimConfig};
+use ssd_sim::{FleetGen, SimConfig};
 use ssd_types::codec::{decode_trace, encode_trace, encode_trace_to, TraceDecoder};
 
 fn cfg() -> SimConfig {
@@ -17,10 +17,10 @@ fn cfg() -> SimConfig {
 }
 
 /// Event-sparse telemetry: drives report ~0.2% of days (a handful of
-/// event-bearing reports over six years), so almost every day is
-/// skippable by the analytic fast-forward traversal. Byte-identity of
-/// the two modes on such configs is pinned by tests/determinism.rs and the
-/// sim proptests; this config only measures the work saved.
+/// event-bearing reports over six years), so almost every day is skipped
+/// by the span walker. Its byte-identity with the day-by-day oracle on
+/// such configs is pinned by the `ssd-sim` unit tests; this config only
+/// measures the cost left once skipped days are free.
 fn sparse_cfg(drives_per_model: u32) -> SimConfig {
     SimConfig {
         drives_per_model,
@@ -42,29 +42,15 @@ fn bench_generation(c: &mut Criterion) {
     g.finish();
 }
 
-/// Day-by-day vs fast-forward on an event-sparse fleet, streamed to a null
-/// sink so only generation+encoding is measured. The speedup here is the
-/// headline number for GenMode::FastForward; EXPERIMENTS.md cites the
-/// bench-history records this group writes.
+/// The span walker on an event-sparse fleet, streamed to a null sink so
+/// only generation+encoding is measured: with skipped days free, this is
+/// the per-drive floor of trait/plan sampling (EXPERIMENTS.md).
 fn bench_fastforward(c: &mut Criterion) {
     let cfg = sparse_cfg(500);
     let mut g = c.benchmark_group("fastforward");
     g.sample_size(10);
-    g.bench_function("day_by_day_1500_drives_6y", |b| {
-        b.iter(|| {
-            FleetGen::new(&cfg)
-                .mode(GenMode::DayByDay)
-                .run(&mut std::io::sink())
-                .unwrap()
-        })
-    });
-    g.bench_function("fast_forward_1500_drives_6y", |b| {
-        b.iter(|| {
-            FleetGen::new(&cfg)
-                .mode(GenMode::FastForward)
-                .run(&mut std::io::sink())
-                .unwrap()
-        })
+    g.bench_function("sparse_1500_drives_6y", |b| {
+        b.iter(|| FleetGen::new(&cfg).run(&mut std::io::sink()).unwrap())
     });
     g.finish();
 }
@@ -125,10 +111,9 @@ fn bench_archive(c: &mut Criterion) {
 }
 
 /// Paper-scale throughput: 30k drives × 6 years. Opt-in via
-/// `SSD_BENCH_PAPER=1` — one day-by-day iteration takes tens of seconds,
-/// so it is excluded from the standard sweep. The `fastforward` ids here
-/// measure the two traversals on the event-sparse paper-scale fleet the
-/// acceptance speedup is quoted on.
+/// `SSD_BENCH_PAPER=1` — one dense iteration takes several seconds, so it
+/// is excluded from the standard sweep. `fastforward_sparse_30k_6y`
+/// measures the span walker on the event-sparse paper-scale fleet.
 fn bench_paper_scale(c: &mut Criterion) {
     if std::env::var("SSD_BENCH_PAPER").map(|v| v != "1").unwrap_or(true) {
         return;
@@ -140,21 +125,8 @@ fn bench_paper_scale(c: &mut Criterion) {
         b.iter(|| FleetGen::new(&cfg).run_vec())
     });
     let sparse = sparse_cfg(10_000);
-    g.bench_function("fastforward_day_by_day_30k_6y", |b| {
-        b.iter(|| {
-            FleetGen::new(&sparse)
-                .mode(GenMode::DayByDay)
-                .run(&mut std::io::sink())
-                .unwrap()
-        })
-    });
-    g.bench_function("fastforward_fast_forward_30k_6y", |b| {
-        b.iter(|| {
-            FleetGen::new(&sparse)
-                .mode(GenMode::FastForward)
-                .run(&mut std::io::sink())
-                .unwrap()
-        })
+    g.bench_function("fastforward_sparse_30k_6y", |b| {
+        b.iter(|| FleetGen::new(&sparse).run(&mut std::io::sink()).unwrap())
     });
     g.finish();
 }

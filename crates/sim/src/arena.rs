@@ -153,23 +153,19 @@ impl ReportSink for ReportArena {
 mod tests {
     use super::*;
     use crate::calibration::ModelParams;
-    use crate::drive::{generate_drive, generate_drive_into};
+    use crate::drive::{generate_drive_into, DriveGenOptions};
     use ssd_stats::SplitMix64;
     use ssd_types::codec::encode_drive_soa;
-    use ssd_types::{DriveId, DriveModel};
+    use ssd_types::{DriveId, DriveLog, DriveModel};
 
     #[test]
     fn arena_emission_matches_drive_log() {
         let params = ModelParams::for_model(DriveModel::MlcA);
-        let log = generate_drive(
-            DriveId(7),
-            DriveModel::MlcA,
-            &params,
-            1500,
-            &mut SplitMix64::for_stream(3, 7),
-        );
+        let opts = DriveGenOptions::default();
+        let mut log = DriveLog::new(DriveId(7), DriveModel::MlcA);
+        generate_drive_into(&params, 1500, &opts, &mut SplitMix64::for_stream(3, 7), &mut log);
         let mut arena = ReportArena::new();
-        generate_drive_into(&params, 1500, &mut SplitMix64::for_stream(3, 7), &mut arena);
+        generate_drive_into(&params, 1500, &opts, &mut SplitMix64::for_stream(3, 7), &mut arena);
 
         assert_eq!(arena.len(), log.reports.len());
         let cols = arena.columns();
@@ -200,7 +196,13 @@ mod tests {
         // Some streams plan a drive that never reports; find one that does.
         for stream in 0..16 {
             arena.clear();
-            generate_drive_into(&params, 800, &mut SplitMix64::for_stream(1, stream), &mut arena);
+            generate_drive_into(
+                &params,
+                800,
+                &DriveGenOptions::default(),
+                &mut SplitMix64::for_stream(1, stream),
+                &mut arena,
+            );
             if !arena.is_empty() {
                 break;
             }

@@ -32,7 +32,7 @@ pub const LATE_DEPLOY_END_DAYS: u32 = 2010;
 pub const REPORT_PROBABILITY: f64 = 0.97;
 /// [`REPORT_PROBABILITY`] expressed in permille — the calibrated default
 /// for [`crate::SimConfig::report_permille`]. Event-sparse configurations
-/// (fast-forward benchmarks) lower it; the emission schedule clamps to
+/// (the span-walker benchmarks) lower it; the emission schedule clamps to
 /// `1..=1000`.
 pub const DEFAULT_REPORT_PERMILLE: u32 = 970;
 /// Daily probability that a multi-day logging gap starts.

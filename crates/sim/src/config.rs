@@ -15,8 +15,8 @@ pub struct SimConfig {
     /// Probability (in permille, clamped to `1..=1000`) that an
     /// operational day emits a report. The calibrated field value is
     /// [`DEFAULT_REPORT_PERMILLE`] (= 970, Figure 1's Data Count < Max
-    /// Age gap); event-sparse benchmarks lower it to make fast-forward
-    /// spans long.
+    /// Age gap); event-sparse benchmarks lower it to make the generator's
+    /// skipped spans long.
     pub report_permille: u32,
 }
 

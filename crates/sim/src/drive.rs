@@ -1,5 +1,5 @@
-//! Emission of a single drive's log from its lifecycle plan — day by day,
-//! or fast-forwarded span by span.
+//! Emission of a single drive's log from its lifecycle plan, walked span
+//! by span from one scheduled report to the next.
 //!
 //! The drive's life decomposes into *segments* derived from its plan:
 //! operational runs, reported-inactive windows after failures, and silent
@@ -11,13 +11,13 @@
 //! second dedicated stream, only on emitted days.
 //!
 //! Because every random draw is attached to an emitted day (or to the
-//! schedule that locates it), the day-by-day walker and the fast-forward
-//! walker consume identical RNG sequences and produce byte-identical
-//! logs: day-by-day advances wear one `rate(age)` at a time and compares
-//! each day's index against the schedule; fast-forward jumps straight to
-//! the next scheduled index and adds the skipped span's wear with one
-//! closed-form [`WearModel::span`] sum. `tests/determinism.rs` pins the
-//! equivalence at every pool size; DESIGN.md §13 gives the argument.
+//! schedule that locates it), skipped days need no work at all: the walker
+//! jumps straight to the next scheduled index and adds the skipped span's
+//! wear with one closed-form [`WearModel::span`] sum. The test module keeps
+//! the naive day-by-day walk (one `rate(age)` per day, every day's index
+//! compared against the schedule) as a reference oracle; unit tests here
+//! and in [`crate::fleet`] pin the span walker to it byte for byte.
+//! DESIGN.md §13 gives the argument.
 
 use crate::calibration::{self, ModelParams};
 use crate::dist;
@@ -26,23 +26,11 @@ use crate::health::{DriveTraits, LifecyclePlan};
 use crate::workload::{sample_day as sample_workload, WearModel};
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{u32_from_u64, usize_from_u32, usize_from_u64};
-use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel, SwapEvent};
+use ssd_types::{DailyReport, DriveLog, SwapEvent};
 
-/// How operational days between observable events are traversed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenMode {
-    /// Walk every operational day, advancing wear one day at a time.
-    DayByDay,
-    /// Jump from one scheduled report to the next, advancing wear over
-    /// each skipped span in O(1). Byte-identical to [`GenMode::DayByDay`].
-    FastForward,
-}
-
-/// Per-drive generation options (mode, report density, importance boost).
+/// Per-drive generation options (report density, importance boost).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriveGenOptions {
-    /// Traversal mode; the archive bytes do not depend on it.
-    pub mode: GenMode,
     /// Report probability in permille, clamped to `1..=1000`.
     pub report_permille: u32,
     /// Multiplier on the infant-failure probability of the first
@@ -54,7 +42,6 @@ pub struct DriveGenOptions {
 impl Default for DriveGenOptions {
     fn default() -> Self {
         DriveGenOptions {
-            mode: GenMode::DayByDay,
             report_permille: calibration::DEFAULT_REPORT_PERMILLE,
             infant_boost: 1.0,
         }
@@ -64,8 +51,8 @@ impl Default for DriveGenOptions {
 /// Renewal process yielding the operational-day indices that emit a
 /// report, skipping multi-day logging gaps (Figure 1's Data Count < Max
 /// Age). All draws come from the dedicated schedule stream, and only at
-/// emissions/gap renewals — never per skipped day — so day-by-day and
-/// fast-forward traversals consume it identically by construction.
+/// emissions/gap renewals — never per skipped day — so skipping a span
+/// consumes exactly what walking it day by day would.
 struct ReportSchedule {
     /// Per-day report process (cached-divisor geometric at probability
     /// `report_permille / 1000`).
@@ -272,7 +259,7 @@ fn escalation_for(plan: &LifecyclePlan, age: u32) -> Option<Escalation> {
 
 /// Destination for a drive's emitted reports and swap events.
 ///
-/// The emission loop ([`emit_into_opts`]) is generic over its sink so the
+/// The emission loop ([`generate_drive_into`]) is generic over its sink so the
 /// same monomorphized code — and therefore the exact same RNG consumption
 /// — backs both the owned [`DriveLog`] path and the columnar
 /// [`ReportArena`](crate::ReportArena) path. That shared loop is what
@@ -311,37 +298,14 @@ impl ReportSink for DriveLog {
     }
 }
 
-/// Generates the complete log for one drive.
+/// Generates one drive's reports and swaps into `sink`.
 ///
-/// All randomness derives from `rng`, which callers seed per-drive
-/// (see [`crate::fleet`]), making generation order- and thread-independent.
-pub fn generate_drive(
-    id: DriveId,
-    model: DriveModel,
-    params: &ModelParams,
-    horizon_days: u32,
-    rng: &mut SplitMix64,
-) -> DriveLog {
-    let mut log = DriveLog::new(id, model);
-    generate_drive_into(params, horizon_days, rng, &mut log);
-    log
-}
-
-/// Generates one drive's reports and swaps directly into `sink`,
-/// consuming the same RNG sequence as [`generate_drive`].
+/// All randomness derives from `rng`, which callers seed per drive (see
+/// [`crate::fleet`]), making generation order- and thread-independent.
+/// With `infant_boost > 1` the first-period infant-failure probability is
+/// boosted and the drive's log-weight (see [`ReportSink::weight`])
+/// carries the correction.
 pub fn generate_drive_into<S: ReportSink>(
-    params: &ModelParams,
-    horizon_days: u32,
-    rng: &mut SplitMix64,
-    sink: &mut S,
-) {
-    generate_drive_into_opts(params, horizon_days, &DriveGenOptions::default(), rng, sink);
-}
-
-/// Generates one drive under explicit options. With `infant_boost > 1`
-/// the first-period infant-failure probability is boosted and the drive's
-/// log-weight (see [`ReportSink::weight`]) carries the correction.
-pub fn generate_drive_into_opts<S: ReportSink>(
     params: &ModelParams,
     horizon_days: u32,
     opts: &DriveGenOptions,
@@ -355,36 +319,7 @@ pub fn generate_drive_into_opts<S: ReportSink>(
     emit_into_opts(params, &traits, &plan, opts, rng, sink);
 }
 
-/// Emits the daily log for a drive with known traits and plan (separated
-/// from [`generate_drive`] so tests can inject specific plans).
-#[cfg(test)]
-pub fn emit_log(
-    id: DriveId,
-    model: DriveModel,
-    params: &ModelParams,
-    traits: &DriveTraits,
-    plan: &LifecyclePlan,
-    rng: &mut SplitMix64,
-) -> DriveLog {
-    let mut log = DriveLog::new(id, model);
-    emit_into(params, traits, plan, rng, &mut log);
-    log
-}
-
-/// Core emission with default options ([`GenMode::DayByDay`], calibrated
-/// report density). Test-only seam over [`emit_into_opts`].
-#[cfg(test)]
-pub fn emit_into<S: ReportSink>(
-    params: &ModelParams,
-    traits: &DriveTraits,
-    plan: &LifecyclePlan,
-    rng: &mut SplitMix64,
-    sink: &mut S,
-) {
-    emit_into_opts(params, traits, plan, &DriveGenOptions::default(), rng, sink);
-}
-
-/// Mutable per-drive emission state shared by both traversal modes.
+/// Mutable per-drive emission state.
 struct EmitState {
     /// Fixed-point wear accumulator (see [`WearModel`]).
     wear: u64,
@@ -399,7 +334,7 @@ struct EmitState {
 /// sampled; one draw from it seeds two independent substreams — the
 /// report schedule and the report contents — so that skipping days never
 /// perturbs later draws.
-pub fn emit_into_opts<S: ReportSink>(
+fn emit_into_opts<S: ReportSink>(
     params: &ModelParams,
     traits: &DriveTraits,
     plan: &LifecyclePlan,
@@ -438,50 +373,48 @@ pub fn emit_into_opts<S: ReportSink>(
                 // repair: the swapped-in drive returns refurbished.
                 st.read_only = false;
                 let len = u64::from(seg.end - seg.start);
-                match opts.mode {
-                    GenMode::DayByDay => {
-                        for age in seg.start..seg.end {
-                            st.wear += wear_model.rate(age);
-                            if op_idx == sched.next_emit() {
-                                sched.advance(&mut sched_rng);
-                                emit_op_day(
-                                    params, traits, plan, age, &mut st, &mut emit_rng, sink,
-                                );
-                            }
-                            op_idx += 1;
-                        }
-                    }
-                    GenMode::FastForward => {
-                        // Ages in `[seg.start, accrued)` already counted.
-                        let mut accrued = seg.start;
-                        while sched.next_emit() < op_idx + len {
-                            let age = seg.start + u32_from_u64(sched.next_emit() - op_idx);
-                            sched.advance(&mut sched_rng);
-                            st.wear += wear_model.span(accrued, age + 1);
-                            accrued = age + 1;
-                            emit_op_day(params, traits, plan, age, &mut st, &mut emit_rng, sink);
-                        }
-                        st.wear += wear_model.span(accrued, seg.end);
-                        op_idx += len;
-                    }
+                // Ages in `[seg.start, accrued)` already counted.
+                let mut accrued = seg.start;
+                while sched.next_emit() < op_idx + len {
+                    let age = seg.start + u32_from_u64(sched.next_emit() - op_idx);
+                    sched.advance(&mut sched_rng);
+                    st.wear += wear_model.span(accrued, age + 1);
+                    accrued = age + 1;
+                    emit_op_day(params, traits, plan, age, &mut st, &mut emit_rng, sink);
                 }
+                st.wear += wear_model.span(accrued, seg.end);
+                op_idx += len;
             }
             SegmentKind::InactiveReported => {
-                // Failed-but-reporting days always emit (they are the
-                // observable symptom) and accrue no wear.
-                for age in seg.start..seg.end {
-                    let mut r = DailyReport::empty(age);
-                    r.pe_cycles = WearModel::cycles(st.wear);
-                    r.factory_bad_blocks = traits.factory_bad_blocks;
-                    r.grown_bad_blocks = st.grown_bad_blocks;
-                    r.status_dead = dist::bernoulli(&mut emit_rng, 0.7);
-                    r.status_read_only = st.read_only;
-                    sink.report(&r);
-                }
+                emit_inactive_segment(traits, seg, &st, &mut emit_rng, sink)
             }
         }
     }
+    emit_swaps(plan, sink);
+}
 
+/// Emits a failed-but-reporting window: every day reports (they are the
+/// observable symptom) with zero activity, and no wear accrues.
+fn emit_inactive_segment<S: ReportSink>(
+    traits: &DriveTraits,
+    seg: LifeSegment,
+    st: &EmitState,
+    rng: &mut SplitMix64,
+    sink: &mut S,
+) {
+    for age in seg.start..seg.end {
+        let mut r = DailyReport::empty(age);
+        r.pe_cycles = WearModel::cycles(st.wear);
+        r.factory_bad_blocks = traits.factory_bad_blocks;
+        r.grown_bad_blocks = st.grown_bad_blocks;
+        r.status_dead = dist::bernoulli(rng, 0.7);
+        r.status_read_only = st.read_only;
+        sink.report(&r);
+    }
+}
+
+/// Emits every planned swap, in plan (= ascending swap-day) order.
+fn emit_swaps<S: ReportSink>(plan: &LifecyclePlan, sink: &mut S) {
     for f in &plan.failures {
         sink.swap(SwapEvent {
             swap_day: f.swap_day,
@@ -491,8 +424,7 @@ pub fn emit_into_opts<S: ReportSink>(
 }
 
 /// Emits one operational day's report: workload, errors, status flags.
-/// Shared verbatim by both traversal modes — this is where every
-/// content-stream draw happens.
+/// This is where every content-stream draw of an operational day happens.
 fn emit_op_day<S: ReportSink>(
     params: &ModelParams,
     traits: &DriveTraits,
@@ -549,9 +481,71 @@ fn emit_op_day<S: ReportSink>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::health::PlannedFailure;
+    use ssd_types::{DriveId, DriveModel};
+
+    /// Reference walker: samples traits and plan exactly like
+    /// [`generate_drive_into`], then emits through the naive day-by-day
+    /// traversal ([`emit_day_by_day`]). The span walker must reproduce its
+    /// output byte for byte.
+    pub(crate) fn generate_drive_into_day_by_day<S: ReportSink>(
+        params: &ModelParams,
+        horizon_days: u32,
+        opts: &DriveGenOptions,
+        rng: &mut SplitMix64,
+        sink: &mut S,
+    ) {
+        let traits = DriveTraits::sample(params, rng);
+        let (plan, log_weight) =
+            LifecyclePlan::sample_weighted(params, &traits, horizon_days, rng, opts.infant_boost);
+        sink.weight(log_weight);
+        emit_day_by_day(params, &traits, &plan, opts, rng, sink);
+    }
+
+    /// The day-by-day oracle of [`emit_into_opts`]: walks every
+    /// operational day, adds one `rate(age)` of wear per day, and compares
+    /// each day's schedule index against the next scheduled emission.
+    fn emit_day_by_day<S: ReportSink>(
+        params: &ModelParams,
+        traits: &DriveTraits,
+        plan: &LifecyclePlan,
+        opts: &DriveGenOptions,
+        rng: &mut SplitMix64,
+        sink: &mut S,
+    ) {
+        let sub = rng.next_u64();
+        let mut sched_rng = SplitMix64::for_stream(sub, 1);
+        let mut emit_rng = SplitMix64::for_stream(sub, 2);
+        let mut sched = ReportSchedule::new(opts.report_permille, &mut sched_rng);
+        let wear_model = WearModel::new(traits);
+        let mut st = EmitState {
+            wear: 0,
+            grown_bad_blocks: 0,
+            read_only: false,
+        };
+        let mut op_idx = 0u64;
+        for seg in life_segments(plan) {
+            match seg.kind {
+                SegmentKind::Operational => {
+                    st.read_only = false;
+                    for age in seg.start..seg.end {
+                        st.wear += wear_model.rate(age);
+                        if op_idx == sched.next_emit() {
+                            sched.advance(&mut sched_rng);
+                            emit_op_day(params, traits, plan, age, &mut st, &mut emit_rng, sink);
+                        }
+                        op_idx += 1;
+                    }
+                }
+                SegmentKind::InactiveReported => {
+                    emit_inactive_segment(traits, seg, &st, &mut emit_rng, sink)
+                }
+            }
+        }
+        emit_swaps(plan, sink);
+    }
 
     fn params() -> ModelParams {
         ModelParams::for_model(DriveModel::MlcB)
@@ -582,26 +576,34 @@ mod tests {
         }
     }
 
-    fn emit_with_mode(plan: &LifecyclePlan, seed: u64, mode: GenMode) -> DriveLog {
+    /// Emits `plan` for [`traits`] at `opts` through the production span
+    /// walker, or through the day-by-day oracle when `oracle` is set.
+    fn emit_with(
+        t: &DriveTraits,
+        plan: &LifecyclePlan,
+        opts: &DriveGenOptions,
+        seed: u64,
+        oracle: bool,
+    ) -> DriveLog {
         let p = params();
-        let t = traits();
-        let opts = DriveGenOptions {
-            mode,
-            ..Default::default()
-        };
         let mut rng = SplitMix64::new(seed);
         let mut log = DriveLog::new(DriveId(1), DriveModel::MlcB);
-        emit_into_opts(&p, &t, plan, &opts, &mut rng, &mut log);
+        if oracle {
+            emit_day_by_day(&p, t, plan, opts, &mut rng, &mut log);
+        } else {
+            emit_into_opts(&p, t, plan, opts, &mut rng, &mut log);
+        }
         log
+    }
+
+    /// Production emission of `plan` at default options.
+    fn emit(t: &DriveTraits, plan: &LifecyclePlan, seed: u64) -> DriveLog {
+        emit_with(t, plan, &DriveGenOptions::default(), seed, false)
     }
 
     #[test]
     fn emitted_log_validates() {
-        let p = params();
-        let t = traits();
-        let plan = plan_with_failure();
-        let mut rng = SplitMix64::new(42);
-        let log = emit_log(DriveId(1), DriveModel::MlcB, &p, &t, &plan, &mut rng);
+        let log = emit(&traits(), &plan_with_failure(), 42);
         log.validate().expect("log invariants");
         assert_eq!(log.swaps.len(), 1);
         assert_eq!(log.swaps[0].swap_day, 210);
@@ -609,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_equals_day_by_day_on_crafted_plans() {
+    fn span_walker_matches_day_by_day_oracle_on_crafted_plans() {
         let multi = LifecyclePlan {
             deploy_day: 0,
             horizon_age: 1000,
@@ -647,18 +649,19 @@ mod tests {
             failures: vec![],
             terminal_unswapped_failure: Some(100),
         };
+        let t = traits();
+        let opts = DriveGenOptions::default();
         for plan in [&multi, &healthy, &terminal, &plan_with_failure()] {
             for seed in 0..20 {
-                let a = emit_with_mode(plan, seed, GenMode::DayByDay);
-                let b = emit_with_mode(plan, seed, GenMode::FastForward);
-                assert_eq!(a, b, "seed {seed}");
+                let oracle = emit_with(&t, plan, &opts, seed, true);
+                let span = emit_with(&t, plan, &opts, seed, false);
+                assert_eq!(span, oracle, "seed {seed}");
             }
         }
     }
 
     #[test]
-    fn sparse_reporting_still_emits_and_stays_identical_across_modes() {
-        let p = params();
+    fn sparse_reporting_still_emits_and_matches_the_oracle() {
         let t = traits();
         let plan = LifecyclePlan {
             deploy_day: 0,
@@ -667,20 +670,12 @@ mod tests {
             terminal_unswapped_failure: None,
         };
         for permille in [1, 5, 50, 1000] {
-            let run = |mode| {
-                let opts = DriveGenOptions {
-                    mode,
-                    report_permille: permille,
-                    ..Default::default()
-                };
-                let mut rng = SplitMix64::new(7);
-                let mut log = DriveLog::new(DriveId(2), DriveModel::MlcB);
-                emit_into_opts(&p, &t, &plan, &opts, &mut rng, &mut log);
-                log
+            let opts = DriveGenOptions {
+                report_permille: permille,
+                ..Default::default()
             };
-            let a = run(GenMode::DayByDay);
-            let b = run(GenMode::FastForward);
-            assert_eq!(a, b, "permille {permille}");
+            let a = emit_with(&t, &plan, &opts, 7, false);
+            assert_eq!(a, emit_with(&t, &plan, &opts, 7, true), "permille {permille}");
             // Expected density, loosely: p · horizon, minus gap loss.
             let expected = 2190.0 * f64::from(permille) / 1000.0;
             assert!(
@@ -694,11 +689,7 @@ mod tests {
 
     #[test]
     fn silent_window_has_no_reports_and_inactive_window_reports_zero_activity() {
-        let p = params();
-        let t = traits();
-        let plan = plan_with_failure();
-        let mut rng = SplitMix64::new(43);
-        let log = emit_log(DriveId(1), DriveModel::MlcB, &p, &t, &plan, &mut rng);
+        let log = emit(&traits(), &plan_with_failure(), 43);
         // Inactive reported window: ages 201..=203 report with no activity.
         for r in log.reports.iter().filter(|r| (201..=203).contains(&r.age_days)) {
             assert!(!r.is_active(), "inactive window must have no reads/writes");
@@ -718,16 +709,13 @@ mod tests {
 
     #[test]
     fn pe_cycles_are_monotone_and_grow() {
-        let p = params();
-        let t = traits();
         let plan = LifecyclePlan {
             deploy_day: 0,
             horizon_age: 600,
             failures: vec![],
             terminal_unswapped_failure: None,
         };
-        let mut rng = SplitMix64::new(44);
-        let log = emit_log(DriveId(2), DriveModel::MlcB, &p, &t, &plan, &mut rng);
+        let log = emit(&traits(), &plan, 44);
         assert!(log.reports.len() > 500);
         let first = log.reports.first().unwrap().pe_cycles;
         let last = log.reports.last().unwrap().pe_cycles;
@@ -737,32 +725,26 @@ mod tests {
 
     #[test]
     fn terminal_failure_stops_reporting_without_swap() {
-        let p = params();
-        let t = traits();
         let plan = LifecyclePlan {
             deploy_day: 0,
             horizon_age: 500,
             failures: vec![],
             terminal_unswapped_failure: Some(100),
         };
-        let mut rng = SplitMix64::new(45);
-        let log = emit_log(DriveId(3), DriveModel::MlcB, &p, &t, &plan, &mut rng);
+        let log = emit(&traits(), &plan, 45);
         assert!(log.swaps.is_empty());
         assert!(log.reports.iter().all(|r| r.age_days <= 100));
     }
 
     #[test]
     fn escalation_days_show_elevated_errors() {
-        let p = params();
         let mut t = traits();
         t.ue_day_prob = 0.0; // isolate the escalation signal
         t.error_prone = true;
         let mut ue_days_near_failure = 0u32;
         let mut trials = 0u32;
         for seed in 0..300 {
-            let plan = plan_with_failure();
-            let mut rng = SplitMix64::new(seed);
-            let log = emit_log(DriveId(4), DriveModel::MlcB, &p, &t, &plan, &mut rng);
+            let log = emit(&t, &plan_with_failure(), seed);
             for r in &log.reports {
                 if (194..=200).contains(&r.age_days) {
                     trials += 1;
@@ -779,8 +761,6 @@ mod tests {
 
     #[test]
     fn multi_failure_lifecycle_emits_correct_phases() {
-        let p = params();
-        let t = traits();
         let plan = LifecyclePlan {
             deploy_day: 0,
             horizon_age: 1000,
@@ -806,8 +786,7 @@ mod tests {
             ],
             terminal_unswapped_failure: None,
         };
-        let mut rng = SplitMix64::new(77);
-        let log = emit_log(DriveId(8), DriveModel::MlcB, &p, &t, &plan, &mut rng);
+        let log = emit(&traits(), &plan, 77);
         log.validate().unwrap();
         assert_eq!(log.swaps.len(), 2);
         // No reports in either repair window.
@@ -836,7 +815,6 @@ mod tests {
 
     #[test]
     fn defect_symptomatic_infants_emit_persistent_ues() {
-        let p = params();
         let mut t = traits();
         t.error_prone = false;
         t.ue_day_prob = 0.0;
@@ -856,8 +834,7 @@ mod tests {
         };
         let mut ue_days = 0u32;
         for seed in 0..50 {
-            let mut rng = SplitMix64::new(seed);
-            let log = emit_log(DriveId(9), DriveModel::MlcB, &p, &t, &plan, &mut rng);
+            let log = emit(&t, &plan, seed);
             ue_days += log
                 .reports
                 .iter()
@@ -871,26 +848,33 @@ mod tests {
     #[test]
     fn generate_drive_is_deterministic() {
         let p = params();
-        let mut r1 = SplitMix64::for_stream(5, 17);
-        let mut r2 = SplitMix64::for_stream(5, 17);
-        let a = generate_drive(DriveId(9), DriveModel::MlcB, &p, 2190, &mut r1);
-        let b = generate_drive(DriveId(9), DriveModel::MlcB, &p, 2190, &mut r2);
-        assert_eq!(a, b);
+        let opts = DriveGenOptions::default();
+        let run = || {
+            let mut rng = SplitMix64::for_stream(5, 17);
+            let mut log = DriveLog::new(DriveId(9), DriveModel::MlcB);
+            generate_drive_into(&p, 2190, &opts, &mut rng, &mut log);
+            log
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn importance_boost_one_is_weightless_and_identical_to_uniform() {
+        // Boost 1.0 must take the unweighted lifecycle sampler's path draw
+        // for draw and leave the log-weight at exactly +0.0.
         let p = params();
-        let boosted = DriveGenOptions {
+        let opts = DriveGenOptions {
             infant_boost: 1.0,
             ..Default::default()
         };
         let mut r1 = SplitMix64::for_stream(9, 3);
-        let mut r2 = SplitMix64::for_stream(9, 3);
         let mut a = DriveLog::new(DriveId(4), DriveModel::MlcB);
+        generate_drive_into(&p, 2190, &opts, &mut r1, &mut a);
+        let mut r2 = SplitMix64::for_stream(9, 3);
         let mut b = DriveLog::new(DriveId(4), DriveModel::MlcB);
-        generate_drive_into(&p, 2190, &mut r1, &mut a);
-        generate_drive_into_opts(&p, 2190, &boosted, &mut r2, &mut b);
+        let t = DriveTraits::sample(&p, &mut r2);
+        let plan = LifecyclePlan::sample(&p, &t, 2190, &mut r2);
+        emit_into_opts(&p, &t, &plan, &opts, &mut r2, &mut b);
         assert_eq!(a, b);
         assert_eq!(a.log_weight.to_bits(), 0.0f64.to_bits());
     }

@@ -3,19 +3,18 @@
 //! Each drive's randomness derives from `SplitMix64::for_stream(seed, id)`,
 //! so the trace is a pure function of the configuration: the same fleet is
 //! produced regardless of thread count or generation order (verified by a
-//! determinism test comparing single- and multi-threaded output), and the
-//! day-by-day and fast-forward traversal modes produce byte-identical
-//! archives (pinned by `tests/fastforward.rs`).
+//! determinism test comparing single- and multi-threaded output). Every
+//! drive is emitted by the span walker of [`crate::drive`]; the unit tests
+//! below pin whole-fleet archives to its day-by-day test oracle.
 //!
-//! [`FleetGen`] is the single entry point: pick a traversal
-//! [`GenMode`], a [`Sampling`] strategy, and a destination
-//! ([`run`](FleetGen::run) streams an archive, [`trace`](FleetGen::trace)
-//! materializes an owned [`FleetTrace`]).
+//! [`FleetGen`] is the single entry point: pick a [`Sampling`] strategy
+//! and a destination ([`run`](FleetGen::run) streams an archive,
+//! [`trace`](FleetGen::trace) materializes an owned [`FleetTrace`]).
 
 use crate::arena::ReportArena;
 use crate::calibration::ModelParams;
 use crate::config::SimConfig;
-use crate::drive::{generate_drive_into_opts, DriveGenOptions, GenMode};
+use crate::drive::{generate_drive_into, DriveGenOptions};
 use ssd_parallel::prelude::*;
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{u32_from_usize, u64_from_usize, usize_from_u32, usize_from_u64};
@@ -48,16 +47,14 @@ impl Sampling {
     }
 }
 
-/// Builder for fleet generation: configuration plus traversal mode and
-/// sampling strategy.
+/// Builder for fleet generation: configuration plus sampling strategy.
 ///
 /// ```
-/// use ssd_sim::{FleetGen, GenMode, Sampling, SimConfig};
+/// use ssd_sim::{FleetGen, Sampling, SimConfig};
 ///
 /// let config = SimConfig::test_scale(7);
 /// let mut archive = Vec::new();
 /// let stats = FleetGen::new(&config)
-///     .mode(GenMode::FastForward)
 ///     .sampling(Sampling::Uniform)
 ///     .run(&mut archive)
 ///     .unwrap();
@@ -67,26 +64,16 @@ impl Sampling {
 #[derive(Debug, Clone)]
 pub struct FleetGen<'a> {
     config: &'a SimConfig,
-    mode: GenMode,
     sampling: Sampling,
 }
 
 impl<'a> FleetGen<'a> {
-    /// Starts a builder with the default traversal ([`GenMode::DayByDay`])
-    /// and [`Sampling::Uniform`].
+    /// Starts a builder with [`Sampling::Uniform`].
     pub fn new(config: &'a SimConfig) -> Self {
         FleetGen {
             config,
-            mode: GenMode::DayByDay,
             sampling: Sampling::Uniform,
         }
-    }
-
-    /// Selects the traversal mode. The archive bytes do not depend on it
-    /// (fast-forward is an optimization, not a different model).
-    pub fn mode(mut self, mode: GenMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Selects the population sampling strategy.
@@ -97,7 +84,6 @@ impl<'a> FleetGen<'a> {
 
     fn opts(&self) -> DriveGenOptions {
         DriveGenOptions {
-            mode: self.mode,
             report_permille: self.config.report_permille,
             infant_boost: self.sampling.infant_boost(),
         }
@@ -148,7 +134,7 @@ impl<'a> FleetGen<'a> {
                     // drives / 128).
                     let lo = (c * chunk_size).min(n);
                     let hi = (lo + chunk_size).min(n);
-                    encode_chunk(self.config, &params, &opts, lo, hi)
+                    self.encode_chunk(&params, &opts, lo, hi)
                 })
                 .collect();
             for chunk in &chunks {
@@ -208,13 +194,19 @@ impl<'a> FleetGen<'a> {
         }
     }
 
-    fn gen_drive(&self, params: &[ModelParams], opts: &DriveGenOptions, i: u32) -> DriveLog {
-        // Drives are striped across models: id % 3 picks the model, so
-        // per-model sub-fleets are equally sized and id-stable.
+    /// Drive `i`'s model and private RNG stream — the only place either
+    /// is decided. Drives are striped across models (`i % 3` picks the
+    /// model, so per-model sub-fleets are equally sized and id-stable),
+    /// and each drive draws from its own `for_stream(seed, i)` substream.
+    fn drive_stream(&self, i: u32) -> (DriveModel, SplitMix64) {
         let model = DriveModel::from_index(usize_from_u32(i % 3));
-        let mut rng = SplitMix64::for_stream(self.config.seed, u64::from(i));
+        (model, SplitMix64::for_stream(self.config.seed, u64::from(i)))
+    }
+
+    fn gen_drive(&self, params: &[ModelParams], opts: &DriveGenOptions, i: u32) -> DriveLog {
+        let (model, mut rng) = self.drive_stream(i);
         let mut log = DriveLog::new(DriveId(i), model);
-        generate_drive_into_opts(
+        generate_drive_into(
             &params[model.index()],
             self.config.horizon_days,
             opts,
@@ -222,6 +214,56 @@ impl<'a> FleetGen<'a> {
             &mut log,
         );
         log
+    }
+
+    /// Generates and encodes the contiguous drive-id range `[lo, hi)` into
+    /// one byte buffer through a reusable [`ReportArena`].
+    fn encode_chunk(
+        &self,
+        params: &[ModelParams],
+        opts: &DriveGenOptions,
+        lo: u32,
+        hi: u32,
+    ) -> EncodedChunk {
+        let config = self.config;
+        let mut arena = ReportArena::with_capacity(usize_from_u32(config.horizon_days));
+        // ~40 encoded bytes per *reported* drive-day (matching
+        // encode_trace's hint), scaled by the configured report density.
+        let expected_days = u64::from(hi - lo)
+            * u64::from(config.horizon_days)
+            * u64::from(config.report_permille.clamp(1, 1000))
+            / 1000;
+        let mut bytes =
+            Vec::with_capacity(usize_from_u64((expected_days + expected_days / 4) * 40));
+        let mut drive_days = 0u64;
+        let mut swaps = 0u64;
+        for i in lo..hi {
+            let (model, mut rng) = self.drive_stream(i);
+            arena.clear();
+            generate_drive_into(
+                &params[model.index()],
+                config.horizon_days,
+                opts,
+                &mut rng,
+                &mut arena,
+            );
+            drive_days += u64_from_usize(arena.columns().len());
+            swaps += u64_from_usize(arena.swaps().len());
+            encode_drive_soa(
+                &mut bytes,
+                DriveId(i),
+                model,
+                arena.log_weight(),
+                arena.columns(),
+                arena.swaps(),
+            );
+        }
+        EncodedChunk {
+            drives: u64::from(hi - lo),
+            drive_days,
+            swaps,
+            bytes,
+        }
     }
 }
 
@@ -263,58 +305,87 @@ struct EncodedChunk {
     bytes: Vec<u8>,
 }
 
-/// Generates and encodes the contiguous drive-id range `[lo, hi)` into one
-/// byte buffer through a reusable [`ReportArena`].
-fn encode_chunk(
-    config: &SimConfig,
-    params: &[ModelParams],
-    opts: &DriveGenOptions,
-    lo: u32,
-    hi: u32,
-) -> EncodedChunk {
-    let mut arena = ReportArena::with_capacity(usize_from_u32(config.horizon_days));
-    // ~40 encoded bytes per *reported* drive-day (matching
-    // encode_trace's hint), scaled by the configured report density.
-    let expected_days = u64::from(hi - lo)
-        * u64::from(config.horizon_days)
-        * u64::from(config.report_permille.clamp(1, 1000))
-        / 1000;
-    let mut bytes = Vec::with_capacity(usize_from_u64((expected_days + expected_days / 4) * 40));
-    let mut drive_days = 0u64;
-    let mut swaps = 0u64;
-    for i in lo..hi {
-        let model = DriveModel::from_index(usize_from_u32(i % 3));
-        let mut rng = SplitMix64::for_stream(config.seed, u64::from(i));
-        arena.clear();
-        generate_drive_into_opts(
-            &params[model.index()],
-            config.horizon_days,
-            opts,
-            &mut rng,
-            &mut arena,
-        );
-        drive_days += u64_from_usize(arena.columns().len());
-        swaps += u64_from_usize(arena.swaps().len());
-        encode_drive_soa(
-            &mut bytes,
-            DriveId(i),
-            model,
-            arena.log_weight(),
-            arena.columns(),
-            arena.swaps(),
-        );
-    }
-    EncodedChunk {
-        drives: u64::from(hi - lo),
-        drive_days,
-        swaps,
-        bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::tests::generate_drive_into_day_by_day;
+    use ssd_types::codec::encode_trace;
+
+    /// `gen`'s fleet built sequentially through the day-by-day reference
+    /// walker, from the same per-drive models and streams.
+    fn oracle_trace(gen: &FleetGen) -> FleetTrace {
+        let params = all_params();
+        let opts = gen.opts();
+        let drives = (0..gen.config.total_drives())
+            .map(|i| {
+                let (model, mut rng) = gen.drive_stream(i);
+                let mut log = DriveLog::new(DriveId(i), model);
+                generate_drive_into_day_by_day(
+                    &params[model.index()],
+                    gen.config.horizon_days,
+                    &opts,
+                    &mut rng,
+                    &mut log,
+                );
+                log
+            })
+            .collect();
+        FleetTrace {
+            horizon_days: gen.config.horizon_days,
+            drives,
+        }
+    }
+
+    #[test]
+    fn span_walker_archive_matches_day_by_day_oracle_at_every_pool_size() {
+        let cfg = SimConfig {
+            drives_per_model: 50,
+            horizon_days: 1000,
+            seed: 271828,
+            ..SimConfig::default()
+        };
+        let gen = FleetGen::new(&cfg);
+        let oracle = encode_trace(&oracle_trace(&gen));
+        for n_threads in [1, 2, 5] {
+            let pool = ssd_parallel::ThreadPoolBuilder::new()
+                .num_threads(n_threads)
+                .build()
+                .unwrap();
+            let archived = pool.install(|| gen.run_vec());
+            assert!(
+                archived == oracle,
+                "pool size {n_threads}: span-walker archive diverged from the day-by-day oracle"
+            );
+        }
+    }
+
+    #[test]
+    fn span_walker_archives_match_day_by_day_oracle_for_arbitrary_configs() {
+        ssd_testkit::for_each_case(
+            "span_walker_archives_match_day_by_day_oracle_for_arbitrary_configs",
+            24,
+            |g| {
+                let cfg = SimConfig {
+                    drives_per_model: g.u32_in(1, 12),
+                    horizon_days: g.u32_in(200, 1500),
+                    seed: g.u64(),
+                    report_permille: g.u32_in(1, 1000),
+                };
+                let sampling = if g.u32_in(0, 2) == 1 {
+                    Sampling::Importance {
+                        boost: g.f64_in(1.0, 8.0),
+                    }
+                } else {
+                    Sampling::Uniform
+                };
+                let gen = FleetGen::new(&cfg).sampling(sampling);
+                assert!(
+                    gen.run_vec() == encode_trace(&oracle_trace(&gen)),
+                    "span-walker archive diverged from the day-by-day oracle"
+                );
+            },
+        );
+    }
 
     fn tiny() -> SimConfig {
         SimConfig {

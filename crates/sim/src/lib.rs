@@ -38,14 +38,14 @@
 //! the goal is an encoded archive, [`FleetGen::run`] emits each drive into
 //! a reusable columnar [`ReportArena`] and serializes it immediately,
 //! producing the same bytes as `encode_trace(&gen.trace())` without the
-//! intermediate fleet (see DESIGN.md §"Simulator internals").
-//! [`GenMode::FastForward`] additionally skips non-reporting days in O(1)
-//! per span (DESIGN.md §13) — same bytes, a fraction of the work — and
+//! intermediate fleet (see DESIGN.md §"Simulator internals"). Each drive
+//! is emitted by jumping from one scheduled report to the next, so
+//! non-reporting days cost O(1) per span (DESIGN.md §13), and
 //! [`Sampling::Importance`] oversamples the defective infant
 //! subpopulation, recording correcting log-weights in the archive.
 //!
 //! ```
-//! use ssd_sim::{FleetGen, GenMode, SimConfig};
+//! use ssd_sim::{FleetGen, SimConfig};
 //!
 //! let config = SimConfig {
 //!     drives_per_model: 50,
@@ -53,7 +53,7 @@
 //!     seed: 1,
 //!     ..SimConfig::default()
 //! };
-//! let trace = FleetGen::new(&config).mode(GenMode::FastForward).trace();
+//! let trace = FleetGen::new(&config).trace();
 //! assert_eq!(trace.n_drives(), 150);
 //! trace.validate().unwrap();
 //! ```
@@ -75,7 +75,7 @@ pub mod workload;
 pub use arena::ReportArena;
 pub use calibration::ModelParams;
 pub use config::SimConfig;
-pub use drive::{generate_drive_into, DriveGenOptions, GenMode, ReportSink};
+pub use drive::{generate_drive_into, DriveGenOptions, ReportSink};
 pub use fleet::{ArchiveStats, FleetGen, Sampling};
 pub use workload::WearModel;
 pub use health::{DriveTraits, LifecyclePlan, PlannedFailure};

@@ -8,11 +8,11 @@
 //!
 //! Wear (P/E accrual) is handled separately by [`WearModel`]: a
 //! deterministic fixed-point rate per operational day, a pure function of
-//! the drive's traits and age. Determinism is what lets the fast-forward
-//! generator advance wear over a skipped span with one closed-form sum
-//! ([`WearModel::span`]) and land on exactly the integer the day-by-day
-//! walk would have reached — the byte-identity contract of
-//! [`crate::FleetGen`].
+//! the drive's traits and age. Determinism is what lets the generator
+//! advance wear over a skipped span with one closed-form sum
+//! ([`WearModel::span`]) and land on exactly the integer a day-by-day
+//! walk would have reached (pinned against the test oracle in
+//! [`crate::drive`]).
 
 use crate::calibration;
 use crate::dist;
@@ -119,8 +119,11 @@ impl WearModel {
         }
     }
 
-    /// Fixed-point wear accrued on one operational day at `age`.
-    pub fn rate(&self, age: u32) -> u64 {
+    /// Fixed-point wear accrued on one operational day at `age` — the
+    /// per-day term [`span`](WearModel::span) sums; used by the test
+    /// oracles only.
+    #[cfg(test)]
+    pub(crate) fn rate(&self, age: u32) -> u64 {
         let infancy = calibration::INFANCY_DAYS;
         if age < infancy {
             self.infant

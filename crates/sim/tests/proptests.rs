@@ -3,11 +3,23 @@
 
 use ssd_sim::calibration::ModelParams;
 use ssd_sim::dist::PiecewiseCdf;
-use ssd_sim::drive::generate_drive;
-use ssd_sim::{FleetGen, GenMode, Sampling, SimConfig};
+use ssd_sim::{generate_drive_into, DriveGenOptions, FleetGen, Sampling, SimConfig};
 use ssd_stats::SplitMix64;
 use ssd_testkit::for_each_case;
-use ssd_types::{DriveId, DriveModel};
+use ssd_types::{DriveId, DriveLog, DriveModel};
+
+/// One drive generated at default options from `rng`.
+fn generate_drive(
+    id: DriveId,
+    model: DriveModel,
+    params: &ModelParams,
+    horizon: u32,
+    rng: &mut SplitMix64,
+) -> DriveLog {
+    let mut log = DriveLog::new(id, model);
+    generate_drive_into(params, horizon, &DriveGenOptions::default(), rng, &mut log);
+    log
+}
 
 #[test]
 fn any_generated_drive_log_validates() {
@@ -68,35 +80,6 @@ fn small_fleets_validate_and_are_deterministic() {
         let b = FleetGen::new(&cfg).trace();
         assert_eq!(a, b);
     });
-}
-
-#[test]
-fn fast_forward_archives_match_day_by_day_for_arbitrary_configs() {
-    for_each_case(
-        "fast_forward_archives_match_day_by_day_for_arbitrary_configs",
-        24,
-        |g| {
-            let cfg = SimConfig {
-                drives_per_model: g.u32_in(1, 12),
-                horizon_days: g.u32_in(200, 1500),
-                seed: g.u64(),
-                report_permille: g.u32_in(1, 1000),
-            };
-            let sampling = if g.u32_in(0, 2) == 1 {
-                Sampling::Importance {
-                    boost: g.f64_in(1.0, 8.0),
-                }
-            } else {
-                Sampling::Uniform
-            };
-            let dbd = FleetGen::new(&cfg).sampling(sampling).run_vec();
-            let ff = FleetGen::new(&cfg)
-                .mode(GenMode::FastForward)
-                .sampling(sampling)
-                .run_vec();
-            assert_eq!(dbd, ff, "traversal mode changed archive bytes");
-        },
-    );
 }
 
 #[test]

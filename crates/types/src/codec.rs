@@ -26,9 +26,9 @@
 //! `bits(log_weight)` is the IEEE-754 bit pattern of the drive's
 //! importance-sampling log-weight ([`DriveLog::log_weight`]); uniformly
 //! sampled drives carry `+0.0`, whose bit pattern is `0` — a single
-//! varint byte. Decoders also accept the previous `"SSDFS\0v1"` framing
-//! (identical except the drive record has no weight field); v1 drives
-//! decode with log-weight `0.0`. Encoders always write v2.
+//! varint byte. Encoders and decoders speak only v2: any other header,
+//! including the retired weightless `"SSDFS\0v1"` framing, is a
+//! [`DecodeError::BadMagic`] (a v1 fleet is regenerated from its seed).
 //!
 //! There are no per-drive length prefixes or sync markers: records are
 //! self-delimiting, so the archive can only be read front to back — which
@@ -92,21 +92,8 @@ use crate::{
 };
 use std::io::{Read, Write};
 
-/// Magic bytes + format version prefix (current version, always written).
+/// Magic bytes + format version prefix: the only version written or read.
 const MAGIC: &[u8; 8] = b"SSDFS\0v2";
-
-/// Previous format version: identical framing minus the per-drive
-/// log-weight field. Still accepted on decode.
-const MAGIC_V1: &[u8; 8] = b"SSDFS\0v1";
-
-/// Archive format version, detected from the magic header on decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Version {
-    /// Weightless drive records.
-    V1,
-    /// Drive records carry an importance-sampling log-weight.
-    V2,
-}
 
 /// Bit set in the report flags byte when the drive failed (`status_dead`).
 pub const STATUS_DEAD: u8 = 1;
@@ -347,10 +334,10 @@ fn get_varint_u32<S: Src>(src: &mut S) -> Result<u32, DecodeError> {
     u32::try_from(v).map_err(|_| DecodeError::VarintOverflow { offset: at })
 }
 
-/// Reads and checks the magic/version header, returning the detected
-/// format version. A source that ends before the full magic is a
-/// `BadMagic` (there is no archive here at all), not an `UnexpectedEof`.
-fn expect_magic<S: Src>(src: &mut S) -> Result<Version, DecodeError> {
+/// Reads and checks the magic/version header. A source that ends before
+/// the full magic is a `BadMagic` (there is no archive here at all), not
+/// an `UnexpectedEof`.
+fn expect_magic<S: Src>(src: &mut S) -> Result<(), DecodeError> {
     let mut got = Vec::with_capacity(MAGIC.len());
     for _ in 0..MAGIC.len() {
         match src.next_u8() {
@@ -362,9 +349,7 @@ fn expect_magic<S: Src>(src: &mut S) -> Result<Version, DecodeError> {
         }
     }
     if got == MAGIC {
-        Ok(Version::V2)
-    } else if got == MAGIC_V1 {
-        Ok(Version::V1)
+        Ok(())
     } else {
         Err(DecodeError::BadMagic { got })
     }
@@ -566,19 +551,12 @@ fn decode_swaps_into<S: Src>(src: &mut S, swaps: &mut Vec<SwapEvent>) -> Result<
 
 /// Decodes one drive record into `log`, reusing its report/swap buffer
 /// capacity. On error the log's contents are unspecified.
-fn decode_drive_into<S: Src>(
-    src: &mut S,
-    version: Version,
-    log: &mut DriveLog,
-) -> Result<(), DecodeError> {
+fn decode_drive_into<S: Src>(src: &mut S, log: &mut DriveLog) -> Result<(), DecodeError> {
     log.reports.clear();
     log.swaps.clear();
     log.id = DriveId(get_varint_u32(src)?);
     log.model = decode_model(src)?;
-    log.log_weight = match version {
-        Version::V1 => 0.0,
-        Version::V2 => f64::from_bits(get_varint(src)?),
-    };
+    log.log_weight = f64::from_bits(get_varint(src)?);
     let n_reports = get_varint(src)? as usize;
     log.reports.reserve(n_reports.min(1 << 20));
     for _ in 0..n_reports {
@@ -640,16 +618,12 @@ impl ColumnStore {
 /// `DailyReport` structs), returning its identity.
 fn decode_drive_columns_into<S: Src>(
     src: &mut S,
-    version: Version,
     cols: &mut ColumnStore,
 ) -> Result<(DriveId, DriveModel), DecodeError> {
     cols.clear();
     let id = DriveId(get_varint_u32(src)?);
     let model = decode_model(src)?;
-    cols.log_weight = match version {
-        Version::V1 => 0.0,
-        Version::V2 => f64::from_bits(get_varint(src)?),
-    };
+    cols.log_weight = f64::from_bits(get_varint(src)?);
     let n_reports = get_varint(src)? as usize;
     for _ in 0..n_reports {
         cols.age_days.push(get_varint_u32(src)?);
@@ -681,7 +655,7 @@ pub struct DriveColumns<'a> {
     pub columns: ReportColumns<'a>,
     /// The drive's swap events.
     pub swaps: &'a [SwapEvent],
-    /// Importance-sampling log-weight (`0.0` in legacy v1 archives).
+    /// Importance-sampling log-weight (`0.0` under uniform sampling).
     pub log_weight: f64,
 }
 
@@ -709,7 +683,6 @@ pub struct DriveColumns<'a> {
 #[derive(Debug)]
 pub struct TraceDecoder<R> {
     src: StreamSrc<R>,
-    version: Version,
     horizon_days: u32,
     n_drives: u64,
     decoded: u64,
@@ -726,24 +699,16 @@ impl<R: Read> TraceDecoder<R> {
     /// capacity in bytes (the decoder's only size-dependent allocation).
     pub fn with_buffer_capacity(reader: R, capacity: usize) -> Result<Self, DecodeError> {
         let mut src = StreamSrc::new(reader, capacity);
-        let version = expect_magic(&mut src)?;
+        expect_magic(&mut src)?;
         let horizon_days = get_varint_u32(&mut src)?;
         let n_drives = get_varint(&mut src)?;
         Ok(TraceDecoder {
             src,
-            version,
             horizon_days,
             n_drives,
             decoded: 0,
             cols: ColumnStore::default(),
         })
-    }
-
-    /// True when the archive uses the legacy v1 (weightless) framing; all
-    /// its drives decode with log-weight `0.0`. Test-only introspection.
-    #[cfg(test)]
-    pub fn is_legacy_weightless(&self) -> bool {
-        self.version == Version::V1
     }
 
     /// Observation-window length from the archive header.
@@ -776,7 +741,7 @@ impl<R: Read> TraceDecoder<R> {
         if self.decoded >= self.n_drives {
             return Ok(false);
         }
-        decode_drive_into(&mut self.src, self.version, log)?;
+        decode_drive_into(&mut self.src, log)?;
         self.decoded += 1;
         Ok(true)
     }
@@ -795,7 +760,7 @@ impl<R: Read> TraceDecoder<R> {
             if n == out.len() {
                 out.push(DriveLog::new(DriveId(0), DriveModel::from_index(0)));
             }
-            decode_drive_into(&mut self.src, self.version, &mut out[n])?;
+            decode_drive_into(&mut self.src, &mut out[n])?;
             self.decoded += 1;
             n += 1;
         }
@@ -810,7 +775,7 @@ impl<R: Read> TraceDecoder<R> {
         if self.decoded >= self.n_drives {
             return Ok(None);
         }
-        let (id, model) = decode_drive_columns_into(&mut self.src, self.version, &mut self.cols)?;
+        let (id, model) = decode_drive_columns_into(&mut self.src, &mut self.cols)?;
         self.decoded += 1;
         Ok(Some(DriveColumns {
             id,
@@ -1043,13 +1008,13 @@ pub fn encode_trace_to<W: Write>(trace: &FleetTrace, sink: W) -> std::io::Result
 /// consumption of large archives use [`TraceDecoder`] instead.
 pub fn decode_trace(buf: &[u8]) -> Result<FleetTrace, DecodeError> {
     let mut src = SliceSrc::new(buf);
-    let version = expect_magic(&mut src)?;
+    expect_magic(&mut src)?;
     let horizon_days = get_varint_u32(&mut src)?;
     let n_drives = get_varint(&mut src)? as usize;
     let mut drives = Vec::with_capacity(n_drives.min(1 << 22));
     for _ in 0..n_drives {
         let mut log = DriveLog::new(DriveId(0), DriveModel::from_index(0));
-        decode_drive_into(&mut src, version, &mut log)?;
+        decode_drive_into(&mut src, &mut log)?;
         drives.push(log);
     }
     Ok(FleetTrace {
@@ -1492,56 +1457,24 @@ mod tests {
         enc.finish_sink().unwrap();
     }
 
-    /// Encodes `t` in the legacy v1 framing (no per-drive weight field).
-    fn encode_trace_v1(t: &FleetTrace) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
-        put_varint(&mut buf, u64::from(t.horizon_days));
-        put_varint(&mut buf, t.drives.len() as u64);
-        for d in &t.drives {
-            put_varint(&mut buf, u64::from(d.id.0));
-            buf.push(d.model.index() as u8);
-            put_varint(&mut buf, d.reports.len() as u64);
-            for r in &d.reports {
-                encode_report(&mut buf, r);
-            }
-            encode_swaps(&mut buf, &d.swaps);
-        }
-        buf
+    #[test]
+    fn retired_v1_header_is_a_typed_bad_magic() {
+        // The weightless v1 framing has no producer left: its header is
+        // rejected like any other foreign prefix, on both decode paths.
+        let mut v1 = encode_trace(&sample_trace());
+        v1[..MAGIC.len()].copy_from_slice(b"SSDFS\0v1");
+        let expected = DecodeError::BadMagic {
+            got: b"SSDFS\0v1".to_vec(),
+        };
+        assert_eq!(decode_trace(&v1).unwrap_err(), expected);
+        assert_eq!(TraceDecoder::new(&v1[..]).unwrap_err(), expected);
     }
 
     #[test]
-    fn legacy_v1_archives_decode_with_zero_weights() {
-        let t = sample_trace();
-        let v1 = encode_trace_v1(&t);
-        // Resident path.
-        let back = decode_trace(&v1).unwrap();
-        assert!(back.drives.iter().all(|d| d.log_weight.to_bits() == 0));
-        let mut expected = t.clone();
-        for d in &mut expected.drives {
-            d.log_weight = 0.0;
-        }
-        assert_eq!(back, expected);
-        // Streaming path, both record shapes.
-        let mut dec = TraceDecoder::new(&v1[..]).unwrap();
-        assert!(dec.is_legacy_weightless());
-        let drives: Vec<DriveLog> = (&mut dec).map(|d| d.unwrap()).collect();
-        assert_eq!(drives, expected.drives);
-        let mut dec = TraceDecoder::new(&v1[..]).unwrap();
-        while let Some(view) = dec.next_drive_columns().unwrap() {
-            assert_eq!(view.log_weight.to_bits(), 0);
-        }
-        // Current-format archives are not flagged legacy.
-        let v2 = encode_trace(&t);
-        assert!(!TraceDecoder::new(&v2[..]).unwrap().is_legacy_weightless());
-    }
-
-    #[test]
-    fn mutated_weighted_and_legacy_archives_never_panic() {
-        // Decode fuzz over BOTH framings: truncations at every prefix
-        // length and deterministic byte flips must yield Ok or a typed
-        // DecodeError — never a panic — whether the bytes started as a
-        // weighted v2 archive or a legacy weightless v1 one.
+    fn mutated_weighted_archives_never_panic() {
+        // Decode fuzz over the weighted v2 framing: truncations at every
+        // prefix length and deterministic byte flips must yield Ok or a
+        // typed DecodeError — never a panic.
         let t = sample_trace();
         let mut s = 0x243f6a8885a308d3u64;
         let mut next = move || {
@@ -1550,20 +1483,19 @@ mod tests {
             s ^= s << 17;
             s
         };
-        for archive in [encode_trace(&t), encode_trace_v1(&t)] {
-            for cut in 0..archive.len() {
-                let _ = decode_trace(&archive[..cut]);
+        let archive = encode_trace(&t);
+        for cut in 0..archive.len() {
+            let _ = decode_trace(&archive[..cut]);
+        }
+        for _ in 0..256 {
+            let mut bytes = archive.clone();
+            for _ in 0..(next() % 4 + 1) {
+                let at = (next() % bytes.len() as u64) as usize;
+                bytes[at] ^= (next() as u8) | 1;
             }
-            for _ in 0..256 {
-                let mut bytes = archive.clone();
-                for _ in 0..(next() % 4 + 1) {
-                    let at = (next() % bytes.len() as u64) as usize;
-                    bytes[at] ^= (next() as u8) | 1;
-                }
-                if let Ok(back) = decode_trace(&bytes) {
-                    // Whatever decoded must also survive a re-encode.
-                    let _ = encode_trace(&back);
-                }
+            if let Ok(back) = decode_trace(&bytes) {
+                // Whatever decoded must also survive a re-encode.
+                let _ = encode_trace(&back);
             }
         }
     }

@@ -44,7 +44,7 @@ cargo test -q --offline --workspace
 echo "== benches compile (all 14 targets) =="
 cargo bench --no-run --offline --workspace
 
-echo "== bench smoke: bench_sim (incl. fastforward + encode_stream/decode_stream) + ML kernels + flat predict + history compare =="
+echo "== bench smoke: bench_sim (incl. sparse span walker + encode_stream/decode_stream) + ML kernels + flat predict + history compare =="
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_sim
 
 # "train_" selects both training groups: train_2k_rows and train_imbalanced.
@@ -71,13 +71,20 @@ if target/release/ssdstat --trace "$smoke_dir/corrupt.ssdfs" > /dev/null 2>&1; t
   echo "ERROR: ssdstat accepted a corrupt archive"; exit 1
 fi
 
-echo "== fast-forward smoke: --fast-forward archive byte-identical, --importance decodable =="
-target/release/ssdgen --out "$smoke_dir/ff" --drives 7 --days 800 --seed 99 \
-  --format bin --fast-forward
-cmp "$smoke_dir/trace.ssdfs" "$smoke_dir/ff/trace.ssdfs" \
-  || { echo "ERROR: fast-forward archive diverged from day-by-day bytes"; exit 1; }
+echo "== archive pin smoke: plain and --importance archive bytes pinned by cksum, --importance decodable =="
+# `cksum` (CRC, byte count) of the two smoke archives; a change means the
+# generator's output bytes moved.
+pin() {
+  local got
+  got="$(cksum < "$1")"
+  if [ "$got" != "$2" ]; then
+    echo "ERROR: $1 cksum '$got' != pinned '$2' (archive bytes changed)"; exit 1
+  fi
+}
+pin "$smoke_dir/trace.ssdfs" "2788473221 135010"
 target/release/ssdgen --out "$smoke_dir/imp" --drives 7 --days 800 --seed 99 \
-  --format bin --fast-forward --importance 4
+  --format bin --importance 4
+pin "$smoke_dir/imp/trace.ssdfs" "549773521 122529"
 target/release/ssdstat --trace "$smoke_dir/imp/trace.ssdfs" > /dev/null
 
 echo "== online prediction smoke: train + rank streamed fleet, bad archives rejected =="

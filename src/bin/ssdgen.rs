@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ssdgen --out DIR [--drives N] [--days D | --years Y] [--seed S]
-//!        [--format bin|json|csv] [--fast-forward] [--importance BOOST]
+//!        [--format bin|json|csv] [--importance BOOST]
 //! ```
 //!
 //! Formats:
@@ -12,22 +12,29 @@
 //! * `json` — `trace.json`, for ad-hoc tooling;
 //! * `csv`  — `reports.csv` + `swaps.csv`, for pandas/R.
 //!
-//! `--fast-forward` switches generation to the analytic span-skipping
-//! traversal — byte-identical output, a fraction of the work on
-//! event-sparse fleets. `--importance BOOST` oversamples the defective
-//! infant subpopulation by `BOOST` and records per-drive log-weights in
-//! the archive for downstream weighted estimators.
+//! `--importance BOOST` oversamples the defective infant subpopulation by
+//! `BOOST` and records per-drive log-weights in the archive for
+//! downstream weighted estimators.
+//!
+//! Sizes are checked up front: the fleet total (`3 × N` drives) must fit
+//! the `u32` drive-id space, and the horizon may not exceed
+//! `MAX_HORIZON_DAYS` (100 years). Either violation is a usage error (exit 2).
 
 #![forbid(unsafe_code)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
-use ssd_sim::{FleetGen, GenMode, Sampling, SimConfig};
+use ssd_sim::{FleetGen, Sampling, SimConfig};
 use ssd_types::{codec, csv};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 
 const USAGE: &str = "ssdgen --out DIR [--drives N] [--days D | --years Y] [--seed S] \
-                     [--format bin|json|csv] [--fast-forward] [--importance BOOST]";
+                     [--format bin|json|csv] [--importance BOOST]";
+
+/// Longest accepted horizon: a century of daily reports per drive, far
+/// past the paper's six years yet small enough that per-drive buffers
+/// sized by the horizon stay a few MiB.
+const MAX_HORIZON_DAYS: u32 = 100 * cli::DAYS_PER_YEAR;
 
 struct Args {
     out: String,
@@ -35,7 +42,6 @@ struct Args {
     horizon_days: u32,
     seed: u64,
     format: String,
-    fast_forward: bool,
     importance: Option<f64>,
 }
 
@@ -46,21 +52,31 @@ fn parse_args() -> Result<Args, UsageError> {
         horizon_days: 6 * cli::DAYS_PER_YEAR,
         seed: 1,
         format: "bin".into(),
-        fast_forward: false,
         importance: None,
     };
     let mut it = ArgStream::from_env(USAGE);
     while let Some(a) = it.next_arg() {
         match a.as_str() {
             "--out" => args.out = it.value("--out")?,
-            "--drives" => args.drives_per_model = it.parsed("--drives")?,
-            "--days" => args.horizon_days = it.parsed("--days")?,
+            "--drives" => {
+                let n: u32 = it.parsed("--drives")?;
+                if n.checked_mul(3).is_none() {
+                    return Err(format!(
+                        "--drives {n}: the fleet total (3 x {n} drives) overflows the u32 \
+                         drive-id space (max {})",
+                        u32::MAX / 3
+                    )
+                    .into());
+                }
+                args.drives_per_model = n;
+            }
+            "--days" => args.horizon_days = horizon("--days", it.parsed("--days")?, 1)?,
             "--years" => {
-                args.horizon_days = it.parsed::<u32>("--years")?.saturating_mul(cli::DAYS_PER_YEAR)
+                args.horizon_days =
+                    horizon("--years", it.parsed("--years")?, cli::DAYS_PER_YEAR)?
             }
             "--seed" => args.seed = it.parsed("--seed")?,
             "--format" => args.format = it.value("--format")?,
-            "--fast-forward" => args.fast_forward = true,
             "--importance" => {
                 let boost: f64 = it.parsed("--importance")?;
                 if !(boost >= 1.0 && boost.is_finite()) {
@@ -77,17 +93,28 @@ fn parse_args() -> Result<Args, UsageError> {
     Ok(args)
 }
 
+/// `value` units of `days_per_unit` days, or a usage error when the
+/// product overflows or exceeds `MAX_HORIZON_DAYS`.
+fn horizon(flag: &str, value: u32, days_per_unit: u32) -> Result<u32, UsageError> {
+    value
+        .checked_mul(days_per_unit)
+        .filter(|&days| days <= MAX_HORIZON_DAYS)
+        .ok_or_else(|| {
+            format!(
+                "{flag} {value}: horizon exceeds the maximum of {MAX_HORIZON_DAYS} days \
+                 ({} years)",
+                MAX_HORIZON_DAYS / cli::DAYS_PER_YEAR
+            )
+            .into()
+        })
+}
+
 fn fleet_gen<'a>(args: &Args, cfg: &'a SimConfig) -> FleetGen<'a> {
-    let mode = if args.fast_forward {
-        GenMode::FastForward
-    } else {
-        GenMode::DayByDay
-    };
     let sampling = match args.importance {
         Some(boost) => Sampling::Importance { boost },
         None => Sampling::Uniform,
     };
-    FleetGen::new(cfg).mode(mode).sampling(sampling)
+    FleetGen::new(cfg).sampling(sampling)
 }
 
 fn run(args: &Args) -> Result<(), BinError> {

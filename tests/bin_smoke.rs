@@ -76,6 +76,46 @@ fn ssdgen_formats_agree_on_the_same_seed() {
     std::fs::remove_dir_all(&json_dir).ok();
 }
 
+/// Runs `ssdgen` with `args` appended to `--out DIR`, asserts the typed
+/// usage-error exit (code 2, no panic) and that nothing was generated,
+/// and returns stderr.
+fn ssdgen_usage_error(name: &str, args: &[&str]) -> String {
+    let dir = scratch(name);
+    let out = Command::new(env!("CARGO_BIN_EXE_ssdgen"))
+        .arg("--out")
+        .arg(&dir)
+        .args(args)
+        .output()
+        .expect("spawn ssdgen");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "ssdgen {args:?} must be a usage error:\n{stderr}");
+    assert!(stderr.starts_with("ssdgen: "), "usage error line expected:\n{stderr}");
+    assert!(!dir.join("trace.ssdfs").exists(), "rejected run must write nothing");
+    std::fs::remove_dir_all(&dir).ok();
+    stderr
+}
+
+#[test]
+fn ssdgen_rejects_fleets_beyond_the_drive_id_space() {
+    // 3 × 2e9 wraps a u32: the run must stop before generating anything.
+    let stderr = ssdgen_usage_error("gen_drives", &["--drives", "2000000000"]);
+    assert!(stderr.contains("--drives 2000000000"), "{stderr}");
+    assert!(stderr.contains("max 1431655765"), "{stderr}");
+}
+
+#[test]
+fn ssdgen_rejects_horizons_beyond_the_maximum() {
+    for args in [
+        ["--years", "99999999"],
+        ["--years", "101"],
+        ["--days", "36501"],
+        ["--days", "4294967295"],
+    ] {
+        let stderr = ssdgen_usage_error("gen_horizon", &args);
+        assert!(stderr.contains("maximum of 36500 days"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn ssdstat_reads_binary_archive_and_audits() {
     let dir = scratch("stat_bin");

@@ -4,7 +4,7 @@
 
 use ssd_field_study::core::{build_dataset, ExtractOptions};
 use ssd_field_study::ml::{cross_validate, CvOptions, ForestConfig, Trainer};
-use ssd_field_study::sim::{FleetGen, GenMode, SimConfig};
+use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::codec::encode_trace;
 
 fn cfg() -> SimConfig {
@@ -100,33 +100,6 @@ fn streamed_archive_is_byte_identical_to_in_memory_at_every_pool_size() {
         );
         assert_eq!(stats.bytes, baseline.len() as u64);
         assert_eq!(stats.drives, 150);
-    }
-}
-
-#[test]
-fn fast_forward_archive_is_byte_identical_at_every_pool_size() {
-    // Fast-forward is a traversal optimization, not a different model:
-    // its archive must match the day-by-day bytes exactly, at every pool
-    // size (the tentpole contract of the fast-forward mode).
-    let cfg = SimConfig {
-        drives_per_model: 50,
-        horizon_days: 1000,
-        seed: 271828,
-        ..SimConfig::default()
-    };
-    let baseline = FleetGen::new(&cfg).run_vec();
-    let ff = FleetGen::new(&cfg).mode(GenMode::FastForward);
-    assert_eq!(ff.run_vec(), baseline, "fast-forward diverged from day-by-day");
-    for n_threads in [1, 2, 5] {
-        let pool = ssd_field_study::parallel::ThreadPoolBuilder::new()
-            .num_threads(n_threads)
-            .build()
-            .unwrap();
-        let archived = pool.install(|| ff.run_vec());
-        assert_eq!(
-            archived, baseline,
-            "pool size {n_threads} changed the fast-forward archive"
-        );
     }
 }
 

@@ -5,10 +5,11 @@
 //! fleet is simulated, but the recorded log-weights must let every
 //! weighted estimator (summary tallies, Kaplan–Meier survival, ROC AUC)
 //! recover the uniform population's statistics within pinned tolerances —
-//! while simulating strictly fewer drive-days on the same seed. Byte-level
-//! fast-forward identity lives in `tests/determinism.rs` and the sim
-//! proptests; this file owns the estimator-equivalence half plus codec
-//! round-trip fuzz for the weight column.
+//! while simulating strictly fewer drive-days on the same seed. The
+//! byte-level identity of the generator's span walker with its day-by-day
+//! oracle lives in the `ssd-sim` unit tests (`drive.rs`, `fleet.rs`); this
+//! file owns the estimator-equivalence half plus codec round-trip fuzz for
+//! the weight column.
 
 use ssd_field_study::core::failure::operational_periods;
 use ssd_field_study::core::lifecycle::time_to_failure_km;
