@@ -1,19 +1,18 @@
-//! Fleet-service request benchmarks: one resident `FleetService` per
-//! shard count, timed frame-to-frame.
+//! Fleet-service request benchmarks: one `FleetService` on two shards,
+//! timed frame-to-frame.
 //!
-//! `serve_summary_s{1,2,8}` times the same whole-fleet summary query as
-//! the shard count grows — the shard broadcast plus the additive
-//! cross-shard merge. `serve_topk` times a batch-scored risk ranking
-//! through the flattened forest, and `serve_mixed_batch` times a 4-query
-//! array frame (summary, survival, hazard, top-k) answered in a single
-//! coalesced shard pass. Response bytes are byte-identical at every shard
-//! count (`tests/serve.rs`), so these differ only in wall-clock.
+//! `serve_summary` times the whole-fleet summary query: a lookup of each
+//! shard's folded accumulator, the additive merge, and the render.
+//! Shard count only partitions the fold done at load, so one shard count
+//! stands for all. `serve_topk` times a top-k read of the rankings scored
+//! at load, and `serve_mixed_batch` times a 4-query array frame (summary,
+//! survival, hazard, top-k) answered from one pass over the shards'
+//! views.
 //!
-//! The `shard_pass` group isolates the unit those end-to-end numbers are
-//! built from: one shard's `ShardState::execute` over its resident
-//! drives, with no pool broadcast, queueing, or merge around it. Reading
-//! `shard_pass_*` against `serve_*` separates per-shard compute from
-//! coordination overhead.
+//! The `shard_pass` group isolates the per-shard unit under those
+//! numbers: one shard's `ShardState::execute` lookup, with no merge or
+//! render around it. Reading `shard_pass_*` against `serve_*` separates
+//! the view lookup from the merge and render.
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
 use ssd_field_study_core::features::{build_dataset, ExtractOptions};
@@ -33,10 +32,10 @@ fn bench_cfg() -> SimConfig {
     }
 }
 
-fn service(shards: usize) -> FleetService {
+fn service() -> FleetService {
     let source = TraceSource::InMemory(FleetGen::new(&bench_cfg()).trace());
     let cfg = ServeConfig {
-        shards,
+        shards: 2,
         scorer: ScorerSpec::Forest { trees: 20 },
         lookahead_days: 7,
         sample_rate: 0.5,
@@ -54,30 +53,26 @@ fn bench_serve(c: &mut Criterion) {
     let mixed =
         br#"[{"q":"summary"},{"q":"survival"},{"q":"hazard","bin_days":30},{"q":"topk","k":50}]"#;
 
+    let svc = service();
     let mut g = c.benchmark_group("serve");
     g.sample_size(20);
-    for shards in [1usize, 2, 8] {
-        let svc = service(shards);
-        g.bench_function(&format!("serve_summary_s{shards}"), |b| {
-            b.iter(|| svc.respond(summary).expect("summary responds"))
-        });
-        if shards == 2 {
-            g.bench_function("serve_topk", |b| {
-                b.iter(|| svc.respond(topk).expect("topk responds"))
-            });
-            g.bench_function("serve_mixed_batch", |b| {
-                b.iter(|| svc.respond(mixed).expect("mixed batch responds"))
-            });
-        }
-    }
+    g.bench_function("serve_summary", |b| {
+        b.iter(|| svc.respond(summary).expect("summary responds"))
+    });
+    g.bench_function("serve_topk", |b| {
+        b.iter(|| svc.respond(topk).expect("topk responds"))
+    });
+    g.bench_function("serve_mixed_batch", |b| {
+        b.iter(|| svc.respond(mixed).expect("mixed batch responds"))
+    });
     g.finish();
 }
 
-/// One shard's `execute()` pass in isolation: the same fleet dealt
+/// One shard's `execute()` lookup in isolation: the same fleet dealt
 /// round-robin onto two shards exactly as `FleetService::load` does, the
-/// same 20-tree flattened forest, but no pool broadcast or merge. The
-/// per-shard wall time these ids report is the compute floor under the
-/// end-to-end `serve_*` latencies above.
+/// same 20-tree flattened forest, but no merge or render. The first
+/// top-k plan scores the shard's rankings; the timed passes reuse them,
+/// as the service's do.
 fn bench_shard_pass(c: &mut Criterion) {
     let sim = bench_cfg();
     let trace = FleetGen::new(&sim).trace();

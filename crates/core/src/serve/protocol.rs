@@ -3,15 +3,15 @@
 //! A **frame** is a little-endian `u32` byte length followed by exactly
 //! that many bytes of UTF-8 JSON. A request frame carries either one
 //! request object or an array of request objects (an explicit client-side
-//! batch — the whole array is answered from **one pass** over shard
-//! state); the response frame mirrors the shape (object in, object out;
-//! array in, array out, index-aligned).
+//! batch — the whole array is answered from **one pass** over the
+//! shards' load-time views); the response frame mirrors the shape
+//! (object in, object out; array in, array out, index-aligned).
 //!
 //! Request objects select a query with `"q"`:
 //!
 //! | request | fields | answer |
 //! |---------|--------|--------|
-//! | `{"q":"info"}` | — | fleet/shard/scorer metadata, no shard pass |
+//! | `{"q":"info"}` | — | fleet/shard/scorer metadata recorded at load; not counted as a pass |
 //! | `{"q":"summary"}` | — | shard-merged [`SummaryAccumulator`] fold |
 //! | `{"q":"survival"}` | — | Kaplan–Meier time-to-failure curve |
 //! | `{"q":"hazard"}` | `bin_days` (default 30) | exposure-normalized failure rate per age bin |

@@ -1,58 +1,37 @@
-//! Transport loop and cross-client request coalescing.
+//! Transport loops: one client over any byte stream, many over a Unix
+//! socket.
 //!
 //! [`serve_connection`] is the per-client loop: read one frame, answer
 //! one frame, until clean EOF. Malformed input gets a best-effort typed
 //! error frame and then a [`ProtocolError`] return, so transports can
 //! exit nonzero — garbage never panics and never hangs the peer.
 //!
-//! [`Dispatcher`] adds cross-client batching on top: connection threads
-//! submit raw frame bodies to one dispatcher thread, which drains
-//! everything that co-arrived (up to [`COALESCE_LIMIT`] frames), compiles
-//! the union into **one** [`FleetService::handle`] call — one shard
-//! pass — and routes each response back to its submitter. Because
-//! responses are a pure function of (request, resident state), coalescing
-//! changes timing only: every client gets byte-identical answers whether
-//! it talked to the service alone or alongside others (`tests/serve.rs`
-//! pins this).
+//! [`serve_unix`] runs that loop for each socket connection in its own
+//! thread, straight against the shared [`FleetService`]. Answers are
+//! lookups into views folded at load, so there is no request queue and
+//! no cross-client batching: a client's bytes are the same whether it is
+//! alone or one of many (`tests/serve.rs` pins this). The server caps the
+//! number of live connections, and each connection has a
+//! [`CONNECTION_DEADLINE`] on reads and writes, so a stalled client frees
+//! its slot instead of holding it forever.
 
-use super::protocol::{
-    error_body, read_frame, write_frame, ProtocolError, Request, MAX_REQUEST_FRAME,
-};
+use super::protocol::{error_body, read_frame, write_frame, ProtocolError, MAX_REQUEST_FRAME};
 use super::service::FleetService;
-use ssd_types::json::Value;
 use std::io::{Read, Write};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::Duration;
 
-/// Most co-arriving frames one dispatcher round coalesces into a single
-/// shard pass.
-pub const COALESCE_LIMIT: usize = 64;
-
-/// How a connection turns one request frame body into one response body.
-pub enum Responder {
-    /// Answer in the calling thread, one shard pass per frame.
-    Direct(Arc<FleetService>),
-    /// Funnel through a [`Dispatcher`] so co-arriving frames from any
-    /// connection share one shard pass.
-    Batched(Arc<Dispatcher>),
-}
-
-impl Responder {
-    /// Produces the response body for one request frame body.
-    pub fn respond(&self, body: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-        match self {
-            Responder::Direct(service) => service.respond(body),
-            Responder::Batched(dispatcher) => dispatcher.submit(body.to_vec()),
-        }
-    }
-}
+/// How long a socket connection may wait on its peer — for the next
+/// frame, inside a half-sent frame, or for a response to drain — before
+/// the server drops it. Well-behaved clients leave gaps of milliseconds
+/// (30 requests/s over two connections is one every ~67 ms on each), so
+/// only a stalled client reaches it.
+pub const CONNECTION_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Serves one client: frames in, frames out, until clean EOF. Returns the
 /// number of frames answered. On a protocol error a typed error frame is
 /// written best-effort before the error is returned.
 pub fn serve_connection(
-    responder: &Responder,
+    service: &FleetService,
     reader: &mut impl Read,
     writer: &mut impl Write,
 ) -> Result<u64, ProtocolError> {
@@ -66,7 +45,7 @@ pub fn serve_connection(
                 return Err(e);
             }
         };
-        match responder.respond(&body) {
+        match service.respond(&body) {
             Ok(response) => {
                 write_frame(writer, &response).map_err(ProtocolError::Io)?;
                 writer.flush().map_err(ProtocolError::Io)?;
@@ -88,154 +67,86 @@ fn send_error_frame(writer: &mut impl Write, e: &ProtocolError) {
     let _ = writer.flush();
 }
 
-struct Submission {
-    body: Vec<u8>,
-    reply: SyncSender<Result<Vec<u8>, ProtocolError>>,
-}
-
-/// One dispatcher thread coalescing co-arriving frames from any number of
-/// connection threads into single shard passes.
-pub struct Dispatcher {
-    queue: SyncSender<Submission>,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl Dispatcher {
-    /// Spawns the dispatcher thread over a shared service. `queue_cap`
-    /// bounds the submission queue (backpressure, clamped to at least 1).
-    pub fn new(service: Arc<FleetService>, queue_cap: usize) -> std::io::Result<Dispatcher> {
-        let (queue, rx) = sync_channel::<Submission>(queue_cap.max(1));
-        let worker = std::thread::Builder::new()
-            .name("ssdserve-dispatch".into())
-            .spawn(move || dispatch_loop(&service, &rx))?;
-        Ok(Dispatcher {
-            queue,
-            worker: Some(worker),
-        })
-    }
-
-    /// Submits one frame body and blocks for its response body. A dead
-    /// dispatcher surfaces as a broken-pipe transport error.
-    pub fn submit(&self, body: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
-        let (reply, response) = sync_channel(1);
-        let gone = || {
-            ProtocolError::Io(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "dispatcher is gone",
-            ))
-        };
-        self.queue
-            .send(Submission { body, reply })
-            .map_err(|_| gone())?;
-        response.recv().map_err(|_| gone())?
-    }
-}
-
-impl Drop for Dispatcher {
-    fn drop(&mut self) {
-        // Closing the queue ends the dispatch loop after it drains.
-        let (closed, _) = sync_channel(1);
-        self.queue = closed;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn dispatch_loop(service: &FleetService, rx: &Receiver<Submission>) {
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        while batch.len() < COALESCE_LIMIT {
-            match rx.try_recv() {
-                Ok(s) => batch.push(s),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
-        }
-        run_round(service, batch);
-    }
-}
-
-/// One coalescing round: parse every frame, answer the union of all
-/// well-formed requests in one `handle` call, split the responses back
-/// out per frame (mirroring each frame's object/array shape).
-fn run_round(service: &FleetService, batch: Vec<Submission>) {
-    let parsed: Vec<(Submission, Result<(Vec<Request>, bool), ProtocolError>)> = batch
-        .into_iter()
-        .map(|s| {
-            let p = Request::parse_frame(&s.body);
-            (s, p)
-        })
-        .collect();
-    let mut union: Vec<Request> = Vec::new();
-    for (_, p) in &parsed {
-        if let Ok((reqs, _)) = p {
-            union.extend_from_slice(reqs);
-        }
-    }
-    let answered = if union.is_empty() {
-        Ok(Vec::new())
-    } else {
-        service.handle(&union)
-    };
-    match answered {
-        Ok(values) => {
-            let mut cursor = values.into_iter();
-            for (s, p) in parsed {
-                let outcome = match p {
-                    Err(e) => Err(e),
-                    Ok((reqs, batched)) => {
-                        let mine: Vec<Value> = cursor.by_ref().take(reqs.len()).collect();
-                        Ok(if batched {
-                            super::protocol::render(&Value::Arr(mine))
-                        } else {
-                            match mine.into_iter().next() {
-                                Some(v) => super::protocol::render(&v),
-                                None => super::protocol::render(&Value::Arr(Vec::new())),
-                            }
-                        })
-                    }
-                };
-                let _ = s.reply.send(outcome);
-            }
-        }
-        Err(e) => {
-            // The shard pool failed; every well-formed frame in the round
-            // gets the same typed internal error, parse errors keep theirs.
-            let msg = e.to_string();
-            for (s, p) in parsed {
-                let outcome = match p {
-                    Err(pe) => Err(pe),
-                    Ok(_) => Ok(error_body("internal", &msg)),
-                };
-                let _ = s.reply.send(outcome);
-            }
-        }
-    }
-}
-
-/// Serves clients over a Unix domain socket: one thread per connection,
-/// all funneling through one [`Dispatcher`]. Runs until `accept` fails.
+/// Serves clients over a Unix domain socket, one thread per connection,
+/// at most `max_connections` (clamped to at least 1) at a time: when every
+/// slot is taken, `accept` waits until a connection ends. Runs until
+/// `accept` fails.
 #[cfg(unix)]
 pub fn serve_unix(
     listener: &std::os::unix::net::UnixListener,
-    service: Arc<FleetService>,
-    queue_cap: usize,
+    service: std::sync::Arc<FleetService>,
+    max_connections: usize,
 ) -> std::io::Result<()> {
-    let dispatcher = Arc::new(Dispatcher::new(service, queue_cap)?);
+    use std::sync::Arc;
+    let slots = Arc::new(slots::Slots::new(max_connections));
     loop {
+        let slot = slots::Slots::acquire(&slots);
         let (stream, _) = listener.accept()?;
-        let responder = Responder::Batched(Arc::clone(&dispatcher));
+        let service = Arc::clone(&service);
         std::thread::Builder::new()
             .name("ssdserve-conn".into())
             .spawn(move || {
-                let mut reader = match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                };
+                let _slot = slot;
+                let reader = stream
+                    .set_read_timeout(Some(CONNECTION_DEADLINE))
+                    .and_then(|()| stream.set_write_timeout(Some(CONNECTION_DEADLINE)))
+                    .and_then(|()| stream.try_clone());
+                let Ok(mut reader) = reader else { return };
                 let mut writer = stream;
                 // Per-connection protocol errors already answered the
                 // peer with a typed error frame; the connection just ends.
-                let _ = serve_connection(&responder, &mut reader, &mut writer);
+                let _ = serve_connection(&service, &mut reader, &mut writer);
             })?;
+    }
+}
+
+/// The live-connection count behind [`serve_unix`]'s cap.
+#[cfg(unix)]
+mod slots {
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+    pub(super) struct Slots {
+        live: Mutex<usize>,
+        freed: Condvar,
+        cap: usize,
+    }
+
+    /// One taken slot; dropping it frees the slot.
+    pub(super) struct Slot(Arc<Slots>);
+
+    impl Slots {
+        pub(super) fn new(cap: usize) -> Slots {
+            Slots {
+                live: Mutex::new(0),
+                freed: Condvar::new(),
+                cap: cap.max(1),
+            }
+        }
+
+        /// The count behind the lock. Every update is one `+= 1` or
+        /// `-= 1`, so a poisoned lock still holds a valid count.
+        fn live(&self) -> MutexGuard<'_, usize> {
+            self.live.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Blocks until a slot is free, then takes it.
+        pub(super) fn acquire(this: &Arc<Slots>) -> Slot {
+            let mut live = this.live();
+            while *live >= this.cap {
+                live = this
+                    .freed
+                    .wait(live)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            *live += 1;
+            Slot(Arc::clone(this))
+        }
+    }
+
+    impl Drop for Slot {
+        fn drop(&mut self) {
+            *self.0.live() -= 1;
+            self.0.freed.notify_one();
+        }
     }
 }

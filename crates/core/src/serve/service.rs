@@ -1,20 +1,20 @@
-//! The resident fleet service: sharded state behind a batch-answering API.
+//! The fleet service: per-shard views folded at load behind a
+//! batch-answering API.
 //!
 //! [`FleetService::load`] makes two streaming passes over a
 //! [`TraceSource`]: the first trains an optional flattened scorer
 //! ([`ssd_ml::flat`](ssd_ml::FlatForest)) on lookahead-labeled history,
-//! the second deals drives round-robin onto `N` resident worker shards
-//! (a [`ShardPool`]), each holding the drive logs plus an
-//! [`OnlineFleet`](crate::predict::online::OnlineFleet) feature tracker.
+//! the second deals drives round-robin onto `N` shards, each folding its
+//! drives into the views of [`super::shard`] and keeping no drive log.
+//! The shards' risk rankings are scored before `load` returns.
 //!
-//! [`FleetService::handle`] answers a *batch* of requests with **one**
-//! broadcast over the shards: the batch is compiled into a union
-//! [`PassPlan`], every shard executes the plan in a single loop over its
-//! drives, and the per-shard partials merge in shard order. Because every
-//! partial is additive or order-insensitive (see [`super::shard`]), the
-//! responses are byte-identical for any shard count and any request
-//! interleaving — the service-level restatement of the workspace's
-//! determinism contract, pinned by `tests/serve.rs`.
+//! [`FleetService::handle`] compiles a *batch* of requests into one union
+//! [`PassPlan`], looks the plan up in every shard in shard order on the
+//! calling thread, and merges the partials. Because every partial is
+//! additive or order-insensitive (see [`super::shard`]), the responses
+//! are byte-identical for any shard count and any request interleaving —
+//! the service-level restatement of the workspace's determinism
+//! contract, pinned by `tests/serve.rs`.
 
 use super::protocol::{error_body, render, ProtocolError, Request};
 use super::shard::{PassPlan, ShardPartial, ShardState};
@@ -23,7 +23,6 @@ use crate::streaming::StreamSummary;
 use ssd_ml::{
     BatchScorer, FlatForest, FlatGbdt, ForestConfig, Gbdt, GbdtConfig, RandomForest,
 };
-use ssd_parallel::resident::{PoolError, ShardPool};
 use ssd_stats::KaplanMeier;
 use ssd_types::json::Value;
 use ssd_types::source::{TraceReadError, TraceSource};
@@ -51,9 +50,13 @@ pub enum ScorerSpec {
 /// Load-time configuration for [`FleetService::load`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Number of worker shards (clamped to at least 1).
+    /// Number of shards the load folds the fleet into (clamped to at
+    /// least 1). It only partitions the fold: answers are byte-identical
+    /// for any value.
     pub shards: usize,
-    /// Bounded per-shard request-queue depth (clamped to at least 1).
+    /// Most socket connections served at once, the cap `ssdserve` passes
+    /// to [`serve_unix`](super::server::serve_unix) (clamped to at least
+    /// 1). [`FleetService::load`] does not read it.
     pub queue_cap: usize,
     /// Risk scorer to train on the archive's history.
     pub scorer: ScorerSpec,
@@ -87,8 +90,6 @@ pub enum ServeError {
     /// Scorer training was requested but impossible (e.g. one-class data)
     /// or misconfigured.
     Train(String),
-    /// The shard pool failed (worker death or spawn failure).
-    Pool(PoolError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -96,7 +97,6 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Read(e) => write!(f, "read trace: {e}"),
             ServeError::Train(msg) => write!(f, "train scorer: {msg}"),
-            ServeError::Pool(e) => write!(f, "shard pool: {e}"),
         }
     }
 }
@@ -105,7 +105,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Read(e) => Some(e),
-            ServeError::Pool(e) => Some(e),
             ServeError::Train(_) => None,
         }
     }
@@ -117,20 +116,14 @@ impl From<TraceReadError> for ServeError {
     }
 }
 
-impl From<PoolError> for ServeError {
-    fn from(e: PoolError) -> Self {
-        ServeError::Pool(e)
-    }
-}
-
 /// Immutable fleet-wide facts, answered without touching the shards.
 #[derive(Debug, Clone)]
 pub struct FleetMeta {
-    /// Number of worker shards.
+    /// Number of shards.
     pub n_shards: usize,
-    /// Total drives resident across all shards.
+    /// Total drives folded across all shards.
     pub n_drives: u64,
-    /// Total daily reports resident across all shards.
+    /// Total daily reports folded across all shards.
     pub drive_days: u64,
     /// Observation-window length declared by the source.
     pub horizon_days: u32,
@@ -140,13 +133,15 @@ pub struct FleetMeta {
     pub lookahead_days: u32,
 }
 
-/// A loaded, sharded, resident fleet answering request batches.
+/// A loaded fleet, folded into per-shard views, answering request
+/// batches.
 ///
-/// The service is `Sync`: connection threads share one instance and call
-/// [`handle`](Self::handle) / [`respond`](Self::respond) concurrently;
-/// the shard pool serializes per-shard access through its bounded queues.
+/// The views are read-only after load, so the service is `Sync`:
+/// connection threads share one instance and call
+/// [`handle`](Self::handle) / [`respond`](Self::respond) concurrently
+/// without locks.
 pub struct FleetService {
-    pool: ShardPool<ShardState>,
+    shards: Vec<ShardState>,
     meta: FleetMeta,
     passes: AtomicU64,
 }
@@ -202,9 +197,9 @@ fn train_scorer(
 }
 
 impl FleetService {
-    /// Loads an archive into a sharded resident service: one streaming
-    /// training pass (if a scorer is configured), then one streaming
-    /// dealing pass that distributes drives round-robin across shards.
+    /// Loads an archive into a sharded service: one streaming training
+    /// pass (if a scorer is configured), then one streaming dealing pass
+    /// that folds drives round-robin into the shards' views.
     pub fn load(source: &TraceSource, cfg: &ServeConfig) -> Result<FleetService, ServeError> {
         let n_shards = cfg.shards.max(1);
         let scorer = train_scorer(source, cfg)?;
@@ -222,17 +217,17 @@ impl FleetService {
             // Round-robin in stream order: shard membership is a pure
             // function of drive position, independent of timing.
             let slot = (dealt % n_shards as u64) as usize;
-            shards[slot].push_drive(std::mem::replace(
-                &mut drive,
-                DriveLog::new(DriveId(0), DriveModel::from_index(0)),
-            ));
+            shards[slot].fold(&drive);
             dealt += 1;
+        }
+        // Score every shard now, so no request pays for it.
+        for shard in &shards {
+            shard.ranked();
         }
         let n_drives = dealt;
         let drive_days = shards.iter().map(ShardState::drive_days).sum();
-        let pool = ShardPool::new(shards, cfg.queue_cap.max(1))?;
         Ok(FleetService {
-            pool,
+            shards,
             meta: FleetMeta {
                 n_shards,
                 n_drives,
@@ -250,8 +245,8 @@ impl FleetService {
         &self.meta
     }
 
-    /// How many shard passes (broadcasts) the service has run — a batch
-    /// of co-arriving requests costs exactly one.
+    /// How many shard passes the service has run: one per batch that
+    /// needs any shard work, however many requests it carries.
     pub fn passes(&self) -> u64 {
         self.passes.load(Ordering::SeqCst)
     }
@@ -259,32 +254,20 @@ impl FleetService {
     /// Answers a request batch with at most one shard pass. Each request
     /// gets its own response [`Value`], index-aligned with `requests`;
     /// per-request problems (top-K without a scorer) come back as error
-    /// values, not an `Err`.
+    /// values, so this currently always returns `Ok`.
     pub fn handle(&self, requests: &[Request]) -> Result<Vec<Value>, ServeError> {
         let plan = PassPlan::for_requests(requests);
-        let merged = if plan.is_empty() {
-            None
-        } else {
+        let merged = (!plan.is_empty()).then(|| {
             self.passes.fetch_add(1, Ordering::SeqCst);
-            let shared = Arc::new(plan.clone());
-            let partials = self.pool.broadcast(move |_, state: &mut ShardState| {
-                state.execute(&shared)
-            })?;
-            let mut iter = partials.into_iter();
-            let mut merged = iter.next().unwrap_or(ShardPartial {
-                summary: None,
-                durations: Vec::new(),
-                hazards: Vec::new(),
-                top: Vec::new(),
-            });
-            for p in iter {
-                merged.absorb(p);
+            let mut merged = ShardPartial::default();
+            for shard in &self.shards {
+                merged.absorb(shard.execute(&plan));
             }
             if let Some(k) = plan.top_k {
                 merged.finish_top(k);
             }
-            Some(merged)
-        };
+            merged
+        });
 
         let summary = merged
             .as_ref()
@@ -336,8 +319,9 @@ impl FleetService {
     /// Full frame-level round trip: parses one request frame body and
     /// renders the matching response body (object in → object out, array
     /// in → array out). Malformed bodies surface as [`ProtocolError`] for
-    /// the transport to report; shard-pool failures render as an internal
-    /// error response instead of killing the connection.
+    /// the transport to report; a failed [`handle`](Self::handle) would
+    /// render as an internal error response instead of killing the
+    /// connection.
     pub fn respond(&self, frame_body: &[u8]) -> Result<Vec<u8>, ProtocolError> {
         let (requests, batched) = Request::parse_frame(frame_body)?;
         let values = match self.handle(&requests) {

@@ -1,17 +1,27 @@
-//! Per-shard resident state and the single-pass answer plan.
+//! Per-shard views folded at load, and the plan a request batch compiles
+//! into.
 //!
-//! Each worker shard owns a disjoint subset of the fleet's drives plus an
-//! [`OnlineFleet`] feature tracker for them. A batch of co-arriving
-//! requests is compiled into one [`PassPlan`] — the union of everything
-//! the batch needs — and [`ShardState::execute`] answers the whole plan
-//! in **one loop over the shard's drives** (plus at most one batch
-//! scoring call), producing a [`ShardPartial`] the service merges across
-//! shards in shard order.
+//! Each shard owns a disjoint subset of the fleet's drives. The fleet
+//! never changes after load, so [`ShardState::push_drive`] folds each
+//! drive into the views every query reads and then drops its log:
+//!
+//! - a [`SummaryAccumulator`] (Tables 1, 3, 4 and Figures 4–5);
+//! - the survival [`Duration`] list, one entry per operational period;
+//! - integer exposure and event counts per age day, sized by the ages
+//!   seen, with every age at or past the horizon in one overflow cell;
+//! - an [`OnlineFleet`] feature tracker, scored in one batch call the
+//!   first time a top-K request needs it and kept sorted by (score desc,
+//!   id asc).
+//!
+//! A batch of requests compiles into one [`PassPlan`] — the union of
+//! everything the batch needs — and [`ShardState::execute`] answers it by
+//! lookup into those views, producing a [`ShardPartial`] the service
+//! merges across shards in shard order.
 //!
 //! # Why merging is exact, not approximate
 //!
 //! Every partial is either additive or order-insensitive, so the merged
-//! answer is byte-identical to a single-shard pass over the whole fleet:
+//! answer is byte-identical to a single-shard fold over the whole fleet:
 //!
 //! - **Summary** — [`SummaryAccumulator`] is an order-independent fold
 //!   with an additive [`merge`](SummaryAccumulator::merge); its ECDFs
@@ -27,6 +37,17 @@
 //!   per-shard top-k lists, so truncating each shard to `k` loses
 //!   nothing.
 //!
+//! # Why the hazard re-bin is exact
+//!
+//! A `bin_days = w` hazard over horizon `h` has `n = max(1, ⌈h / w⌉)`
+//! bins and puts age `a` in bin `min(⌊a / w⌋, n − 1)`. Every age `a ≥ h`
+//! lands in the last bin, because `⌊a / w⌋ ≥ ⌊h / w⌋ ≥ ⌈h / w⌉ − 1`.
+//! So the per-day view keeps one cell per age below `h` plus a single
+//! overflow cell at index `h` for all later ages, and re-binning that
+//! cell as age `h` puts its counts exactly where the per-report walk
+//! would. The counts are integers, so the re-bin is exact for every
+//! `bin_days`.
+//!
 //! [`Duration`]: ssd_stats::Duration
 
 use super::protocol::Request;
@@ -36,118 +57,152 @@ use crate::streaming::SummaryAccumulator;
 use ssd_ml::BatchScorer;
 use ssd_stats::{BinnedRate, Duration};
 use ssd_types::{DriveId, DriveLog, DriveModel};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Everything one worker shard keeps resident.
+/// One top-K row: drive, model, swap probability.
+type Ranked = (DriveId, DriveModel, f64);
+
+/// One shard's views of its drives, folded at load.
 pub struct ShardState {
-    /// The shard's disjoint subset of the fleet's drives.
-    drives: Vec<DriveLog>,
-    /// Incremental feature state for exactly those drives.
-    online: OnlineFleet,
-    /// Shared flattened scorer, if the service trained one.
-    scorer: Option<Arc<dyn BatchScorer>>,
     /// Trace horizon (fleet-wide, same on every shard).
     horizon_days: u32,
     /// Total daily reports across this shard's drives.
     drive_days: u64,
+    /// Summary fold over the shard's drives.
+    summary: SummaryAccumulator,
+    /// Survival durations, one per operational period.
+    durations: Vec<Duration>,
+    /// Daily reports per age cell: one cell per age below the horizon,
+    /// then one overflow cell for every later age.
+    exposure: Vec<u64>,
+    /// Failures per age cell.
+    events: Vec<u64>,
+    /// Incremental feature state for the shard's drives.
+    online: OnlineFleet,
+    /// Shared flattened scorer, if the service trained one.
+    scorer: Option<Arc<dyn BatchScorer>>,
+    /// `online` scored once, highest risk first; reset by every push.
+    ranked: OnceLock<Vec<Ranked>>,
 }
 
 impl ShardState {
     /// An empty shard for a trace with the given horizon.
     pub fn new(horizon_days: u32, scorer: Option<Arc<dyn BatchScorer>>) -> Self {
         ShardState {
-            drives: Vec::new(),
-            online: OnlineFleet::new(),
-            scorer,
             horizon_days,
             drive_days: 0,
+            summary: SummaryAccumulator::new(),
+            durations: Vec::new(),
+            exposure: Vec::new(),
+            events: Vec::new(),
+            online: OnlineFleet::new(),
+            scorer,
+            ranked: OnceLock::new(),
         }
     }
 
-    /// Takes ownership of one drive: stores its log and replays its
-    /// telemetry through the online feature state.
+    /// Folds one drive into the shard's views and drops its log.
     pub fn push_drive(&mut self, drive: DriveLog) {
-        self.drive_days += drive.reports.len() as u64;
-        self.online.observe_drive(&drive);
-        self.drives.push(drive);
+        self.fold(&drive);
     }
 
-    /// Number of drives resident on this shard.
-    pub fn n_drives(&self) -> usize {
-        self.drives.len()
+    /// [`push_drive`](Self::push_drive) on a borrowed log, so the loader
+    /// can reuse one read buffer for every drive.
+    pub(super) fn fold(&mut self, d: &DriveLog) {
+        self.drive_days += d.reports.len() as u64;
+        self.summary.observe(d);
+        // Mirrors `lifecycle::time_to_failure_km` exactly: events at the
+        // period length, censored periods at their observed trailing span.
+        for p in operational_periods(d) {
+            self.durations.push(match p.length_to_failure {
+                Some(l) => Duration {
+                    time: f64::from(l),
+                    event: true,
+                },
+                None => Duration {
+                    time: f64::from(d.max_age_days().saturating_sub(p.start_day)),
+                    event: false,
+                },
+            });
+        }
+        for r in &d.reports {
+            bump(&mut self.exposure, r.age_days, self.horizon_days);
+        }
+        for f in failure_records(d) {
+            bump(&mut self.events, f.fail_day, self.horizon_days);
+        }
+        self.online.observe_drive(d);
+        self.ranked = OnceLock::new();
     }
 
-    /// Total daily reports resident on this shard.
+    /// Total daily reports folded into this shard.
     pub fn drive_days(&self) -> u64 {
         self.drive_days
     }
 
-    /// Answers a whole plan in one pass over the shard's drives.
-    pub fn execute(&self, plan: &PassPlan) -> ShardPartial {
-        let mut partial = ShardPartial {
-            summary: plan.summary.then(SummaryAccumulator::new),
-            durations: Vec::new(),
-            hazards: plan
-                .hazard_bins
-                .iter()
-                .map(|&w| BinnedRate::new(n_bins(self.horizon_days, w)))
-                .collect(),
-            top: Vec::new(),
-        };
-        let touch_drives = plan.summary || plan.survival || !plan.hazard_bins.is_empty();
-        if touch_drives {
-            for d in &self.drives {
-                if let Some(acc) = &mut partial.summary {
-                    acc.observe(d);
-                }
-                if plan.survival {
-                    // Mirrors `lifecycle::time_to_failure_km` exactly:
-                    // events at the period length, censored periods at
-                    // their observed trailing span.
-                    for p in operational_periods(d) {
-                        partial.durations.push(match p.length_to_failure {
-                            Some(l) => Duration {
-                                time: f64::from(l),
-                                event: true,
-                            },
-                            None => Duration {
-                                time: f64::from(d.max_age_days().saturating_sub(p.start_day)),
-                                event: false,
-                            },
-                        });
-                    }
-                }
-                if !plan.hazard_bins.is_empty() {
-                    let fail_days: Vec<u32> =
-                        failure_records(d).iter().map(|f| f.fail_day).collect();
-                    for (rate, &w) in partial.hazards.iter_mut().zip(&plan.hazard_bins) {
-                        let last = rate.n_bins().saturating_sub(1);
-                        for r in &d.reports {
-                            rate.add_exposure(bin_of(r.age_days, w, last), 1);
-                        }
-                        for &fd in &fail_days {
-                            rate.add_events(bin_of(fd, w, last), 1);
-                        }
-                    }
-                }
-            }
-        }
-        if let (Some(k), Some(scorer)) = (plan.top_k, &self.scorer) {
-            let mut scored = self.online.predict_fleet_day(scorer.as_ref());
-            // Highest risk first, ties toward the lower drive id — the
-            // same total order the merge step re-applies globally.
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
-            scored.truncate(k);
-            partial.top = scored
+    /// The shard's drives scored in one batch call and sorted highest
+    /// risk first, ties toward the lower drive id — the same total order
+    /// the merge step re-applies globally. Computed on first use; empty
+    /// without a scorer.
+    pub(super) fn ranked(&self) -> &[Ranked] {
+        self.ranked.get_or_init(|| {
+            let Some(scorer) = &self.scorer else {
+                return Vec::new();
+            };
+            let mut rows: Vec<Ranked> = self
+                .online
+                .predict_fleet_day(scorer.as_ref())
                 .into_iter()
                 .map(|(id, p)| {
                     let model = self.online.model_of(id).unwrap_or(DriveModel::from_index(0));
                     (id, model, p)
                 })
                 .collect();
-        }
-        partial
+            rows.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0 .0.cmp(&b.0 .0)));
+            rows
+        })
     }
+
+    /// Answers a whole plan by lookup into the shard's views.
+    pub fn execute(&self, plan: &PassPlan) -> ShardPartial {
+        ShardPartial {
+            summary: plan.summary.then(|| self.summary.clone()),
+            durations: if plan.survival {
+                self.durations.clone()
+            } else {
+                Vec::new()
+            },
+            hazards: plan.hazard_bins.iter().map(|&w| self.hazard(w)).collect(),
+            top: match plan.top_k {
+                Some(k) => self.ranked().iter().take(k).copied().collect(),
+                None => Vec::new(),
+            },
+        }
+    }
+
+    /// Re-bins the per-day view into `bin_days`-wide age bins.
+    fn hazard(&self, bin_days: u32) -> BinnedRate {
+        let mut rate = BinnedRate::new(n_bins(self.horizon_days, bin_days));
+        let last = rate.n_bins() - 1;
+        for (cell, &n) in self.exposure.iter().enumerate() {
+            rate.add_exposure(bin_of(cell, bin_days, last), n);
+        }
+        for (cell, &n) in self.events.iter().enumerate() {
+            rate.add_events(bin_of(cell, bin_days, last), n);
+        }
+        rate
+    }
+}
+
+/// Adds one to the age cell of `age_days` — the age itself below the
+/// horizon, the overflow cell `horizon_days` at or past it — growing
+/// `counts` to reach it.
+fn bump(counts: &mut Vec<u64>, age_days: u32, horizon_days: u32) {
+    let cell = age_days.min(horizon_days) as usize;
+    if counts.len() <= cell {
+        counts.resize(cell + 1, 0);
+    }
+    counts[cell] += 1;
 }
 
 /// Number of `bin_days`-wide age bins covering a horizon (at least 1, so
@@ -156,10 +211,10 @@ pub fn n_bins(horizon_days: u32, bin_days: u32) -> usize {
     (horizon_days.div_ceil(bin_days.max(1)).max(1)) as usize
 }
 
-/// Bin index of an age, clamped into range (a swap recorded past the
-/// nominal horizon lands in the last bin instead of out of bounds).
-fn bin_of(age_days: u32, bin_days: u32, last: usize) -> usize {
-    ((age_days / bin_days.max(1)) as usize).min(last)
+/// Bin index of an age cell, clamped into range (the overflow cell and
+/// any age past the nominal horizon land in the last bin).
+fn bin_of(cell: usize, bin_days: u32, last: usize) -> usize {
+    (cell / bin_days.max(1) as usize).min(last)
 }
 
 /// The union of work a batch of requests needs from each shard.
@@ -204,13 +259,14 @@ impl PassPlan {
         plan
     }
 
-    /// Whether the plan requires broadcasting to the shards at all.
+    /// Whether the plan needs no shard work at all.
     pub fn is_empty(&self) -> bool {
         !self.summary && !self.survival && self.hazard_bins.is_empty() && self.top_k.is_none()
     }
 }
 
 /// One shard's contribution to a plan's answers.
+#[derive(Default)]
 pub struct ShardPartial {
     /// Summary fold over the shard's drives, if the plan asked.
     pub summary: Option<SummaryAccumulator>,

@@ -19,15 +19,8 @@
 //! Worker threads are spawned per call via [`std::thread::scope`]; there is
 //! no global pool to configure or leak. A panic inside a worker propagates
 //! to the caller when the scope joins.
-//!
-//! For long-running services that keep state resident across requests,
-//! the [`resident`] module provides [`resident::ShardPool`]: named worker
-//! threads that each own one shard of state, fed through bounded queues
-//! with graceful shutdown and poisoned-worker recovery.
 
 #![forbid(unsafe_code)]
-
-pub mod resident;
 
 use std::cell::Cell;
 use std::ops::Range;

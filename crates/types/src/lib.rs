@@ -71,6 +71,12 @@ pub const DAYS_PER_YEAR: u32 = 365;
 /// of 30-day months when bucketing drive age.
 pub const DAYS_PER_MONTH: u32 = 30;
 
+/// Longest accepted observation horizon: a century of daily reports per
+/// drive, far past the paper's six years yet small enough that buffers
+/// sized by the horizon stay a few MiB. `ssdgen` refuses to generate past
+/// it and every [`source::TraceSource`] refuses to read past it.
+pub const MAX_HORIZON_DAYS: u32 = 100 * DAYS_PER_YEAR;
+
 /// Age boundary (days) between *infant* ("young") and *mature* ("old")
 /// drives. Section 4.1 identifies a ~90-day high-mortality infancy period
 /// and all young/old splits in the paper use this boundary.

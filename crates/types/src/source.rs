@@ -27,7 +27,7 @@
 use crate::codec::{decode_trace, trace_from_json, DecodeError, TraceDecoder};
 use crate::csv::{read_trace_csv, CsvError};
 use crate::json::JsonError;
-use crate::{DriveId, DriveLog, DriveModel, FleetTrace};
+use crate::{DriveId, DriveLog, DriveModel, FleetTrace, MAX_HORIZON_DAYS};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -54,6 +54,9 @@ pub enum TraceReadError {
     /// A CSV directory was given without an observation horizon (CSV files
     /// do not carry one).
     MissingHorizon,
+    /// The declared observation horizon (archive header, JSON field, or
+    /// CSV `--horizon`) exceeds [`MAX_HORIZON_DAYS`].
+    HorizonTooLarge(u32),
 }
 
 impl std::fmt::Display for TraceReadError {
@@ -69,6 +72,11 @@ impl std::fmt::Display for TraceReadError {
             TraceReadError::MissingHorizon => {
                 write!(f, "--horizon is required for CSV directories")
             }
+            TraceReadError::HorizonTooLarge(days) => write!(
+                f,
+                "declared horizon of {days} days exceeds the maximum of \
+                 {MAX_HORIZON_DAYS} days"
+            ),
         }
     }
 }
@@ -101,6 +109,15 @@ impl From<CsvError> for TraceReadError {
     fn from(e: CsvError) -> Self {
         TraceReadError::Csv(e)
     }
+}
+
+/// Passes a declared horizon through, or rejects one past
+/// [`MAX_HORIZON_DAYS`].
+fn check_horizon(horizon_days: u32) -> Result<u32, TraceReadError> {
+    if horizon_days > MAX_HORIZON_DAYS {
+        return Err(TraceReadError::HorizonTooLarge(horizon_days));
+    }
+    Ok(horizon_days)
 }
 
 fn io_err(path: &Path, error: std::io::Error) -> TraceReadError {
@@ -163,18 +180,20 @@ impl TraceSource {
     /// + a per-drive fold when the analysis does not need random access:
     /// for `Archive` sources this call materializes every drive.
     pub fn load(&self) -> Result<FleetTrace, TraceReadError> {
-        match self {
+        let trace = match self {
             TraceSource::Archive(path) => {
                 let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-                Ok(decode_trace(&bytes)?)
+                decode_trace(&bytes)?
             }
             TraceSource::Json(path) => {
                 let body = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-                Ok(trace_from_json(&body)?)
+                trace_from_json(&body)?
             }
-            TraceSource::CsvDir { dir, horizon_days } => read_csv_dir(dir, *horizon_days),
-            TraceSource::InMemory(trace) => Ok(trace.clone()),
-        }
+            TraceSource::CsvDir { dir, horizon_days } => read_csv_dir(dir, *horizon_days)?,
+            TraceSource::InMemory(trace) => trace.clone(),
+        };
+        check_horizon(trace.horizon_days)?;
+        Ok(trace)
     }
 
     /// Opens the source for per-drive reading. Binary archives stream at
@@ -199,7 +218,9 @@ impl TraceSource {
             },
             TraceSource::InMemory(trace) => Inner::Borrowed { trace, next: 0 },
         };
-        Ok(TraceReader { inner })
+        let reader = TraceReader { inner };
+        check_horizon(reader.horizon_days())?;
+        Ok(reader)
     }
 }
 
@@ -404,6 +425,39 @@ mod tests {
         assert!(!reader.is_streaming());
         assert_eq!(reader.declared_drives(), 4);
         assert_eq!(drain(&mut reader), t.drives);
+    }
+
+    #[test]
+    fn every_source_shape_rejects_a_horizon_past_the_maximum() {
+        let mut t = sample_trace();
+        t.horizon_days = MAX_HORIZON_DAYS + 1;
+        let dir = temp_dir("horizon");
+        let archive = dir.join("trace.ssdfs");
+        std::fs::write(&archive, encode_trace(&t)).unwrap();
+        let json = dir.join("trace.json");
+        std::fs::write(&json, crate::codec::trace_to_json(&t).unwrap()).unwrap();
+        let mut reports = Vec::new();
+        let mut swaps = Vec::new();
+        crate::csv::write_reports_csv(&t, &mut reports).unwrap();
+        crate::csv::write_swaps_csv(&t, &mut swaps).unwrap();
+        std::fs::write(dir.join("reports.csv"), reports).unwrap();
+        std::fs::write(dir.join("swaps.csv"), swaps).unwrap();
+
+        let sources = [
+            TraceSource::from_path(&archive, None).unwrap(),
+            TraceSource::from_path(&json, None).unwrap(),
+            TraceSource::from_path(&dir, Some(t.horizon_days)).unwrap(),
+            TraceSource::InMemory(t.clone()),
+        ];
+        for source in &sources {
+            let too_large = |e| matches!(e, TraceReadError::HorizonTooLarge(h) if h == t.horizon_days);
+            assert!(too_large(source.open().unwrap_err()), "{source:?}");
+            assert!(too_large(source.load().unwrap_err()), "{source:?}");
+        }
+        // The maximum itself is accepted.
+        t.horizon_days = MAX_HORIZON_DAYS;
+        assert_eq!(TraceSource::InMemory(t.clone()).load().unwrap(), t);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -99,7 +99,7 @@ if target/release/ssdpredict --trace "$smoke_dir/corrupt.ssdfs" > /dev/null 2>&1
   echo "ERROR: ssdpredict accepted a corrupt archive"; exit 1
 fi
 
-echo "== fleet service smoke: framed queries answered, malformed frames rejected =="
+echo "== fleet service smoke: framed queries answered, identical across shard counts, malformed frames rejected =="
 # Frame = 4-byte little-endian length prefix + JSON body.
 frame() {
   local body="$1" len=${#1}
@@ -115,6 +115,21 @@ frame() {
 serve_bytes="$(wc -c < "$smoke_dir/serve_out.bin")"
 if [ "$serve_bytes" -lt 8 ]; then
   echo "ERROR: ssdserve produced no response frames"; exit 1
+fi
+# Shard-count identity at the binary level: the same frames answered with
+# the fleet folded into 1 and into 3 shards must give identical bytes.
+for shards in 1 3; do
+  { frame '{"q":"summary"}'; frame '{"q":"survival"}'; frame '{"q":"hazard","bin_days":30}'
+    frame '{"q":"topk","k":20}'; } \
+    | target/release/ssdserve --trace "$smoke_dir/predict/trace.ssdfs" \
+        --shards "$shards" --trees 8 --seed 7 --lookahead 14 --sample-rate 0.5 \
+        > "$smoke_dir/serve_s$shards.bin"
+done
+if [ "$(wc -c < "$smoke_dir/serve_s1.bin")" -lt 100 ]; then
+  echo "ERROR: ssdserve gave no answers for the shard-count identity check"; exit 1
+fi
+if ! cmp -s "$smoke_dir/serve_s1.bin" "$smoke_dir/serve_s3.bin"; then
+  echo "ERROR: ssdserve answers differ between --shards 1 and --shards 3"; exit 1
 fi
 if frame 'this is not json' \
   | target/release/ssdserve --trace "$smoke_dir/predict/trace.ssdfs" \

@@ -24,17 +24,12 @@
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
 use ssd_sim::{FleetGen, Sampling, SimConfig};
-use ssd_types::{codec, csv};
+use ssd_types::{codec, csv, MAX_HORIZON_DAYS};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 
 const USAGE: &str = "ssdgen --out DIR [--drives N] [--days D | --years Y] [--seed S] \
                      [--format bin|json|csv] [--importance BOOST]";
-
-/// Longest accepted horizon: a century of daily reports per drive, far
-/// past the paper's six years yet small enough that per-drive buffers
-/// sized by the horizon stay a few MiB.
-const MAX_HORIZON_DAYS: u32 = 100 * cli::DAYS_PER_YEAR;
 
 struct Args {
     out: String,

@@ -1,20 +1,20 @@
-//! Long-running sharded fleet service: load an archive once, answer many
-//! queries.
+//! Long-running fleet service: load an archive once, answer many queries.
 //!
 //! ```text
-//! ssdserve --trace PATH [--horizon DAYS] [--shards N] [--queue-cap N]
+//! ssdserve --trace PATH [--horizon DAYS] [--shards N] [--queue-cap CONNS]
 //!          [--model forest|gbdt|none] [--trees T] [--seed S]
 //!          [--lookahead N] [--sample-rate R] [--socket PATH]
 //! ```
 //!
 //! Startup makes two streaming passes over the trace: train a flattened
-//! risk scorer (unless `--model none`), then deal drives round-robin onto
-//! `--shards` resident workers. After the `ready` line on stderr, the
-//! service answers length-prefixed JSON request frames (see
-//! `ssd_field_study_core::serve::protocol`) on stdin/stdout — or, with
-//! `--socket`, accepts concurrent connections on a Unix socket, where
-//! co-arriving requests from different clients coalesce into shared shard
-//! passes.
+//! risk scorer (unless `--model none`), then fold drives round-robin into
+//! the views of `--shards` shards, keeping no drive logs. After the
+//! `ready` line on stderr, the service answers length-prefixed JSON
+//! request frames (see `ssd_field_study_core::serve::protocol`) on
+//! stdin/stdout — or, with `--socket`, on a Unix socket, one thread per
+//! connection, at most `--queue-cap` connections at a time (further
+//! clients wait to be accepted). A socket connection idle past
+//! `serve::server::CONNECTION_DEADLINE` is dropped.
 //!
 //! Responses are byte-identical for any `--shards` value and any client
 //! interleaving. Malformed frames get a typed error frame and a nonzero
@@ -23,14 +23,12 @@
 #![forbid(unsafe_code)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
-use ssd_field_study_core::serve::{
-    serve_connection, FleetService, Responder, ScorerSpec, ServeConfig,
-};
+use ssd_field_study_core::serve::{serve_connection, FleetService, ScorerSpec, ServeConfig};
 use ssd_types::source::TraceSource;
 use std::sync::Arc;
 
 const USAGE: &str = "ssdserve --trace PATH [--horizon DAYS] [--shards N] \
-                     [--queue-cap N] [--model forest|gbdt|none] [--trees T] [--seed S] \
+                     [--queue-cap CONNS] [--model forest|gbdt|none] [--trees T] [--seed S] \
                      [--lookahead N] [--sample-rate R] [--socket PATH]";
 
 struct Args {
@@ -114,32 +112,39 @@ fn run(args: &Args) -> Result<(), BinError> {
     );
 
     match &args.socket {
-        Some(path) => serve_socket(path, service, args.queue_cap),
+        Some(path) => serve_socket(path, service, cfg.queue_cap),
         None => {
             // stdio mode: one client, answered in-thread.
-            let responder = Responder::Direct(service);
             let mut stdin = std::io::stdin().lock();
             let mut stdout = std::io::stdout().lock();
-            serve_connection(&responder, &mut stdin, &mut stdout)?;
+            serve_connection(&service, &mut stdin, &mut stdout)?;
             Ok(())
         }
     }
 }
 
 #[cfg(unix)]
-fn serve_socket(path: &str, service: Arc<FleetService>, queue_cap: usize) -> Result<(), BinError> {
+fn serve_socket(
+    path: &str,
+    service: Arc<FleetService>,
+    max_connections: usize,
+) -> Result<(), BinError> {
     use ssd_field_study_core::serve::server::serve_unix;
     // A stale socket file from a previous run would make bind fail.
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)
         .map_err(|e| format!("bind {path}: {e}"))?;
     eprintln!("listening on {path}");
-    serve_unix(&listener, service, queue_cap)?;
+    serve_unix(&listener, service, max_connections)?;
     Ok(())
 }
 
 #[cfg(not(unix))]
-fn serve_socket(_path: &str, _service: Arc<FleetService>, _queue_cap: usize) -> Result<(), BinError> {
+fn serve_socket(
+    _path: &str,
+    _service: Arc<FleetService>,
+    _max_connections: usize,
+) -> Result<(), BinError> {
     Err("--socket requires a Unix platform; use stdio mode".into())
 }
 

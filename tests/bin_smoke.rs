@@ -269,6 +269,34 @@ fn repro_rejects_truncated_archive_with_nonzero_exit() {
 }
 
 #[test]
+fn every_reading_bin_rejects_a_declared_horizon_past_the_maximum() {
+    let dir = scratch("huge_horizon");
+    // Magic, varint horizon 4,000,000,000, varint 0 drives.
+    let bytes = codec::encode_trace(&ssd_types::FleetTrace::new(4_000_000_000));
+    assert_eq!(bytes.len(), 14);
+    let path = dir.join("huge.ssdfs");
+    std::fs::write(&path, &bytes).expect("write archive");
+    let trace = path.to_str().unwrap();
+    let runs: [(&str, &str, Vec<&str>); 4] = [
+        ("ssdstat", env!("CARGO_BIN_EXE_ssdstat"), vec!["--trace", trace]),
+        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), vec!["--trace", trace]),
+        ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), vec!["--trace", trace]),
+        ("repro", env!("CARGO_BIN_EXE_repro"), vec!["--trace", trace, "tab3"]),
+    ];
+    for (name, bin, args) in runs {
+        let out = Command::new(bin).args(&args).output().expect("spawn binary");
+        assert_eq!(out.status.code(), Some(1), "{name} must exit 1, not abort");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{name}:"))
+                && stderr.contains("declared horizon of 4000000000 days exceeds the maximum of 36500 days"),
+            "{name} must report the typed horizon error:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn ssdstat_reports_missing_file_path_in_error() {
     let out = Command::new(env!("CARGO_BIN_EXE_ssdstat"))
         .args(["--trace", "/no/such/trace.ssdfs"])

@@ -1,8 +1,8 @@
-//! Equivalence battery for the sharded resident fleet service.
+//! Equivalence battery for the sharded fleet service.
 //!
 //! The service promises that responses are a pure function of
-//! (request, fleet) — independent of shard count, client interleaving,
-//! and coalescing. Each promise is pinned here:
+//! (request, fleet) — independent of shard count and client
+//! interleaving. Each promise is pinned here:
 //!
 //! 1. **shard invariance** — every query type answers byte-identically
 //!    at 1, 2, and 5 shards (single frames and batch frames alike);
@@ -12,18 +12,18 @@
 //!    a hand-built `BinnedRate`, and a whole-fleet `OnlineFleet`
 //!    ranking) exactly, via the same shortest-round-trip JSON writer;
 //! 3. **batching** — a batch frame of N queries costs one shard pass,
-//!    and co-arriving frames from concurrent clients coalesce without
-//!    changing any client's bytes;
+//!    and concurrent socket clients get their solo bytes;
 //! 4. **robustness** — truncated/garbage frames and malformed JSON
-//!    never panic and always produce typed error responses.
+//!    never panic and always produce typed error responses; a stalled
+//!    client delays no one else, and a full connection cap admits the
+//!    next client as soon as a slot frees.
 
 use ssd_field_study_core::serve::protocol::{
-    error_body, read_frame, write_frame, ProtocolError, MAX_REQUEST_FRAME,
+    error_body, read_frame, write_frame, ProtocolError, MAX_HAZARD_BIN_DAYS, MAX_REQUEST_FRAME,
     MAX_RESPONSE_FRAME,
 };
-use ssd_field_study_core::serve::{
-    serve_connection, Dispatcher, FleetService, Responder, ScorerSpec, ServeConfig,
-};
+use ssd_field_study_core::serve::server::{serve_unix, CONNECTION_DEADLINE};
+use ssd_field_study_core::serve::{serve_connection, FleetService, ScorerSpec, ServeConfig};
 use ssd_field_study_core::streaming::SummaryAccumulator;
 use ssd_field_study_core::{failure_records, lifecycle, OnlineFleet};
 use ssd_ml::{FlatForest, ForestConfig, RandomForest};
@@ -31,8 +31,12 @@ use ssd_sim::{FleetGen, SimConfig};
 use ssd_stats::{BinnedRate, SplitMix64};
 use ssd_types::json::{self, Value};
 use ssd_types::source::TraceSource;
-use ssd_types::FleetTrace;
+use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel, FleetTrace, SwapEvent};
+use std::io::{ErrorKind, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Shared fleet: 3 models × 50 drives over 1200 days — enough swaps for
 /// a non-degenerate scorer and non-trivial survival/hazard shapes.
@@ -193,40 +197,64 @@ fn survival_response_matches_resident_km() {
     }
 }
 
+/// The shared fleet plus one crafted drive whose last reports and whose
+/// failure fall past the horizon, so they land in the overflow cell.
+fn fleet_with_overflow() -> FleetTrace {
+    let mut t = fleet();
+    let h = t.horizon_days;
+    let mut d = DriveLog::new(DriveId(1_000_000), DriveModel::from_index(1));
+    for age in [h - 2, h - 1, h, h + 3, h + 10] {
+        let mut r = DailyReport::empty(age);
+        r.read_ops = 100;
+        d.reports.push(r);
+    }
+    d.swaps.push(SwapEvent {
+        swap_day: h + 20,
+        reentry_day: None,
+    });
+    let fails: Vec<u32> = failure_records(&d).iter().map(|f| f.fail_day).collect();
+    assert_eq!(fails, [h + 10], "the crafted failure falls past the horizon");
+    t.drives.push(d);
+    t
+}
+
 #[test]
 fn hazard_response_matches_hand_built_binned_rate() {
-    let svc = service(5);
-    let t = fleet();
-    let bin_days = 90u32;
-    let n_bins = (t.horizon_days.div_ceil(bin_days)) as usize;
-    let mut expect = BinnedRate::new(n_bins);
-    for d in &t.drives {
-        for r in &d.reports {
-            expect.add_exposure(((r.age_days / bin_days) as usize).min(n_bins - 1), 1);
+    let t = fleet_with_overflow();
+    let svc = FleetService::load(&TraceSource::InMemory(t.clone()), &config(5))
+        .expect("service loads");
+    let h = t.horizon_days;
+    for bin_days in [1, 7, 30, 90, 365, h - 1, h, h + 1, MAX_HAZARD_BIN_DAYS] {
+        let n_bins = (h.div_ceil(bin_days)) as usize;
+        let mut expect = BinnedRate::new(n_bins);
+        for d in &t.drives {
+            for r in &d.reports {
+                expect.add_exposure(((r.age_days / bin_days) as usize).min(n_bins - 1), 1);
+            }
+            for f in failure_records(d) {
+                expect.add_events(((f.fail_day / bin_days) as usize).min(n_bins - 1), 1);
+            }
         }
-        for f in failure_records(d) {
-            expect.add_events(((f.fail_day / bin_days) as usize).min(n_bins - 1), 1);
-        }
-    }
-    let v = parse(
-        &svc.respond(br#"{"q":"hazard","bin_days":90}"#)
-            .expect("respond"),
-    );
-    let pull = |key: &str| -> Vec<u64> {
-        let Some(Value::Arr(arr)) = v.get(key) else {
-            panic!("{key} missing")
+        let frame = format!(r#"{{"q":"hazard","bin_days":{bin_days}}}"#);
+        let v = parse(&svc.respond(frame.as_bytes()).expect("respond"));
+        assert_eq!(v.get("bin_days").and_then(Value::as_u64), Some(u64::from(bin_days)));
+        let pull = |key: &str| -> Vec<u64> {
+            let Some(Value::Arr(arr)) = v.get(key) else {
+                panic!("{key} missing")
+            };
+            arr.iter().filter_map(Value::as_u64).collect()
         };
-        arr.iter().filter_map(Value::as_u64).collect()
-    };
-    assert_eq!(pull("events"), expect.events());
-    assert_eq!(pull("exposure"), expect.exposure());
-    let Some(Value::Arr(rates)) = v.get("rates") else {
-        panic!("rates missing")
-    };
-    for (got, want) in rates.iter().zip(expect.rates()) {
-        match got {
-            Value::Null => assert!(want.is_nan(), "null must mean empty bin"),
-            other => assert_eq!(other.as_f64().expect("rate").to_bits(), want.to_bits()),
+        assert_eq!(pull("events"), expect.events(), "bin_days {bin_days}");
+        assert_eq!(pull("exposure"), expect.exposure(), "bin_days {bin_days}");
+        let Some(Value::Arr(rates)) = v.get("rates") else {
+            panic!("rates missing")
+        };
+        assert_eq!(rates.len(), n_bins);
+        for (got, want) in rates.iter().zip(expect.rates()) {
+            match got {
+                Value::Null => assert!(want.is_nan(), "null must mean empty bin"),
+                other => assert_eq!(other.as_f64().expect("rate").to_bits(), want.to_bits()),
+            }
         }
     }
 }
@@ -272,6 +300,36 @@ fn topk_response_matches_whole_fleet_online_ranking() {
 }
 
 #[test]
+fn topk_larger_than_the_fleet_returns_every_reporting_drive_once() {
+    let t = fleet();
+    let k = t.drives.len() + 17;
+    let frame = format!(r#"{{"q":"topk","k":{k}}}"#);
+    let one = service(1).respond(frame.as_bytes()).expect("respond");
+    assert_eq!(one, service(4).respond(frame.as_bytes()).expect("respond"));
+    let v = parse(&one);
+    assert_eq!(v.get("k").and_then(Value::as_u64), Some(k as u64));
+    let Some(Value::Arr(drives)) = v.get("drives") else {
+        panic!("drives missing")
+    };
+    let mut ids: Vec<u64> = drives
+        .iter()
+        .map(|row| row.get("id").and_then(Value::as_u64).expect("id"))
+        .collect();
+    let scores: Vec<f64> = drives.iter().map(|row| float_field(row, "score")).collect();
+    assert!(scores.windows(2).all(|w| w[0] >= w[1]), "highest risk first");
+    ids.sort_unstable();
+    // Scores come from the online feature state, which a drive enters
+    // with its first report.
+    let expect: Vec<u64> = t
+        .drives
+        .iter()
+        .filter(|d| !d.reports.is_empty())
+        .map(|d| u64::from(d.id.0))
+        .collect();
+    assert_eq!(ids, expect, "every reporting drive exactly once");
+}
+
+#[test]
 fn batch_frame_costs_one_shard_pass() {
     let svc = service(3);
     assert_eq!(svc.passes(), 0);
@@ -286,69 +344,135 @@ fn batch_frame_costs_one_shard_pass() {
     assert_eq!(svc.passes(), 3, "separate frames are separate passes");
 }
 
+/// Runs `serve_unix` with a connection cap for the duration of `f`, then
+/// shuts it down and waits for every server thread to end: the listener
+/// turns non-blocking, one wake connection makes the pending `accept`
+/// return, and the next `accept` fails, which ends `serve_unix`.
+fn with_socket_server<R>(
+    svc: &Arc<FleetService>,
+    name: &str,
+    max_connections: usize,
+    f: impl FnOnce(&Path) -> R,
+) -> R {
+    let path = std::env::temp_dir().join(format!("ssd_serve_{}_{name}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind");
+    let control = listener.try_clone().expect("clone listener");
+    let server_svc = Arc::clone(svc);
+    let server = std::thread::spawn(move || serve_unix(&listener, server_svc, max_connections));
+    let out = f(&path);
+    control.set_nonblocking(true).expect("non-blocking");
+    drop(UnixStream::connect(&path));
+    assert!(server.join().expect("server thread").is_err(), "accept fails at shutdown");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while Arc::strong_count(svc) > 1 {
+        assert!(Instant::now() < deadline, "connection threads did not stop");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+/// Sends one request frame and reads its response frame.
+fn call(stream: &mut UnixStream, body: &[u8]) -> Vec<u8> {
+    write_frame(stream, body).expect("send");
+    stream.flush().expect("flush");
+    read_frame(stream, MAX_RESPONSE_FRAME)
+        .expect("receive")
+        .expect("a response frame")
+}
+
 #[test]
 fn concurrent_clients_get_solo_identical_bytes() {
     let svc = Arc::new(service(3));
     // Solo reference: every frame answered directly, no concurrency.
     let solo = respond_all(&svc);
-    let solo_passes = svc.passes();
-
-    let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&svc), 32).expect("dispatcher"));
-    let mut handles = Vec::new();
-    for client in 0..8 {
-        let dispatcher = Arc::clone(&dispatcher);
-        handles.push(std::thread::spawn(move || {
-            // Each client walks the frames twice from a different offset
-            // so the dispatcher sees interleaved mixtures of queries.
-            let mut out = Vec::new();
-            for i in 0..FRAMES.len() * 2 {
-                let j = (i + client) % FRAMES.len();
-                out.push((
-                    j,
-                    dispatcher
-                        .submit(FRAMES[j].as_bytes().to_vec())
-                        .expect("submit"),
-                ));
-            }
-            out
-        }));
-    }
-    for h in handles {
-        for (j, got) in h.join().expect("client thread") {
-            assert_eq!(got, solo[j], "concurrent bytes differ for {}", FRAMES[j]);
+    with_socket_server(&svc, "concurrent", 8, |path| {
+        let mut handles = Vec::new();
+        for client in 0..8 {
+            let path = path.to_path_buf();
+            handles.push(std::thread::spawn(move || {
+                // Each client walks the frames twice from a different
+                // offset, so the server sees interleaved mixtures.
+                let mut stream = UnixStream::connect(&path).expect("connect");
+                let mut out = Vec::new();
+                for i in 0..FRAMES.len() * 2 {
+                    let j = (i + client) % FRAMES.len();
+                    out.push((j, call(&mut stream, FRAMES[j].as_bytes())));
+                }
+                out
+            }));
         }
-    }
-    // How much coalescing happened is timing-dependent (anywhere from
-    // fully shared rounds up to one pass per shard-touching submission);
-    // the bytes above are what must not vary. 8 clients × 14
-    // shard-touching submissions bounds the pass count from above.
-    let passes = svc.passes() - solo_passes;
-    assert!(
-        (1..=8 * 14).contains(&passes),
-        "pass count {passes} outside [1, 112]"
-    );
+        for h in handles {
+            for (j, got) in h.join().expect("client thread") {
+                assert_eq!(got, solo[j], "concurrent bytes differ for {}", FRAMES[j]);
+            }
+        }
+    });
 }
 
 #[test]
-fn dispatcher_round_trips_match_direct_responses() {
+fn stalled_half_frame_client_does_not_delay_others() {
     let svc = Arc::new(service(2));
-    let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&svc), 8).expect("dispatcher"));
-    for frame in FRAMES {
-        let direct = svc.respond(frame.as_bytes()).expect("direct");
-        let batched = dispatcher.submit(frame.as_bytes().to_vec()).expect("batched");
-        assert_eq!(direct, batched, "dispatcher changed bytes for {frame}");
-    }
-    // Malformed bodies surface the same typed error either way.
-    match dispatcher.submit(b"{broken".to_vec()) {
-        Err(ProtocolError::Json(_)) => {}
-        other => panic!("expected Json error, got {other:?}"),
-    }
+    let expect = svc.respond(br#"{"q":"summary"}"#).expect("summary");
+    with_socket_server(&svc, "stalled", 4, |path| {
+        // Half a frame: a header promising 40 bytes, then 5 of them.
+        let mut stalled = UnixStream::connect(path).expect("connect");
+        stalled.write_all(&40u32.to_le_bytes()).expect("header");
+        stalled.write_all(b"{\"q\":").expect("partial body");
+        stalled.flush().expect("flush");
+
+        let t = Instant::now();
+        let mut other = UnixStream::connect(path).expect("connect");
+        for _ in 0..3 {
+            assert_eq!(call(&mut other, br#"{"q":"summary"}"#), expect);
+        }
+        assert!(
+            t.elapsed() < CONNECTION_DEADLINE / 2,
+            "answers waited on the stalled client: {:?}",
+            t.elapsed()
+        );
+        drop(stalled);
+    });
+}
+
+#[test]
+fn full_connection_cap_admits_the_next_client_when_one_leaves() {
+    let svc = Arc::new(service(2));
+    let expect = svc.respond(br#"{"q":"info"}"#).expect("info");
+    with_socket_server(&svc, "cap", 1, |path| {
+        let mut first = UnixStream::connect(path).expect("connect");
+        assert_eq!(call(&mut first, br#"{"q":"info"}"#), expect);
+
+        // The second client connects (the kernel queues it), but the one
+        // slot is taken, so its request waits unanswered.
+        let mut second = UnixStream::connect(path).expect("connect");
+        write_frame(&mut second, br#"{"q":"info"}"#).expect("send");
+        second.flush().expect("flush");
+        second
+            .set_read_timeout(Some(Duration::from_millis(300)))
+            .expect("timeout");
+        match read_frame(&mut second, MAX_RESPONSE_FRAME) {
+            Err(ProtocolError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("second client answered while the cap was full: {other:?}"),
+        }
+
+        // The first client leaves; its slot goes to the second.
+        drop(first);
+        second
+            .set_read_timeout(Some(CONNECTION_DEADLINE))
+            .expect("timeout");
+        let got = read_frame(&mut second, MAX_RESPONSE_FRAME)
+            .expect("receive")
+            .expect("a response frame");
+        assert_eq!(got, expect);
+    });
 }
 
 #[test]
 fn connection_loop_answers_then_reports_malformed_frames() {
-    let svc = Arc::new(service(2));
-    let responder = Responder::Direct(Arc::clone(&svc));
+    let svc = service(2);
     // A good frame followed by a truncated one.
     let mut wire = Vec::new();
     write_frame(&mut wire, br#"{"q":"info"}"#).expect("frame");
@@ -356,7 +480,7 @@ fn connection_loop_answers_then_reports_malformed_frames() {
     wire.truncate(wire.len() - 3);
     let mut input = &wire[..];
     let mut output = Vec::new();
-    match serve_connection(&responder, &mut input, &mut output) {
+    match serve_connection(&svc, &mut input, &mut output) {
         Err(ProtocolError::Truncated { .. }) => {}
         other => panic!("expected Truncated, got {other:?}"),
     }
@@ -376,7 +500,7 @@ fn connection_loop_answers_then_reports_malformed_frames() {
 #[test]
 fn malformed_frames_never_panic_and_always_answer_typed() {
     let svc = service(2);
-    let responder = Responder::Direct(Arc::new(service(1)));
+    let solo = service(1);
     let mut rng = SplitMix64::new(0xC0FFEE);
     for case in 0..200 {
         let mode = rng.next_u64() % 4;
@@ -412,7 +536,7 @@ fn malformed_frames_never_panic_and_always_answer_typed() {
         }
         let mut input = &wire[..];
         let mut output = Vec::new();
-        let result = serve_connection(&responder, &mut input, &mut output);
+        let result = serve_connection(&solo, &mut input, &mut output);
         if let Err(e) = &result {
             // The error is typed, and the peer saw a matching error frame
             // as the last thing on the wire.
