@@ -39,12 +39,10 @@
 //! Multi-GB archives never have to be resident:
 //!
 //! * [`TraceDecoder`] pulls drives one at a time from any [`Read`] source
-//!   through a fixed-size refill buffer. [`next_drive_into`] reuses one
-//!   caller-owned [`DriveLog`]'s report/swap buffers between drives,
-//!   [`read_chunk_into`] amortizes that over drive chunks, and
-//!   [`next_drive_columns`] lends a borrowed columnar
-//!   [`ReportColumns`] view decoded into internal buffers that are
-//!   recycled between drives.
+//!   through one fixed-size refill buffer. [`next_drive_into`] clears and
+//!   refills one caller-owned [`DriveLog`], whose report/swap `Vec`
+//!   capacities survive between drives, so a full pass allocates one
+//!   drive's worth of buffers in total.
 //! * [`TraceEncoder`] is generic over a [`Write`] sink: each appended
 //!   drive is serialized into an internal scratch buffer (reused between
 //!   drives) and flushed to the sink, so peak memory is one drive record
@@ -54,6 +52,20 @@
 //! The resident entry points [`encode_trace`]/[`decode_trace`] are thin
 //! wrappers over the same core and remain byte-compatible with archives
 //! produced before the streaming redesign.
+//!
+//! ## Decode fast path
+//!
+//! Daily reports are almost all of an archive's bytes. When at least
+//! `MAX_REPORT_BYTES` (the longest report the decoder can consume) are
+//! already buffered, a report is decoded straight from that slice with
+//! plain index arithmetic and the source advances once. Any failure there
+//! — a truncated window, an overflowing varint, a u32 field out of range
+//! — consumes nothing, and the same report is re-decoded through the
+//! byte-at-a-time path, as are reports that straddle a refill or sit in
+//! the archive tail. Every [`DecodeError`] and its offset therefore come
+//! from the byte path alone. The unit test
+//! `fast_and_byte_paths_agree_at_every_buffer_capacity` pins the
+//! agreement on mutated and truncated archives.
 //!
 //! ## Example
 //!
@@ -84,8 +96,6 @@
 //! ```
 //!
 //! [`next_drive_into`]: TraceDecoder::next_drive_into
-//! [`read_chunk_into`]: TraceDecoder::read_chunk_into
-//! [`next_drive_columns`]: TraceDecoder::next_drive_columns
 
 use crate::{
     DailyReport, DriveId, DriveLog, DriveModel, ErrorCounts, ErrorKind, FleetTrace, SwapEvent,
@@ -128,7 +138,11 @@ pub enum DecodeError {
     },
     /// A varint exceeded the width of its target type.
     VarintOverflow {
-        /// Byte offset of the overflowing varint's final byte.
+        /// For a u64 field, the byte offset at which the varint passed 64
+        /// bits (its last byte read). For a u32 field — drive id, age,
+        /// P/E cycles, bad-block counts, swap days, the header horizon —
+        /// whose varint decodes but exceeds `u32::MAX`, the offset of the
+        /// varint's *first* byte.
         offset: u64,
     },
     /// An enum discriminant was out of range.
@@ -201,6 +215,12 @@ trait Src {
 
     /// Absolute offset of the next unread byte.
     fn offset(&self) -> u64;
+
+    /// The unread bytes already in memory (never refills).
+    fn buffered(&self) -> &[u8];
+
+    /// Skips `n` bytes of [`buffered`](Src::buffered).
+    fn consume(&mut self, n: usize);
 }
 
 /// Borrowing read cursor over a fully-resident encoded buffer.
@@ -228,6 +248,16 @@ impl Src for SliceSrc<'_> {
     #[inline]
     fn offset(&self) -> u64 {
         self.pos as u64
+    }
+
+    #[inline]
+    fn buffered(&self) -> &[u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
+    }
+
+    #[inline]
+    fn consume(&mut self, n: usize) {
+        self.pos = (self.pos + n).min(self.buf.len());
     }
 }
 
@@ -296,6 +326,16 @@ impl<R: Read> Src for StreamSrc<R> {
     #[inline]
     fn offset(&self) -> u64 {
         self.base + self.pos as u64
+    }
+
+    #[inline]
+    fn buffered(&self) -> &[u8] {
+        self.buf.get(self.pos..self.len).unwrap_or_default()
+    }
+
+    #[inline]
+    fn consume(&mut self, n: usize) {
+        self.pos = (self.pos + n).min(self.len);
     }
 }
 
@@ -370,7 +410,88 @@ fn encode_report(buf: &mut Vec<u8>, r: &DailyReport) {
     }
 }
 
+/// Varints in one report: age, read, write, erase, P/E, the two
+/// bad-block counts and one per [`ErrorKind`].
+const REPORT_VARINTS: usize = 7 + ErrorKind::COUNT;
+
+/// Longest report the decoder can consume: every varint at its 10-byte
+/// limit (a longer one overflows) plus the flags byte. With this many
+/// bytes buffered a report never runs past the window.
+const MAX_REPORT_BYTES: usize = REPORT_VARINTS * 10 + 1;
+
 fn decode_report<S: Src>(src: &mut S) -> Result<DailyReport, DecodeError> {
+    if let Some(window) = src.buffered().first_chunk::<MAX_REPORT_BYTES>() {
+        if let Some((report, used)) = decode_report_buffered(window) {
+            src.consume(used);
+            return Ok(report);
+        }
+    }
+    decode_report_checked(src)
+}
+
+/// One varint from `buf` at `*at`, advancing `*at`. Same overflow rule as
+/// [`get_varint`]; `None` on overflow or when `buf` runs out.
+#[inline(always)]
+fn slice_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
+    let mut out: u64 = 0;
+    let mut shift = 0u32;
+    loop {
+        let byte = *buf.get(*at)?;
+        *at += 1;
+        if shift >= 64 || (shift == 63 && byte > 1) {
+            return None;
+        }
+        out |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Some(out);
+        }
+        shift += 7;
+    }
+}
+
+#[inline(always)]
+fn slice_varint_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
+    u32::try_from(slice_varint(buf, at)?).ok()
+}
+
+/// Decodes one report from a buffered window, returning it with the bytes
+/// it used, or `None` where [`decode_report_checked`] would fail. The
+/// caller consumes nothing on `None`, so the byte path re-decodes the
+/// report from the same position and reports the typed error.
+#[inline]
+fn decode_report_buffered(buf: &[u8; MAX_REPORT_BYTES]) -> Option<(DailyReport, usize)> {
+    let mut at = 0usize;
+    let age_days = slice_varint_u32(buf, &mut at)?;
+    let read_ops = slice_varint(buf, &mut at)?;
+    let write_ops = slice_varint(buf, &mut at)?;
+    let erase_ops = slice_varint(buf, &mut at)?;
+    let pe_cycles = slice_varint_u32(buf, &mut at)?;
+    let flags = *buf.get(at)?;
+    at += 1;
+    let factory_bad_blocks = slice_varint_u32(buf, &mut at)?;
+    let grown_bad_blocks = slice_varint_u32(buf, &mut at)?;
+    let mut errors = ErrorCounts::zero();
+    for kind in ErrorKind::ALL {
+        errors.set(kind, slice_varint(buf, &mut at)?);
+    }
+    let report = DailyReport {
+        age_days,
+        read_ops,
+        write_ops,
+        erase_ops,
+        pe_cycles,
+        status_dead: flags & STATUS_DEAD != 0,
+        status_read_only: flags & STATUS_READ_ONLY != 0,
+        factory_bad_blocks,
+        grown_bad_blocks,
+        errors,
+    };
+    Some((report, at))
+}
+
+/// The byte-at-a-time report decoder: the reference for every value,
+/// error variant and offset.
+fn decode_report_checked<S: Src>(src: &mut S) -> Result<DailyReport, DecodeError> {
     let age_days = get_varint_u32(src)?;
     let read_ops = get_varint(src)?;
     let write_ops = get_varint(src)?;
@@ -400,12 +521,10 @@ fn decode_report<S: Src>(src: &mut S) -> Result<DailyReport, DecodeError> {
 /// Borrowed struct-of-arrays view over one drive's daily reports.
 ///
 /// Each slice is one column of the report table, all of equal length (one
-/// entry per report day). This is the zero-copy bridge between columnar
-/// buffers and the varint codec: on the encode side
-/// [`encode_drive_soa`] walks the columns row by row and emits bytes
-/// identical to [`encode_trace`] on the equivalent [`DriveLog`]; on the
-/// decode side [`TraceDecoder::next_drive_columns`] lends this view over
-/// internal buffers.
+/// entry per report day). This is the zero-copy bridge from the
+/// simulator's columnar arena to the varint codec: [`encode_drive_soa`]
+/// walks the columns row by row and emits bytes identical to
+/// [`encode_trace`] on the equivalent [`DriveLog`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReportColumns<'a> {
     /// Report age in days since deployment (`DailyReport::age_days`).
@@ -565,100 +684,6 @@ fn decode_drive_into<S: Src>(src: &mut S, log: &mut DriveLog) -> Result<(), Deco
     decode_swaps_into(src, &mut log.swaps)
 }
 
-/// Internal columnar buffers the streaming decoder recycles between
-/// drives for [`TraceDecoder::next_drive_columns`].
-#[derive(Debug, Default)]
-struct ColumnStore {
-    age_days: Vec<u32>,
-    read_ops: Vec<u64>,
-    write_ops: Vec<u64>,
-    erase_ops: Vec<u64>,
-    pe_cycles: Vec<u32>,
-    status_flags: Vec<u8>,
-    factory_bad_blocks: Vec<u32>,
-    grown_bad_blocks: Vec<u32>,
-    errors: [Vec<u64>; ErrorKind::COUNT],
-    swaps: Vec<SwapEvent>,
-    log_weight: f64,
-}
-
-impl ColumnStore {
-    fn clear(&mut self) {
-        self.log_weight = 0.0;
-        self.age_days.clear();
-        self.read_ops.clear();
-        self.write_ops.clear();
-        self.erase_ops.clear();
-        self.pe_cycles.clear();
-        self.status_flags.clear();
-        self.factory_bad_blocks.clear();
-        self.grown_bad_blocks.clear();
-        for col in &mut self.errors {
-            col.clear();
-        }
-        self.swaps.clear();
-    }
-
-    fn view(&self) -> ReportColumns<'_> {
-        ReportColumns {
-            age_days: &self.age_days,
-            read_ops: &self.read_ops,
-            write_ops: &self.write_ops,
-            erase_ops: &self.erase_ops,
-            pe_cycles: &self.pe_cycles,
-            status_flags: &self.status_flags,
-            factory_bad_blocks: &self.factory_bad_blocks,
-            grown_bad_blocks: &self.grown_bad_blocks,
-            errors: std::array::from_fn(|i| self.errors[i].as_slice()),
-        }
-    }
-}
-
-/// Decodes one drive record straight into columnar buffers (no
-/// `DailyReport` structs), returning its identity.
-fn decode_drive_columns_into<S: Src>(
-    src: &mut S,
-    cols: &mut ColumnStore,
-) -> Result<(DriveId, DriveModel), DecodeError> {
-    cols.clear();
-    let id = DriveId(get_varint_u32(src)?);
-    let model = decode_model(src)?;
-    cols.log_weight = f64::from_bits(get_varint(src)?);
-    let n_reports = get_varint(src)? as usize;
-    for _ in 0..n_reports {
-        cols.age_days.push(get_varint_u32(src)?);
-        cols.read_ops.push(get_varint(src)?);
-        cols.write_ops.push(get_varint(src)?);
-        cols.erase_ops.push(get_varint(src)?);
-        cols.pe_cycles.push(get_varint_u32(src)?);
-        cols.status_flags.push(src.next_u8()?);
-        cols.factory_bad_blocks.push(get_varint_u32(src)?);
-        cols.grown_bad_blocks.push(get_varint_u32(src)?);
-        for col in &mut cols.errors {
-            col.push(get_varint(src)?);
-        }
-    }
-    decode_swaps_into(src, &mut cols.swaps)?;
-    Ok((id, model))
-}
-
-/// One decoded drive, lent as a borrowed columnar view by
-/// [`TraceDecoder::next_drive_columns`]. Valid until the next decoder
-/// call; the backing buffers are recycled between drives.
-#[derive(Debug, Clone, Copy)]
-pub struct DriveColumns<'a> {
-    /// Drive identifier.
-    pub id: DriveId,
-    /// Drive model.
-    pub model: DriveModel,
-    /// Struct-of-arrays view over the drive's daily reports.
-    pub columns: ReportColumns<'a>,
-    /// The drive's swap events.
-    pub swaps: &'a [SwapEvent],
-    /// Importance-sampling log-weight (`0.0` under uniform sampling).
-    pub log_weight: f64,
-}
-
 /// Streaming archive reader: pulls drives one at a time from any
 /// [`Read`] source at constant memory.
 ///
@@ -669,10 +694,6 @@ pub struct DriveColumns<'a> {
 ///   consumption reusing one caller-owned [`DriveLog`]; the decoder's
 ///   buffer-reuse contract means a full pass over a multi-GB archive
 ///   allocates only one drive's worth of reports at a time.
-/// * [`read_chunk_into`](TraceDecoder::read_chunk_into) — chunked
-///   consumption into a recycled `Vec<DriveLog>`.
-/// * [`next_drive_columns`](TraceDecoder::next_drive_columns) — borrowed
-///   [`ReportColumns`] views for columnar folds, no per-report structs.
 /// * The [`Iterator`] impl yields owned `Result<DriveLog, DecodeError>`
 ///   for convenience when allocation per drive is acceptable.
 ///
@@ -686,7 +707,6 @@ pub struct TraceDecoder<R> {
     horizon_days: u32,
     n_drives: u64,
     decoded: u64,
-    cols: ColumnStore,
 }
 
 impl<R: Read> TraceDecoder<R> {
@@ -707,7 +727,6 @@ impl<R: Read> TraceDecoder<R> {
             horizon_days,
             n_drives,
             decoded: 0,
-            cols: ColumnStore::default(),
         })
     }
 
@@ -744,46 +763,6 @@ impl<R: Read> TraceDecoder<R> {
         decode_drive_into(&mut self.src, log)?;
         self.decoded += 1;
         Ok(true)
-    }
-
-    /// Decodes up to `max_drives` drives into `out`, reusing both the
-    /// vector and each element's buffers. `out` is truncated to the number
-    /// of drives actually decoded; returns that count (`0` at end of
-    /// archive).
-    pub fn read_chunk_into(
-        &mut self,
-        max_drives: usize,
-        out: &mut Vec<DriveLog>,
-    ) -> Result<usize, DecodeError> {
-        let mut n = 0usize;
-        while n < max_drives && self.decoded < self.n_drives {
-            if n == out.len() {
-                out.push(DriveLog::new(DriveId(0), DriveModel::from_index(0)));
-            }
-            decode_drive_into(&mut self.src, &mut out[n])?;
-            self.decoded += 1;
-            n += 1;
-        }
-        out.truncate(n);
-        Ok(n)
-    }
-
-    /// Decodes the next drive into internal columnar buffers and lends a
-    /// borrowed view. Returns `Ok(None)` once all declared drives have
-    /// been decoded. The view is invalidated by the next decoder call.
-    pub fn next_drive_columns(&mut self) -> Result<Option<DriveColumns<'_>>, DecodeError> {
-        if self.decoded >= self.n_drives {
-            return Ok(None);
-        }
-        let (id, model) = decode_drive_columns_into(&mut self.src, &mut self.cols)?;
-        self.decoded += 1;
-        Ok(Some(DriveColumns {
-            id,
-            model,
-            columns: self.cols.view(),
-            swaps: &self.cols.swaps,
-            log_weight: self.cols.log_weight,
-        }))
     }
 
     /// Folds `f` over every remaining drive with one reused scratch
@@ -1331,56 +1310,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_decoder_chunks_cover_all_drives() {
-        let t = sample_trace();
-        let bytes = encode_trace(&t);
-        for chunk in [1usize, 2, 3, 100] {
-            let mut dec = TraceDecoder::new(&bytes[..]).unwrap();
-            let mut out = Vec::new();
-            let mut all = Vec::new();
-            loop {
-                let n = dec.read_chunk_into(chunk, &mut out).unwrap();
-                if n == 0 {
-                    break;
-                }
-                assert!(n <= chunk);
-                assert_eq!(out.len(), n);
-                all.extend(out.iter().cloned());
-            }
-            assert_eq!(all, t.drives, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
-    fn stream_decoder_columns_match_owned_drives() {
-        let t = sample_trace();
-        let bytes = encode_trace(&t);
-        let mut dec = TraceDecoder::new(&bytes[..]).unwrap();
-        for expected in &t.drives {
-            let view = dec.next_drive_columns().unwrap().expect("one view per drive");
-            assert_eq!(view.id, expected.id);
-            assert_eq!(view.model, expected.model);
-            assert_eq!(view.swaps, expected.swaps.as_slice());
-            assert_eq!(view.columns.len(), expected.reports.len());
-            assert_eq!(view.log_weight.to_bits(), expected.log_weight.to_bits());
-            // Re-encoding the borrowed view reproduces the drive's bytes.
-            let mut via_cols = Vec::new();
-            encode_drive_soa(
-                &mut via_cols,
-                view.id,
-                view.model,
-                view.log_weight,
-                view.columns,
-                view.swaps,
-            );
-            let mut via_log = Vec::new();
-            encode_drive(&mut via_log, expected);
-            assert_eq!(via_cols, via_log);
-        }
-        assert!(dec.next_drive_columns().unwrap().is_none());
-    }
-
-    #[test]
     fn stream_decoder_reports_truncation_offset() {
         let t = sample_trace();
         let bytes = encode_trace(&t);
@@ -1527,6 +1456,271 @@ mod tests {
         let back = decode_trace(&bytes).unwrap();
         for (a, b) in back.drives.iter().zip(&t.drives) {
             assert_eq!(a.log_weight.to_bits(), b.log_weight.to_bits());
+        }
+    }
+
+    // ---- fast path vs byte path ----
+
+    /// Refill-buffer capacities: tiny, around the fast-path window
+    /// (`MAX_REPORT_BYTES` = 171), around one 10-byte varint past it, and
+    /// large up to the default.
+    const CAPACITIES: [usize; 9] = [16, 170, 171, 172, 180, 181, 182, 4096, 65_536];
+
+    fn stream_decode(bytes: &[u8], capacity: usize, max: usize) -> Result<FleetTrace, DecodeError> {
+        let reader = Trickle {
+            data: bytes,
+            pos: 0,
+            max,
+        };
+        let mut dec = TraceDecoder::with_buffer_capacity(reader, capacity)?;
+        let horizon_days = dec.horizon_days();
+        let drives = (&mut dec).collect::<Result<Vec<_>, _>>()?;
+        Ok(FleetTrace {
+            horizon_days,
+            drives,
+        })
+    }
+
+    /// Decodes `bytes` resident and streamed at every capacity, with
+    /// full-buffer reads (fast path engaged) and 7-byte reads (never
+    /// engaged), asserting identical results; returns the resident one.
+    /// Traces compare by re-encoded bytes, so weights compare bitwise.
+    fn decode_everywhere(bytes: &[u8]) -> Result<FleetTrace, DecodeError> {
+        let resident = decode_trace(bytes);
+        let want = resident.as_ref().map(encode_trace);
+        for capacity in CAPACITIES {
+            for max in [capacity, 7] {
+                let streamed = stream_decode(bytes, capacity, max);
+                assert_eq!(
+                    streamed.as_ref().map(encode_trace),
+                    want,
+                    "capacity {capacity}, per-read budget {max}"
+                );
+            }
+        }
+        resident
+    }
+
+    /// A value whose varint is 1 to 10 bytes long.
+    fn arb_width(g: &mut ssd_testkit::Gen) -> u64 {
+        g.u64() >> (7 * g.u32_in(0, 10))
+    }
+
+    fn arb_u32(g: &mut ssd_testkit::Gen) -> u32 {
+        g.u32_in(0, u32::MAX) >> g.u32_in(0, 32)
+    }
+
+    /// Traces with every varint width and enough reports per drive that
+    /// most of them decode through a full fast-path window.
+    fn arb_wide_trace(g: &mut ssd_testkit::Gen) -> FleetTrace {
+        let mut t = FleetTrace::new(arb_u32(g));
+        for id in 0..g.u32_in(1, 5) {
+            let model = DriveModel::from_index(g.usize_in(0, DriveModel::ALL.len()));
+            let mut d = DriveLog::new(DriveId(id), model);
+            d.log_weight = f64::from_bits(arb_width(g));
+            for _ in 0..g.usize_in(0, 40) {
+                let mut r = DailyReport::empty(arb_u32(g));
+                r.read_ops = arb_width(g);
+                r.write_ops = arb_width(g);
+                r.erase_ops = arb_width(g);
+                r.pe_cycles = arb_u32(g);
+                r.status_dead = g.bool();
+                r.status_read_only = g.bool();
+                r.factory_bad_blocks = arb_u32(g);
+                r.grown_bad_blocks = arb_u32(g);
+                for kind in ErrorKind::ALL {
+                    // Mostly zero, like field telemetry.
+                    r.errors.set(kind, if g.bool() { 0 } else { arb_width(g) });
+                }
+                d.reports.push(r);
+            }
+            for _ in 0..g.usize_in(0, 3) {
+                let reentry_day = g.option(arb_u32);
+                d.swaps.push(SwapEvent {
+                    swap_day: arb_u32(g),
+                    reentry_day,
+                });
+            }
+            t.drives.push(d);
+        }
+        t
+    }
+
+    #[test]
+    fn fast_and_byte_paths_agree_at_every_buffer_capacity() {
+        ssd_testkit::for_each_case("fast_and_byte_paths_agree", 96, |g| {
+            let trace = arb_wide_trace(g);
+            let mut bytes = encode_trace(&trace);
+            assert_eq!(
+                decode_everywhere(&bytes).map(|t| encode_trace(&t)),
+                Ok(bytes.clone())
+            );
+            for _ in 0..g.usize_in(0, 4) {
+                let at = g.usize_in(0, bytes.len());
+                bytes[at] ^= g.u32_in(1, 256) as u8;
+            }
+            if g.bool() {
+                bytes.truncate(g.usize_in(0, bytes.len() + 1));
+            }
+            let _ = decode_everywhere(&bytes);
+        });
+    }
+
+    /// Raw report bytes: every wire item `0x01` except item `slot` (the
+    /// flags byte is item 5), which is `raw`. Returns the bytes and the
+    /// offset of `raw` within them.
+    fn report_with(slot: usize, raw: &[u8]) -> (Vec<u8>, u64) {
+        let mut out = Vec::new();
+        let mut at = 0;
+        for item in 0..=REPORT_VARINTS {
+            if item == slot {
+                at = out.len() as u64;
+                out.extend_from_slice(raw);
+            } else {
+                out.push(1);
+            }
+        }
+        (out, at)
+    }
+
+    /// A one-drive, one-report archive around hand-made report bytes and
+    /// `pad` ignored trailing bytes. Returns it with the report's offset.
+    fn one_report_archive(report: &[u8], pad: usize) -> (Vec<u8>, u64) {
+        let mut bytes = MAGIC.to_vec();
+        for v in [100, 1, 7] {
+            put_varint(&mut bytes, v); // horizon, drive count, drive id
+        }
+        bytes.push(0); // model
+        put_varint(&mut bytes, 0); // weight bits
+        put_varint(&mut bytes, 1); // report count
+        let at = bytes.len() as u64;
+        bytes.extend_from_slice(report);
+        bytes.push(0); // no swaps
+        bytes.resize(bytes.len() + pad, 0xff);
+        (bytes, at)
+    }
+
+    /// Wire slots of the u32-narrowed report fields: age, P/E, fbb, gbb.
+    const U32_SLOTS: [usize; 4] = [0, 4, 6, 7];
+
+    /// u32::MAX as a 10-byte overlong varint (the decoder's longest).
+    const U32_MAX_10: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0x8f, 0x80, 0x80, 0x80, 0x80, 0x00];
+
+    /// u64::MAX as its canonical 10-byte varint.
+    const U64_MAX_10: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+
+    #[test]
+    fn worst_case_report_fills_the_fast_window_exactly() {
+        let mut report = Vec::new();
+        for item in 0..=REPORT_VARINTS {
+            match item {
+                5 => report.push(STATUS_READ_ONLY),
+                s if U32_SLOTS.contains(&s) => report.extend_from_slice(&U32_MAX_10),
+                _ => report.extend_from_slice(&U64_MAX_10),
+            }
+        }
+        assert_eq!(report.len(), MAX_REPORT_BYTES);
+        let window = report.first_chunk::<MAX_REPORT_BYTES>().unwrap();
+        let (fast, used) = decode_report_buffered(window).expect("fast path decodes it");
+        assert_eq!(used, MAX_REPORT_BYTES);
+        let checked = decode_report_checked(&mut SliceSrc::new(&report)).unwrap();
+        assert_eq!(fast, checked);
+        assert_eq!((fast.age_days, fast.read_ops), (u32::MAX, u64::MAX));
+        assert!(fast.status_read_only && !fast.status_dead);
+    }
+
+    #[test]
+    fn u64_max_varints_straddle_every_refill_boundary() {
+        let mut t = FleetTrace::new(u32::MAX);
+        let mut d = DriveLog::new(DriveId(u32::MAX), DriveModel::from_index(2));
+        d.log_weight = f64::from_bits(u64::MAX);
+        for _ in 0..12 {
+            let mut r = DailyReport::empty(u32::MAX);
+            (r.read_ops, r.write_ops, r.erase_ops) = (u64::MAX, u64::MAX, u64::MAX);
+            (r.pe_cycles, r.factory_bad_blocks, r.grown_bad_blocks) =
+                (u32::MAX, u32::MAX, u32::MAX);
+            for kind in ErrorKind::ALL {
+                r.errors.set(kind, u64::MAX);
+            }
+            d.reports.push(r);
+        }
+        t.drives.push(d);
+        let bytes = encode_trace(&t);
+        for capacity in 16..=2 * MAX_REPORT_BYTES + 8 {
+            let streamed = stream_decode(&bytes, capacity, capacity).unwrap();
+            assert_eq!(encode_trace(&streamed), bytes, "capacity {capacity}");
+        }
+        assert_eq!(encode_trace(&decode_everywhere(&bytes).unwrap()), bytes);
+    }
+
+    #[test]
+    fn overlong_but_valid_varints_decode_on_both_paths() {
+        let cases: [(usize, &[u8], u64); 5] = [
+            (0, &[0x80, 0x00], 0),
+            (
+                1,
+                &[0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+                5,
+            ),
+            (2, &U64_MAX_10, u64::MAX),
+            (4, &U32_MAX_10, u64::from(u32::MAX)),
+            (17, &[0x81, 0x00], 1),
+        ];
+        for (slot, raw, value) in cases {
+            let (report, _) = report_with(slot, raw);
+            for pad in [0, MAX_REPORT_BYTES] {
+                let (bytes, _) = one_report_archive(&report, pad);
+                let t = decode_everywhere(&bytes).unwrap();
+                let r = &t.drives[0].reports[0];
+                let got = match slot {
+                    0 => u64::from(r.age_days),
+                    1 => r.read_ops,
+                    2 => r.write_ops,
+                    4 => u64::from(r.pe_cycles),
+                    _ => r.errors.get(ErrorKind::ALL[ErrorKind::COUNT - 1]),
+                };
+                assert_eq!(got, value, "slot {slot}, pad {pad}");
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_varints_keep_their_byte_path_offsets() {
+        let past_u32 = {
+            let mut v = Vec::new();
+            put_varint(&mut v, u64::from(u32::MAX) + 1);
+            v
+        };
+        let mut ten_then_two = [0xff; 10];
+        ten_then_two[9] = 0x02;
+        let mut eleven = [0x80; 11];
+        eleven[10] = 0x00;
+        for pad in [0, MAX_REPORT_BYTES] {
+            // A u32 field past u32::MAX: anchored at the varint's first byte.
+            for slot in U32_SLOTS {
+                let (report, at) = report_with(slot, &past_u32);
+                let (bytes, base) = one_report_archive(&report, pad);
+                let offset = base + at;
+                assert_eq!(
+                    decode_everywhere(&bytes),
+                    Err(DecodeError::VarintOverflow { offset }),
+                    "slot {slot}, pad {pad}"
+                );
+            }
+            // A u64 field past 64 bits, or an 11-byte overlong zero:
+            // anchored at the 10th byte, where the overflow is detected.
+            for raw in [&ten_then_two[..], &eleven[..]] {
+                for slot in [1, 3, 8, REPORT_VARINTS] {
+                    let (report, at) = report_with(slot, raw);
+                    let (bytes, base) = one_report_archive(&report, pad);
+                    let offset = base + at + 9;
+                    assert_eq!(
+                        decode_everywhere(&bytes),
+                        Err(DecodeError::VarintOverflow { offset }),
+                        "slot {slot}, pad {pad}"
+                    );
+                }
+            }
         }
     }
 

@@ -203,7 +203,7 @@ impl TraceSource {
         let inner = match self {
             TraceSource::Archive(path) => {
                 let file = File::open(path).map_err(|e| io_err(path, e))?;
-                Inner::Stream(TraceDecoder::new(BufReader::new(file))?)
+                Inner::Stream(TraceDecoder::new(file)?)
             }
             TraceSource::Json(path) => {
                 let body = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
@@ -238,7 +238,7 @@ fn read_csv_dir(dir: &Path, horizon_days: u32) -> Result<FleetTrace, TraceReadEr
 
 #[derive(Debug)]
 enum Inner<'a> {
-    Stream(TraceDecoder<BufReader<File>>),
+    Stream(TraceDecoder<File>),
     Resident { trace: FleetTrace, next: usize },
     Borrowed { trace: &'a FleetTrace, next: usize },
 }

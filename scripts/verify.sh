@@ -63,8 +63,15 @@ target/release/ssdgen --out "$smoke_dir" --drives 7 --days 800 --seed 99 --forma
 target/release/ssdstat --trace "$smoke_dir/trace.ssdfs" > /dev/null
 archive_bytes="$(wc -c < "$smoke_dir/trace.ssdfs")"
 head -c "$((archive_bytes / 2))" "$smoke_dir/trace.ssdfs" > "$smoke_dir/truncated.ssdfs"
-if target/release/ssdstat --trace "$smoke_dir/truncated.ssdfs" > /dev/null 2>&1; then
+if target/release/ssdstat --trace "$smoke_dir/truncated.ssdfs" > /dev/null 2> "$smoke_dir/truncated.err"; then
   echo "ERROR: ssdstat accepted a truncated archive"; exit 1
+fi
+# The cut lies past the first 64 KiB refill, so the offset pins the decoder's
+# fast-path fallback end to end: the error must name the truncation point.
+truncated_msg="decode archive: unexpected end of input at byte $((archive_bytes / 2))"
+if ! grep -qxF "ssdstat: $truncated_msg" "$smoke_dir/truncated.err"; then
+  echo "ERROR: truncated archive did not fail with '$truncated_msg':"
+  cat "$smoke_dir/truncated.err"; exit 1
 fi
 printf 'not an archive' > "$smoke_dir/corrupt.ssdfs"
 if target/release/ssdstat --trace "$smoke_dir/corrupt.ssdfs" > /dev/null 2>&1; then
