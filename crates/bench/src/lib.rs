@@ -10,9 +10,7 @@
 
 pub mod harness;
 
-pub use harness::{
-    bench_history_dir, BatchSize, BenchRecord, BenchRunLog, BenchmarkGroup, Bencher, Criterion,
-};
+pub use harness::{BatchSize, Bencher, BenchmarkGroup, Criterion};
 
 use ssd_sim::{FleetGen, SimConfig};
 use ssd_types::FleetTrace;

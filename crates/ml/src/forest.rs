@@ -6,11 +6,15 @@
 //! (Section 5.2). Trees are trained in parallel on the in-tree worker pool
 //! (`ssd_parallel`), each from an independent deterministic seed, so the
 //! fitted forest is reproducible regardless of thread count.
+//!
+//! A bootstrap is row weights: each tree's draws are counted straight into
+//! its worker's [`crate::split_kernel`] row layout, and the tree scans and
+//! partitions only the ~63 % of rows that were drawn at least once.
 
 use crate::classifier::{Classifier, Trainer};
 use crate::dataset::Dataset;
 use crate::flat::FlatForest;
-use crate::split_kernel::{PresortedDataset, TreeScratch};
+use crate::split_kernel::{PresortedDataset, TreeScratch, MAX_SAMPLE};
 use crate::tree::{DecisionTree, TreeConfig};
 use ssd_parallel::prelude::*;
 use ssd_stats::SplitMix64;
@@ -70,44 +74,42 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fits `n_trees` trees on bootstrap resamples, in parallel. Each
-    /// worker thread owns one reusable [`TreeScratch`] (pre-sorted column
-    /// buffers) plus a bootstrap-index buffer, so per-tree training does
-    /// not allocate per node — and the fitted forest is still identical
-    /// for every pool size because each tree's seed stream is its own.
+    /// worker thread owns one reusable `TreeScratch` (the per-tree row
+    /// layout) and draws its tree's bootstrap straight into it, so
+    /// per-tree training does not allocate per node — and the fitted
+    /// forest is still identical for every pool size because each tree's
+    /// seed stream is its own.
     pub fn fit(config: &ForestConfig, data: &Dataset, seed: u64) -> Self {
         config.validate();
         assert!(data.n_rows() >= 2, "forest needs at least two rows");
         let n = data.n_rows();
-        // lint:allow(lossy-cast) -- fractional bootstrap target rounded to a whole row count
+        // lint:allow(lossy-cast) -- fractional bootstrap target rounded to a whole row count; saturates, and the limit below rejects it
         let boot = ((n as f64) * config.bootstrap_fraction).round().max(1.0) as usize;
+        assert!(
+            boot <= MAX_SAMPLE && n <= MAX_SAMPLE,
+            "ForestConfig.bootstrap_fraction of {} asks for {boot} bootstrap draws over {n} rows, \
+             above the tree kernel's limit of {MAX_SAMPLE} (u32 multiplicities and row ids)",
+            config.bootstrap_fraction
+        );
         let mut tree_cfg = config.tree.clone();
         if tree_cfg.max_features.is_none() {
             let d = data.n_features();
             // lint:allow(lossy-cast) -- ceil(sqrt(d)) feature heuristic is integral by construction
             tree_cfg.max_features = Some((d as f64).sqrt().ceil() as usize);
+            tree_cfg.validate();
         }
-        // Sort every feature column exactly once; each tree derives its
+        // Sort every feature column exactly once; each tree filters its
         // bootstrap's orders from this shared read-only structure.
         let pre = PresortedDataset::build(data);
         let trees: Vec<DecisionTree> = (0..config.n_trees)
             .into_par_iter()
-            .map_init(
-                || (TreeScratch::new(), Vec::with_capacity(boot)),
-                |(scratch, indices), t| {
-                    // Independent stream per tree: bootstrap + feature draws.
-                    let mut rng = SplitMix64::for_stream(seed, u64_from_usize(t));
-                    indices.clear();
-                    indices.extend((0..boot).map(|_| usize_from_u64(rng.next_bounded(u64_from_usize(n)))));
-                    DecisionTree::fit_with_presorted(
-                        &tree_cfg,
-                        data,
-                        &pre,
-                        indices,
-                        rng.next_u64(),
-                        scratch,
-                    )
-                },
-            )
+            .map_init(TreeScratch::new, |scratch, t| {
+                // Independent stream per tree: bootstrap + feature draws.
+                let mut rng = SplitMix64::for_stream(seed, u64_from_usize(t));
+                let draws = (0..boot).map(|_| usize_from_u64(rng.next_bounded(u64_from_usize(n))));
+                let (n_boot, n_pos) = scratch.sample(&pre, data, draws);
+                DecisionTree::grow(&tree_cfg, &pre, scratch, n_boot, n_pos, rng.next_u64())
+            })
             .collect();
         // MDI importances: mean of per-tree raw importances, normalized.
         let d = data.n_features();

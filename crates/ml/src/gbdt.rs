@@ -10,7 +10,10 @@
 //!
 //! Implementation: standard second-order (Newton) leaf values for the
 //! logistic loss, deterministic per-round row subsampling, and an internal
-//! variance-reduction regression tree.
+//! variance-reduction regression tree. Each round's subsample is laid out
+//! in [`crate::split_kernel`]'s row layout with unit multiplicities (it
+//! draws without replacement) over an all-sorted column set; gradients and
+//! hessians are indexed by dataset row and summed in `(value, row)` order.
 
 use crate::classifier::{sigmoid, Classifier, Trainer};
 use crate::dataset::Dataset;
@@ -98,34 +101,36 @@ pub(crate) struct RegTree {
 
 const LAMBDA: f64 = 1.0; // L2 on leaf values, as in standard GBDT
 
-/// Grows one regression tree over the pre-sorted column buffers in a
-/// [`TreeScratch`] (`grad`/`hess` gathered per slot). Nodes are segments
-/// `[lo, hi)` of the shared per-feature orders; every column is sorted
-/// ([`PresortedDataset::build_sorted`]), so feature `f` is sorted column `f`.
+/// Grows one regression tree over the row layout in a [`TreeScratch`],
+/// whose sample has unit multiplicities. Nodes are segments `[lo, hi)` of
+/// the shared per-feature orders over the sampled rows; every column is
+/// sorted ([`PresortedDataset::build_sorted`]), so feature `f` is sorted
+/// column `f`. `grad`/`hess` are indexed by dataset row.
 struct RegBuilder<'a> {
     pre: &'a PresortedDataset,
     scratch: &'a mut TreeScratch,
-    n_features: usize,
+    grad: &'a [f64],
+    hess: &'a [f64],
     max_depth: usize,
     min_leaf: usize,
     nodes: Vec<RegNode>,
 }
 
 impl<'a> RegBuilder<'a> {
-    /// Gradient/hessian totals of the node `[lo, hi)`, summed in the
-    /// deterministic (value, slot) order of feature 0's segment.
-    fn node_sums(&self, lo: usize, hi: usize) -> (f64, f64) {
+    /// Gradient/hessian totals of the rows in `order`, summed in its
+    /// deterministic (value, row) order.
+    fn sums(&self, order: &[u32]) -> (f64, f64) {
         let (mut g, mut h) = (0.0, 0.0);
-        for &s in self.scratch.cols.order_segment(0, lo, hi) {
-            g += self.scratch.grad[usize_from_u32(s)];
-            h += self.scratch.hess[usize_from_u32(s)];
+        for &row in order {
+            g += self.grad[usize_from_u32(row)];
+            h += self.hess[usize_from_u32(row)];
         }
         (g, h)
     }
 
     fn build(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
         let n = hi - lo;
-        let (g_sum, h_sum) = self.node_sums(lo, hi);
+        let (g_sum, h_sum) = self.sums(self.scratch.order_segment(0, lo, hi));
         let leaf = |nodes: &mut Vec<RegNode>| {
             nodes.push(RegNode::Leaf { value: -g_sum / (h_sum + LAMBDA) });
             u32_from_usize(nodes.len() - 1)
@@ -147,20 +152,23 @@ impl<'a> RegBuilder<'a> {
         let child_is_leaf =
             |n_c: usize| depth + 1 >= self.max_depth || n_c < 2 * self.min_leaf;
         let (left, right) = if child_is_leaf(split_at) && child_is_leaf(n - split_at) {
-            let (mut gl, mut hl) = (0.0, 0.0);
-            for &s in self.scratch.cols.order_segment(usize::from(feature), lo, lo + split_at) {
-                gl += self.scratch.grad[usize_from_u32(s)];
-                hl += self.scratch.hess[usize_from_u32(s)];
-            }
+            let winner = self
+                .scratch
+                .order_segment(usize::from(feature), lo, lo + split_at);
+            let (gl, hl) = self.sums(winner);
             self.nodes.push(RegNode::Leaf { value: -gl / (hl + LAMBDA) });
             self.nodes.push(RegNode::Leaf {
                 value: -(g_sum - gl) / ((h_sum - hl) + LAMBDA),
             });
             (me + 1, me + 2)
         } else {
-            self.scratch.cols.apply_split(self.pre, lo, hi, feature, threshold, split_at);
-            let left = self.build(lo, lo + split_at, depth + 1);
-            let right = self.build(lo + split_at, hi, depth + 1);
+            // Unit multiplicities: the left block's row count is `split_at`.
+            let mid = lo
+                + self
+                    .scratch
+                    .apply_split(self.pre, lo, hi, feature, threshold);
+            let left = self.build(lo, mid, depth + 1);
+            let right = self.build(mid, hi, depth + 1);
             (left, right)
         };
         self.nodes[usize_from_u32(me)] = RegNode::Split {
@@ -182,14 +190,12 @@ impl<'a> RegBuilder<'a> {
         g_tot: f64,
         h_tot: f64,
     ) -> Option<(u16, f32, usize)> {
-        let mut crit =
-            NewtonCriterion::new(&self.scratch.grad, &self.scratch.hess, g_tot, h_tot, LAMBDA);
+        let mut crit = NewtonCriterion::new(self.grad, self.hess, g_tot, h_tot, LAMBDA);
         let mut best: Option<(u16, f32, usize, f64)> = None;
-        for f in 0..self.n_features {
-            let order = self.scratch.cols.order_segment(f, lo, hi);
-            let values = self.scratch.cols.values_of(f);
+        for f in 0..self.pre.n_features() {
+            let order = self.scratch.order_segment(f, lo, hi);
             if let Some((threshold, gain, split_at)) =
-                scan_feature(order, values, self.min_leaf, &mut crit)
+                scan_feature(order, self.pre.values_of(f), self.min_leaf, &mut crit)
             {
                 if best.map_or(true, |b| gain > b.3) {
                     best = Some((u16_from_usize(f), threshold, split_at, gain));
@@ -258,7 +264,7 @@ impl Gbdt {
         // The feature columns never change across rounds: sort them once
         // and derive each round's subsample orders from the shared result.
         let pre = PresortedDataset::build_sorted(data);
-        // One scratch serves every boosting round: the column buffers are
+        // One scratch serves every boosting round: the row layout is
         // recycled, so a round allocates nothing but its node vector.
         let mut scratch = TreeScratch::new();
 
@@ -275,17 +281,17 @@ impl Gbdt {
                 let j = i + usize_from_u64(rng.next_bounded(u64_from_usize(n - i)));
                 pool.swap(i, j);
             }
-            let indices = &pool[..sample_size.min(n)];
-            scratch.prepare_newton_from(&pre, indices, &grad, &hess);
+            let (rows, _) = scratch.sample(&pre, data, pool[..sample_size.min(n)].iter().copied());
             let mut builder = RegBuilder {
                 pre: &pre,
                 scratch: &mut scratch,
-                n_features: data.n_features(),
+                grad: &grad,
+                hess: &hess,
                 max_depth: config.max_depth,
                 min_leaf: config.min_samples_leaf,
                 nodes: Vec::new(),
             };
-            builder.build(0, indices.len(), 0);
+            builder.build(0, rows, 0);
             let tree = RegTree {
                 nodes: builder.nodes,
             };

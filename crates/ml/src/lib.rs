@@ -53,5 +53,5 @@ pub use linear::{LinearSvm, LinearSvmConfig, LogisticRegression, LogisticRegress
 pub use metrics::{average_precision, roc_auc, roc_auc_weighted, Confusion, RocCurve, RocPoint};
 pub use nn::{Mlp, MlpConfig};
 pub use split::{downsample_majority, grouped_kfold};
-pub use split_kernel::{PresortedDataset, SplitChoice, TreeScratch};
+pub use split_kernel::SplitChoice;
 pub use tree::{DecisionTree, TreeConfig};

@@ -1,41 +1,54 @@
-//! Pre-sorted and binned column split kernel shared by the CART tree and
-//! the GBDT.
+//! Pre-sorted and binned column split kernel over a per-tree row layout,
+//! shared by the CART tree and the GBDT.
 //!
 //! The naive CART recipe clones and re-sorts every candidate feature column
 //! at every node — `O(d · n log n)` *per node*. This module never sorts
-//! inside a tree. [`PresortedDataset::build`] looks at each feature column
+//! inside a tree. `PresortedDataset::build` looks at each feature column
 //! once per ensemble fit and stores it as one of two kinds:
 //!
 //! * **Sorted columns** (the sklearn/XGBoost recipe). The column's row
-//!   order is sorted once; every tree derives its sample's slot order from
-//!   it by one linear walk. A node scans its segment of that order
-//!   (`O(n)`, no sorting), and applying a split re-segments the order with
-//!   one **stable partition**, so each segment stays sorted by value for
-//!   the node that owns it.
+//!   order is sorted once; every tree filters its sample's order out of it
+//!   in one linear pass. A node scans its segment of that order (`O(n)`,
+//!   no sorting), and applying a split re-segments the order with one
+//!   **stable partition**, so each segment stays sorted by value for the
+//!   node that owns it.
 //! * **Binned columns.** A column with at most 256 distinct values is
 //!   stored as `u8` codes plus its ascending distinct values. A node scans
 //!   it by building a per-code `(count, positives)` histogram over the
-//!   node's slots and walking the occupied codes in ascending order —
+//!   node's rows and walking the occupied codes in ascending order —
 //!   `O(n + occupied code range)`, not `O(256)`. A split never moves it.
 //!
-//! Besides the sorted orders, each tree keeps one node-slot list,
-//! partitioned stably like an order, so a node's slots stay ascending.
-//! Applying a split computes a per-slot goes-right mask once from the
-//! winning column, whichever kind it is, then partitions only the sorted
-//! orders and the slot list.
+//! # The row layout
 //!
-//! Only the Gini criterion bins. The GBDT's [`NewtonCriterion`] sums `f64`
+//! A tree is fitted on a multiset of dataset rows — a bootstrap draws rows
+//! with replacement, so only about `1 − 1/e` of its draws are distinct.
+//! `TreeScratch::sample` stores the sample as row weights (the
+//! scikit-learn recipe): a per-dataset-row `[multiplicity, positive
+//! multiplicity]`, the ascending list of distinct sampled rows, and each
+//! sorted column's order restricted to those rows. Scans read values and
+//! codes straight from the `PresortedDataset` by row and add
+//! multiplicities to their left-side counts; a split partitions only the
+//! distinct rows. A node is a segment `[lo, hi)` of the row list and of
+//! every sorted order, plus its weighted sample count, which the caller
+//! threads separately.
+//!
+//! The GBDT uses the same layout with unit multiplicities (its subsample
+//! draws without replacement). Its [`NewtonCriterion`] sums `f64`
 //! gradients, whose rounding depends on the order they are added in, so
-//! the GBDT runs on an all-sorted layout (`PresortedDataset::build_sorted`).
+//! the GBDT runs on an all-sorted layout (`PresortedDataset::build_sorted`)
+//! and adds them in `(value, row)` order.
 //!
 //! # Determinism and bit-identity
 //!
-//! Sorting uses `f32::total_cmp` with the row and slot ids as tie-breaks,
-//! so a node's per-feature sequence is a pure function of its member
-//! *set* — independent of insertion order, thread count, and of the path
-//! of partitions that produced the node. The Gini split a node picks is
-//! the naive re-sorting finder's, bit for bit:
+//! Sorting uses `f32::total_cmp` with the row id as tie-break, so a node's
+//! per-feature sequence is a pure function of its member *set* —
+//! independent of insertion order, thread count, and of the path of
+//! partitions that produced the node. The Gini split a node picks is the
+//! naive re-sorting finder's over one sample per draw, bit for bit:
 //!
+//! * Duplicates of a row share every value, so no candidate boundary falls
+//!   between them; adding a row's multiplicity at once reaches exactly the
+//!   `n_left`/`pos_left` the naive finder has at each boundary.
 //! * Gini gains are computed from integer counts — exactly the sums of
 //!   `1.0`s the naive finder accumulates.
 //! * Codes group values equal under `==`, as the sorted scan's boundary
@@ -63,6 +76,10 @@ pub(crate) const GAIN_EPS: f64 = 1e-12;
 
 /// Columns with at most this many distinct values are binned (`u8` codes).
 const MAX_BINS: usize = 256;
+
+/// The most draws one tree sample may hold: multiplicities, histogram
+/// counts and row ids are `u32`.
+pub(crate) const MAX_SAMPLE: usize = usize_from_u32(u32::MAX);
 
 /// Gini impurity of a node with `pos` positives out of `n`.
 #[inline]
@@ -104,7 +121,8 @@ pub struct SplitChoice {
     pub threshold: f32,
     /// Criterion gain of the split (impurity decrease / objective gain).
     pub gain: f64,
-    /// Number of the node's samples on the left side.
+    /// Number of the node's samples (draws, counted with multiplicity) on
+    /// the left side.
     pub split_at: usize,
 }
 
@@ -124,8 +142,9 @@ pub(crate) struct GiniSplit {
 pub trait SplitCriterion {
     /// Reset the left-side accumulators before scanning a new feature.
     fn begin_feature(&mut self);
-    /// Fold the sample in `slot` into the left side.
-    fn add_left(&mut self, slot: usize);
+    /// Fold sample `i` (an index into the criterion's statistics) into
+    /// the left side.
+    fn add_left(&mut self, i: usize);
     /// Gain of splitting with `n_left` samples on the left.
     fn gain(&self, n_left: usize) -> f64;
 }
@@ -134,6 +153,7 @@ pub trait SplitCriterion {
 /// impurity.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GiniNode {
+    size: usize,
     n: f64,
     n_pos: f64,
     impurity: f64,
@@ -142,8 +162,13 @@ pub(crate) struct GiniNode {
 impl GiniNode {
     /// A node of `n` samples, `n_pos` of them positive.
     pub(crate) fn new(n: usize, n_pos: usize) -> Self {
-        let (n, n_pos) = (f64_from_usize(n), f64_from_usize(n_pos));
-        GiniNode { n, n_pos, impurity: gini(n_pos, n) }
+        let (size, n, n_pos) = (n, f64_from_usize(n), f64_from_usize(n_pos));
+        GiniNode {
+            size,
+            n,
+            n_pos,
+            impurity: gini(n_pos, n),
+        }
     }
 
     /// Impurity decrease of a split with `n_left` samples, `pos_left` of
@@ -159,6 +184,28 @@ impl GiniNode {
         let weighted = (n_left * imp_left + n_right * imp_right) / self.n;
         self.impurity - weighted
     }
+
+    /// The best-so-far update at one candidate boundary, shared by the
+    /// sorted and binned scans: both sides must hold `min_leaf` samples,
+    /// the gain must clear [`GAIN_EPS`], and the earliest boundary wins
+    /// ties.
+    #[inline]
+    fn consider(
+        &self,
+        best: &mut Option<(f32, f64, usize, usize)>,
+        (n_left, pos_left): (usize, usize),
+        min_leaf: usize,
+        v_lo: f32,
+        v_hi: f32,
+    ) {
+        if n_left < min_leaf || self.size - n_left < min_leaf {
+            return;
+        }
+        let gain = self.gain(n_left, pos_left);
+        if gain > GAIN_EPS && best.is_none_or(|b| gain > b.1) {
+            *best = Some((split_threshold(v_lo, v_hi), gain, n_left, pos_left));
+        }
+    }
 }
 
 /// Gini impurity decrease for the classification tree, as a
@@ -171,7 +218,7 @@ pub struct GiniCriterion<'a> {
 
 impl<'a> GiniCriterion<'a> {
     /// Criterion for a node with `n` samples, `n_pos` positives, over
-    /// per-slot `labels`.
+    /// per-sample `labels`.
     pub fn new(labels: &'a [bool], n: usize, n_pos: usize) -> Self {
         GiniCriterion { labels, node: GiniNode::new(n, n_pos), pos_left: 0 }
     }
@@ -182,8 +229,8 @@ impl SplitCriterion for GiniCriterion<'_> {
         self.pos_left = 0;
     }
 
-    fn add_left(&mut self, slot: usize) {
-        self.pos_left += usize::from(self.labels[slot]);
+    fn add_left(&mut self, i: usize) {
+        self.pos_left += usize::from(self.labels[i]);
     }
 
     fn gain(&self, n_left: usize) -> f64 {
@@ -206,7 +253,7 @@ pub struct NewtonCriterion<'a> {
 
 impl<'a> NewtonCriterion<'a> {
     /// Criterion for a node with gradient/hessian totals `(g_tot, h_tot)`
-    /// over per-slot `grad`/`hess` statistics.
+    /// over per-sample `grad`/`hess` statistics.
     pub fn new(grad: &'a [f64], hess: &'a [f64], g_tot: f64, h_tot: f64, lambda: f64) -> Self {
         NewtonCriterion {
             grad,
@@ -227,9 +274,9 @@ impl SplitCriterion for NewtonCriterion<'_> {
         self.hl = 0.0;
     }
 
-    fn add_left(&mut self, slot: usize) {
-        self.gl += self.grad[slot];
-        self.hl += self.hess[slot];
+    fn add_left(&mut self, i: usize) {
+        self.gl += self.grad[i];
+        self.hl += self.hess[i];
     }
 
     fn gain(&self, _n_left: usize) -> f64 {
@@ -240,13 +287,15 @@ impl SplitCriterion for NewtonCriterion<'_> {
     }
 }
 
-/// Scans one pre-sorted node segment for the best split boundary.
+/// Scans one pre-sorted node segment of unit-weight samples for the best
+/// split boundary.
 ///
-/// `order` is the node's slots in ascending feature-value order; `values`
-/// is the full per-slot column for that feature. Candidates are the
-/// boundaries between distinct adjacent values whose sides both hold at
-/// least `min_leaf` samples. Ties in gain keep the earliest boundary, and
-/// gains must clear a small epsilon (`GAIN_EPS`). Returns `(threshold, gain, split_at)`.
+/// `order` is the node's samples in ascending feature-value order; `values`
+/// is the full column for that feature, indexed like `order`'s entries.
+/// Candidates are the boundaries between distinct adjacent values whose
+/// sides both hold at least `min_leaf` samples. Ties in gain keep the
+/// earliest boundary, and gains must clear a small epsilon (`GAIN_EPS`).
+/// Returns `(threshold, gain, split_at)`.
 pub fn scan_feature<C: SplitCriterion>(
     order: &[u32],
     values: &[f32],
@@ -260,9 +309,9 @@ pub fn scan_feature<C: SplitCriterion>(
     crit.begin_feature();
     let mut best: Option<(f32, f64, usize)> = None;
     for k in 0..n - 1 {
-        let slot = usize_from_u32(order[k]);
-        crit.add_left(slot);
-        let v_here = values[slot];
+        let i = usize_from_u32(order[k]);
+        crit.add_left(i);
+        let v_here = values[i];
         let v_next = values[usize_from_u32(order[k + 1])];
         if v_here == v_next {
             continue; // can only split between distinct values
@@ -279,65 +328,61 @@ pub fn scan_feature<C: SplitCriterion>(
     best
 }
 
-/// [`scan_feature`] specialised to the Gini tree: counts positives as an
-/// integer and also returns the winning boundary's `pos_left`.
+/// The Gini scan of a sorted column: walks the node's distinct rows in
+/// value order, adding each row's `[multiplicity, positives]` to the left
+/// side, and evaluates every boundary between distinct values. Returns
+/// `(threshold, gain, n_left, pos_left)`, counts weighted.
 fn scan_sorted_gini(
     order: &[u32],
     values: &[f32],
-    labels: &[bool],
+    weight: &[[u32; 2]],
     min_leaf: usize,
     node: GiniNode,
 ) -> Option<(f32, f64, usize, usize)> {
-    let n = order.len();
-    if n < 2 {
-        return None;
-    }
+    let (&first, rest) = order.split_first()?;
     let mut best: Option<(f32, f64, usize, usize)> = None;
-    let mut pos_left = 0usize;
-    for k in 0..n - 1 {
-        let slot = usize_from_u32(order[k]);
-        pos_left += usize::from(labels[slot]);
-        let v_here = values[slot];
-        let v_next = values[usize_from_u32(order[k + 1])];
-        if v_here == v_next {
-            continue; // can only split between distinct values
+    let [count, pos] = weight[usize_from_u32(first)];
+    let (mut n_left, mut pos_left) = (usize_from_u32(count), usize_from_u32(pos));
+    let mut v_prev = values[usize_from_u32(first)];
+    for &row in rest {
+        let row = usize_from_u32(row);
+        let v = values[row];
+        // Only a boundary between distinct values is a candidate.
+        if v != v_prev {
+            node.consider(&mut best, (n_left, pos_left), min_leaf, v_prev, v);
+            v_prev = v;
         }
-        let n_left = k + 1;
-        if n_left < min_leaf || n - n_left < min_leaf {
-            continue;
-        }
-        let gain = node.gain(n_left, pos_left);
-        if gain > GAIN_EPS && best.map_or(true, |b| gain > b.1) {
-            best = Some((split_threshold(v_here, v_next), gain, n_left, pos_left));
-        }
+        let [count, pos] = weight[row];
+        n_left += usize_from_u32(count);
+        pos_left += usize_from_u32(pos);
     }
     best
 }
 
 /// The binned counterpart of [`scan_sorted_gini`]: histograms the node's
-/// `slots` by code into `hist` (all zero on entry and on return), then
-/// walks the occupied codes in ascending order, evaluating the boundary
-/// between each pair of adjacent occupied codes.
+/// `rows` by code into `hist` (all zero on entry and on return), adding
+/// multiplicities, then walks the occupied codes in ascending order,
+/// evaluating the boundary between each pair of adjacent occupied codes.
 fn scan_binned_gini(
-    slots: &[u32],
+    rows: &[u32],
     codes: &[u8],
     bins: &[f32],
-    labels: &[bool],
+    weight: &[[u32; 2]],
     min_leaf: usize,
     node: GiniNode,
     hist: &mut [[u32; 2]],
 ) -> Option<(f32, f64, usize, usize)> {
-    let n = slots.len();
-    if n < 2 {
+    if rows.len() < 2 {
         return None;
     }
     let (mut c_min, mut c_max) = (u8::MAX, 0u8);
-    for &s in slots {
-        let s = usize_from_u32(s);
-        let c = codes[s];
+    for &row in rows {
+        let row = usize_from_u32(row);
+        let c = codes[row];
+        let [count, pos] = weight[row];
         let h = &mut hist[usize::from(c)];
-        h[0] += 1;
-        h[1] += u32::from(labels[s]);
+        h[0] += count;
+        h[1] += pos;
         c_min = c_min.min(c);
         c_max = c_max.max(c);
     }
@@ -350,12 +395,7 @@ fn scan_binned_gini(
             continue;
         }
         if let Some(p) = prev {
-            if n_left >= min_leaf && n - n_left >= min_leaf {
-                let gain = node.gain(n_left, pos_left);
-                if gain > GAIN_EPS && best.map_or(true, |b| gain > b.1) {
-                    best = Some((split_threshold(bins[p], bins[c]), gain, n_left, pos_left));
-                }
-            }
+            node.consider(&mut best, (n_left, pos_left), min_leaf, bins[p], bins[c]);
         }
         n_left += usize_from_u32(count);
         pos_left += usize_from_u32(pos);
@@ -365,8 +405,7 @@ fn scan_binned_gini(
 }
 
 /// Where a feature column lives: its index among the sorted or among the
-/// binned columns of a [`PresortedDataset`] (and of the per-tree
-/// [`PresortedColumns`] derived from it).
+/// binned columns of a [`PresortedDataset`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Column {
     Sorted(usize),
@@ -423,12 +462,12 @@ fn distinct_keys(col: &[f32], max: usize) -> Option<Vec<f32>> {
 /// Fully-sorted or binned feature columns over an entire dataset, built
 /// **once per ensemble fit** and shared (immutably) by every tree.
 ///
-/// A bootstrap resample is a multiset of dataset rows, so each tree's
-/// per-slot sorted order can be *derived* from the full-data order by one
-/// linear merge — `O(N + n)` per sorted column and tree instead of
-/// `O(n log n)`. Binned columns need no order at all: a tree gathers their
-/// codes per slot.
-pub struct PresortedDataset {
+/// A tree's sample is a set of dataset rows with multiplicities, so its
+/// sorted orders are *filtered* out of the full-data orders by one linear
+/// pass — `O(N)` per sorted column and tree instead of `O(n log n)`.
+/// Binned columns need no order at all. Scans read values and codes from
+/// here by dataset row.
+pub(crate) struct PresortedDataset {
     n_rows: usize,
     /// Per feature, where its column lives.
     columns: Vec<Column>,
@@ -447,7 +486,7 @@ impl PresortedDataset {
     /// The Gini tree's layout: columns with at most 256 distinct values
     /// are binned, every other column is sorted — the only `O(N log N)`
     /// work an ensemble fit performs.
-    pub fn build(data: &Dataset) -> Self {
+    pub(crate) fn build(data: &Dataset) -> Self {
         Self::build_with(data, MAX_BINS)
     }
 
@@ -496,168 +535,176 @@ impl PresortedDataset {
         pre
     }
 
-    /// Number of dataset rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
+    /// Number of feature columns.
+    pub(crate) fn n_features(&self) -> usize {
+        self.columns.len()
     }
 
     fn n_sorted(&self) -> usize {
         self.columns.len() - self.bins.len()
     }
+
+    /// Sorted column `k`'s values by dataset row.
+    #[inline]
+    pub(crate) fn values_of(&self, k: usize) -> &[f32] {
+        &self.values[k * self.n_rows..(k + 1) * self.n_rows]
+    }
+
+    /// Binned column `b`'s codes by dataset row.
+    #[inline]
+    fn codes_of(&self, b: usize) -> &[u8] {
+        &self.codes[b * self.n_rows..(b + 1) * self.n_rows]
+    }
 }
 
-/// Per-tree columns over one training sample, derived from a
-/// [`PresortedDataset`].
+/// The per-tree row layout over a [`PresortedDataset`], plus the scan and
+/// partition scratch, reused across fits.
 ///
-/// "Slots" are positions `0..n` into the index list a tree is fitted on
-/// (bootstrap draws may repeat dataset rows; slots are always unique).
-/// Node segmentation is shared: a node owns `[lo, hi)` of every sorted
-/// column's order and of the slot list simultaneously.
-pub(crate) struct PresortedColumns {
-    n_slots: usize,
-    /// Sorted columns' values by slot: `values[k * n_slots + slot]`.
-    values: Vec<f32>,
-    /// Sorted columns' orders: `order[k * n_slots + i]` is the slot with
-    /// the i-th smallest value of sorted column `k` within its node
-    /// segment.
+/// [`sample`](Self::sample) lays out one tree's sample as per-row weights,
+/// the distinct sampled rows and each sorted column's order over them.
+/// Node segmentation is shared: a node owns `[lo, hi)` of the row list and
+/// of every sorted order simultaneously. One instance serves any number of
+/// *sequential* fits; the forest threads one through each parallel worker
+/// so growing a node allocates nothing.
+pub(crate) struct TreeScratch {
+    /// Per dataset row: `[multiplicity, positive multiplicity]` in the
+    /// sample (zero for unsampled rows).
+    weight: Vec<[u32; 2]>,
+    /// The distinct sampled rows, ascending within each node segment.
+    rows: Vec<u32>,
+    /// Sorted columns' orders over the distinct sampled rows:
+    /// `order[k * rows.len() + i]` is the row with the i-th smallest value
+    /// of sorted column `k` within its node segment.
     order: Vec<u32>,
-    /// Binned columns' codes by slot: `codes[b * n_slots + slot]`.
-    codes: Vec<u8>,
-    /// Every slot, ascending within each node segment.
-    slots: Vec<u32>,
-    /// Goes-right mask by slot, written for a node's slots when a split is
-    /// applied to it.
+    /// Goes-right mask by dataset row, written for a node's rows when a
+    /// split is applied to it.
     right: Vec<u8>,
     /// Right-side spill buffer for the stable partition.
     tmp: Vec<u32>,
-    /// CSR row→slot offsets for [`build_from`](Self::build_from).
-    row_offsets: Vec<u32>,
-    /// CSR row→slot buckets for [`build_from`](Self::build_from).
-    row_slots: Vec<u32>,
+    /// Per-code `(count, positives)` for binned scans; all zero between
+    /// scans.
+    hist: Vec<[u32; 2]>,
 }
 
-impl PresortedColumns {
-    fn new() -> Self {
-        PresortedColumns {
-            n_slots: 0,
-            values: Vec::new(),
+impl TreeScratch {
+    /// An empty scratch; buffers grow on first fit and are then reused.
+    pub(crate) fn new() -> Self {
+        TreeScratch {
+            weight: Vec::new(),
+            rows: Vec::new(),
             order: Vec::new(),
-            codes: Vec::new(),
-            slots: Vec::new(),
             right: Vec::new(),
             tmp: Vec::new(),
-            row_offsets: Vec::new(),
-            row_slots: Vec::new(),
+            hist: vec![[0; 2]; MAX_BINS],
         }
     }
 
-    /// Derives the per-slot columns for the sample `indices` from `pre`
-    /// without sorting: slots are bucketed by dataset row (CSR layout in
-    /// `row_offsets`/`row_slots`), then each sorted column's full order is
-    /// walked once, emitting every sampled row's slots in place. Binned
-    /// codes are gathered by slot.
-    ///
-    /// Derived orders are sorted by `(value, row, slot)`. Within a run of
-    /// equal values this may differ from a `(value, slot)` sort, which is
-    /// unobservable to the Gini scan (boundaries only exist between
-    /// *distinct* values and positives are counted exactly), and the
-    /// stable partition preserves whichever canonical order the tree
-    /// started with.
-    fn build_from(&mut self, pre: &PresortedDataset, indices: &[usize]) {
-        let n = indices.len();
+    /// Lays out the sample of dataset rows `draws` (repeats allowed, at
+    /// most [`MAX_SAMPLE`] of them) without sorting: counts each row's
+    /// multiplicity and positives, lists the distinct rows ascending, and
+    /// filters every sorted column's full order down to them. Returns the
+    /// sample's `(size, positives)`, counted with multiplicity.
+    pub(crate) fn sample(
+        &mut self,
+        pre: &PresortedDataset,
+        data: &Dataset,
+        draws: impl IntoIterator<Item = usize>,
+    ) -> (usize, usize) {
         let big_n = pre.n_rows;
-        let n_sorted = pre.n_sorted();
-        self.n_slots = n;
-        let (offsets, slot_list) = (&mut self.row_offsets, &mut self.row_slots);
+        self.weight.clear();
+        self.weight.resize(big_n, [0; 2]);
+        let (mut n, mut n_pos) = (0usize, 0usize);
+        for row in draws {
+            let label = data.label(row);
+            let w = &mut self.weight[row];
+            w[0] += 1;
+            w[1] += u32::from(label);
+            n += 1;
+            n_pos += usize::from(label);
+        }
+        debug_assert!(
+            n <= MAX_SAMPLE,
+            "a sample of {n} draws overflows the u32 weights"
+        );
 
-        // CSR bucket: slots of dataset row r live at
-        // slot_list[offsets[r]..offsets[r + 1]], ascending.
-        offsets.clear();
-        offsets.resize(big_n + 1, 0);
-        for &row in indices {
-            offsets[row + 1] += 1;
-        }
-        for r in 0..big_n {
-            offsets[r + 1] += offsets[r];
-        }
-        slot_list.clear();
-        slot_list.resize(n, 0);
-        // Temporarily advance offsets[r] past each written slot; walking
-        // slots in ascending order keeps each bucket sorted.
-        for (slot, &row) in indices.iter().enumerate() {
-            slot_list[usize_from_u32(offsets[row])] = u32_from_usize(slot);
-            offsets[row] += 1;
-        }
-        // Shift back: offsets[r] overshot to the end of bucket r.
-        for r in (1..=big_n).rev() {
-            offsets[r] = offsets[r - 1];
-        }
-        offsets[0] = 0;
-
-        self.values.clear();
-        self.values.resize(n_sorted * n, 0.0);
+        let weight = &self.weight;
+        self.rows.clear();
+        self.rows
+            .extend((0..u32_from_usize(big_n)).filter(|&r| weight[usize_from_u32(r)][0] > 0));
         self.order.clear();
-        self.order.resize(n_sorted * n, 0);
-        for k in 0..n_sorted {
-            let src = &pre.values[k * big_n..(k + 1) * big_n];
-            let dst = &mut self.values[k * n..(k + 1) * n];
-            for (slot, &row) in indices.iter().enumerate() {
-                dst[slot] = src[row];
-            }
-            let ord = &mut self.order[k * n..(k + 1) * n];
-            let mut i = 0usize;
-            for &row in &pre.order[k * big_n..(k + 1) * big_n] {
-                let row = usize_from_u32(row);
-                let (s, e) = (usize_from_u32(offsets[row]), usize_from_u32(offsets[row + 1]));
-                ord[i..i + (e - s)].copy_from_slice(&slot_list[s..e]);
-                i += e - s;
-            }
-            debug_assert_eq!(i, n);
+        for k in 0..pre.n_sorted() {
+            let full = &pre.order[k * big_n..(k + 1) * big_n];
+            self.order
+                .extend(full.iter().filter(|&&r| weight[usize_from_u32(r)][0] > 0));
         }
-
-        self.codes.clear();
-        self.codes.resize(pre.bins.len() * n, 0);
-        for (b, dst) in self.codes.chunks_exact_mut(n.max(1)).enumerate() {
-            let src = &pre.codes[b * big_n..(b + 1) * big_n];
-            for (slot, &row) in indices.iter().enumerate() {
-                dst[slot] = src[row];
-            }
-        }
-
-        self.slots.clear();
-        self.slots.extend(0..u32_from_usize(n));
         self.right.clear();
-        self.right.resize(n, 0);
+        self.right.resize(big_n, 0);
+        (n, n_pos)
+    }
+
+    /// Number of distinct rows in the current sample.
+    pub(crate) fn n_distinct(&self) -> usize {
+        self.rows.len()
     }
 
     /// The node segment `[lo, hi)` of sorted column `k`'s order.
     #[inline]
     pub(crate) fn order_segment(&self, k: usize, lo: usize, hi: usize) -> &[u32] {
-        let base = k * self.n_slots;
+        let base = k * self.rows.len();
         &self.order[base + lo..base + hi]
     }
 
-    /// Sorted column `k`'s full per-slot values.
-    #[inline]
-    pub(crate) fn values_of(&self, k: usize) -> &[f32] {
-        &self.values[k * self.n_slots..(k + 1) * self.n_slots]
+    /// Scans feature `f` over the node `[lo, hi)` for its best Gini split,
+    /// through whichever kind of column `pre` stores it as. `node` holds
+    /// the node's weighted totals.
+    pub(crate) fn scan_gini(
+        &mut self,
+        pre: &PresortedDataset,
+        f: u16,
+        lo: usize,
+        hi: usize,
+        min_leaf: usize,
+        node: GiniNode,
+    ) -> Option<GiniSplit> {
+        let found = match pre.columns[usize::from(f)] {
+            Column::Sorted(k) => scan_sorted_gini(
+                self.order_segment(k, lo, hi),
+                pre.values_of(k),
+                &self.weight,
+                min_leaf,
+                node,
+            ),
+            Column::Binned(b) => scan_binned_gini(
+                &self.rows[lo..hi],
+                pre.codes_of(b),
+                &pre.bins[b],
+                &self.weight,
+                min_leaf,
+                node,
+                &mut self.hist,
+            ),
+        };
+        found.map(|(threshold, gain, split_at, pos_left)| GiniSplit {
+            choice: SplitChoice {
+                feature: f,
+                threshold,
+                gain,
+                split_at,
+            },
+            pos_left,
+        })
     }
 
-    /// Binned column `b`'s full per-slot codes.
-    #[inline]
-    fn codes_of(&self, b: usize) -> &[u8] {
-        &self.codes[b * self.n_slots..(b + 1) * self.n_slots]
-    }
-
-    /// Applies a chosen split to node `[lo, hi)`: marks each of the node's
-    /// slots whose `feature` value exceeds `threshold` as going right, then
-    /// stably partitions the slot list and every sorted order segment so
-    /// the `split_at` left-going slots occupy `[lo, lo + split_at)` — still
-    /// in order — and the rest `[lo + split_at, hi)`.
+    /// Applies a split to the node `[lo, hi)`: marks each of its rows whose
+    /// `feature` value exceeds `threshold` as going right, then stably
+    /// partitions the row list and every sorted order segment so the
+    /// left-going rows occupy `[lo, lo + left)` — still in order — and the
+    /// rest `[lo + left, hi)`. Returns `left`, the left child's number of
+    /// distinct rows.
     ///
     /// A sorted winner's own order is already partitioned (its left block
-    /// *is* its first `split_at` positions) and is skipped; a binned
-    /// column is never moved.
+    /// *is* its first `left` positions) and is skipped; a binned column is
+    /// never moved.
     pub(crate) fn apply_split(
         &mut self,
         pre: &PresortedDataset,
@@ -665,45 +712,56 @@ impl PresortedColumns {
         hi: usize,
         feature: u16,
         threshold: f32,
-        split_at: usize,
-    ) {
-        debug_assert!(lo + split_at < hi && split_at > 0);
-        let n = self.n_slots;
+    ) -> usize {
         let winner = pre.columns[usize::from(feature)];
-        let node = &self.slots[lo..hi];
+        let node = &self.rows[lo..hi];
+        let mut n_right = 0usize;
         match winner {
             Column::Sorted(k) => {
-                let vals = &self.values[k * n..(k + 1) * n];
-                for &s in node {
-                    let s = usize_from_u32(s);
-                    self.right[s] = u8::from(vals[s] > threshold);
+                let vals = pre.values_of(k);
+                for &row in node {
+                    let row = usize_from_u32(row);
+                    let r = u8::from(vals[row] > threshold);
+                    self.right[row] = r;
+                    n_right += usize::from(r);
                 }
             }
             Column::Binned(b) => {
                 // Codes at or above `cut` stand for values above the
                 // threshold.
                 let cut = pre.bins[b].partition_point(|&v| v <= threshold);
-                let codes = &self.codes[b * n..(b + 1) * n];
-                for &s in node {
-                    let s = usize_from_u32(s);
-                    self.right[s] = u8::from(usize::from(codes[s]) >= cut);
+                let codes = pre.codes_of(b);
+                for &row in node {
+                    let row = usize_from_u32(row);
+                    let r = u8::from(usize::from(codes[row]) >= cut);
+                    self.right[row] = r;
+                    n_right += usize::from(r);
                 }
             }
         }
+        let left = hi - lo - n_right;
+        debug_assert!(left > 0 && n_right > 0);
         let tmp = &mut self.tmp;
         tmp.resize(hi - lo, 0);
-        partition(&mut self.slots[lo..hi], &self.right, split_at, tmp);
+        partition(&mut self.rows[lo..hi], &self.right, left, tmp);
+        let n_rows = self.rows.len();
         for k in 0..pre.n_sorted() {
             if winner == Column::Sorted(k) {
                 continue;
             }
-            let base = k * n;
-            partition(&mut self.order[base + lo..base + hi], &self.right, split_at, tmp);
+            let base = k * n_rows;
+            partition(
+                &mut self.order[base + lo..base + hi],
+                &self.right,
+                left,
+                tmp,
+            );
         }
+        left
     }
 }
 
-/// Stably moves the slots of `seg` not marked in `right` to its front
+/// Stably moves the rows of `seg` not marked in `right` to its front
 /// (there are `n_left` of them) and the marked ones behind.
 #[inline]
 fn partition(seg: &mut [u32], right: &[u8], n_left: usize, tmp: &mut [u32]) {
@@ -724,120 +782,13 @@ fn partition(seg: &mut [u32], right: &[u8], n_left: usize, tmp: &mut [u32]) {
     seg[wl..].copy_from_slice(&tmp[..wr]);
 }
 
-/// Reusable tree-training scratch: per-tree columns, partition buffers,
-/// per-slot statistics and the binned-scan histogram, sized on first use
-/// and recycled across fits.
-///
-/// One instance serves any number of *sequential* tree fits; the forest
-/// threads one through each parallel worker so growing a node allocates
-/// nothing.
-pub struct TreeScratch {
-    pub(crate) cols: PresortedColumns,
-    /// Per-slot labels (classification tree).
-    labels: Vec<bool>,
-    /// Per-slot gradients (GBDT).
-    pub(crate) grad: Vec<f64>,
-    /// Per-slot hessians (GBDT).
-    pub(crate) hess: Vec<f64>,
-    /// Per-code `(count, positives)` for binned scans; all zero between
-    /// scans.
-    hist: Vec<[u32; 2]>,
-}
-
-impl TreeScratch {
-    /// An empty scratch; buffers grow on first fit and are then reused.
-    pub fn new() -> Self {
-        TreeScratch {
-            cols: PresortedColumns::new(),
-            labels: Vec::new(),
-            grad: Vec::new(),
-            hess: Vec::new(),
-            hist: vec![[0; 2]; MAX_BINS],
-        }
-    }
-
-    /// Derives the columns for a classification-tree fit on `indices` from
-    /// `pre` and gathers per-slot labels. Returns the number of positive
-    /// slots.
-    pub(crate) fn prepare_gini_from(
-        &mut self,
-        pre: &PresortedDataset,
-        data: &Dataset,
-        indices: &[usize],
-    ) -> usize {
-        self.cols.build_from(pre, indices);
-        self.labels.clear();
-        self.labels.extend(indices.iter().map(|&i| data.label(i)));
-        self.labels.iter().filter(|&&l| l).count()
-    }
-
-    /// Derives the columns for a GBDT round from an all-sorted `pre` (the
-    /// data, and hence the full-column sort, never changes across rounds)
-    /// and gathers per-slot gradient statistics. `grad`/`hess` are indexed
-    /// by dataset row.
-    pub(crate) fn prepare_newton_from(
-        &mut self,
-        pre: &PresortedDataset,
-        indices: &[usize],
-        grad: &[f64],
-        hess: &[f64],
-    ) {
-        debug_assert!(pre.bins.is_empty(), "the Newton scan needs every column sorted");
-        self.cols.build_from(pre, indices);
-        self.grad.clear();
-        self.grad.extend(indices.iter().map(|&i| grad[i]));
-        self.hess.clear();
-        self.hess.extend(indices.iter().map(|&i| hess[i]));
-    }
-
-    /// Scans feature `f` over node `[lo, hi)` for its best Gini split,
-    /// through whichever kind of column `pre` stores it as.
-    pub(crate) fn scan_gini(
-        &mut self,
-        pre: &PresortedDataset,
-        f: u16,
-        lo: usize,
-        hi: usize,
-        min_leaf: usize,
-        node: GiniNode,
-    ) -> Option<GiniSplit> {
-        let found = match pre.columns[usize::from(f)] {
-            Column::Sorted(k) => scan_sorted_gini(
-                self.cols.order_segment(k, lo, hi),
-                self.cols.values_of(k),
-                &self.labels,
-                min_leaf,
-                node,
-            ),
-            Column::Binned(b) => scan_binned_gini(
-                &self.cols.slots[lo..hi],
-                self.cols.codes_of(b),
-                &pre.bins[b],
-                &self.labels,
-                min_leaf,
-                node,
-                &mut self.hist,
-            ),
-        };
-        found.map(|(threshold, gain, split_at, pos_left)| GiniSplit {
-            choice: SplitChoice { feature: f, threshold, gain, split_at },
-            pos_left,
-        })
-    }
-}
-
-impl Default for TreeScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The naive per-node split finder the tree used before the pre-sorted
 /// kernel, retained as a test reference: per feature it copies the node's
-/// slots, sorts them by `(value, slot)`, and scans — `O(d · n log n)` for
-/// a single call. `indices` lists dataset rows; slots are positions into
-/// it. Semantics (candidate boundaries, `min_leaf`, tie handling,
-/// threshold clamp, gain epsilon) match the production kernel exactly.
+/// samples, sorts them by `(value, position)`, and scans —
+/// `O(d · n log n)` for a single call. `indices` lists dataset rows, one
+/// sample per entry. Semantics (candidate boundaries, `min_leaf`, tie
+/// handling, threshold clamp, gain epsilon) match the production kernel
+/// exactly.
 pub fn reference_best_split_gini(
     data: &Dataset,
     indices: &[usize],
@@ -850,8 +801,8 @@ pub fn reference_best_split_gini(
 }
 
 /// Naive reference for the GBDT's Newton-objective split finder; see
-/// [`reference_best_split_gini`]. `grad`/`hess` are per-*slot* statistics
-/// (parallel to `indices`); totals are summed in slot order.
+/// [`reference_best_split_gini`]. `grad`/`hess` are per-sample statistics
+/// (parallel to `indices`); totals are summed in sample order.
 pub fn reference_best_split_newton(
     data: &Dataset,
     indices: &[usize],
@@ -889,7 +840,7 @@ fn reference_scan<C: SplitCriterion>(
     best
 }
 
-/// Slots `0..vals.len()` sorted by `(value, slot)`.
+/// Positions `0..vals.len()` sorted by `(value, position)`.
 fn naive_order(vals: &[f32]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..u32_from_usize(vals.len())).collect();
     order.sort_unstable_by(|&a, &b| {
@@ -928,11 +879,12 @@ fn root_split_gini(
     min_leaf: usize,
 ) -> Option<SplitChoice> {
     let mut scratch = TreeScratch::new();
-    let n_pos = scratch.prepare_gini_from(pre, data, indices);
-    let node = GiniNode::new(indices.len(), n_pos);
+    let (n, n_pos) = scratch.sample(pre, data, indices.iter().copied());
+    let node = GiniNode::new(n, n_pos);
+    let rows = scratch.n_distinct();
     let mut best: Option<SplitChoice> = None;
     for f in 0..u16_from_usize(data.n_features()) {
-        if let Some(s) = scratch.scan_gini(pre, f, 0, indices.len(), min_leaf, node) {
+        if let Some(s) = scratch.scan_gini(pre, f, 0, rows, min_leaf, node) {
             if best.map_or(true, |b| s.choice.gain > b.gain) {
                 best = Some(s.choice);
             }
@@ -943,8 +895,9 @@ fn root_split_gini(
 
 /// Pre-sorted counterpart of [`reference_best_split_newton`], on the
 /// GBDT's all-sorted layout. The sample is materialised as its own dataset
-/// so that dataset rows are slots: ties then keep the reference's
-/// `(value, slot)` order, on which the `f64` gradient sums depend.
+/// so that every sample is a distinct row of unit weight, as in a GBDT
+/// round: ties then keep the reference's `(value, position)` order, on
+/// which the `f64` gradient sums depend.
 pub fn presorted_best_split_newton(
     data: &Dataset,
     indices: &[usize],
@@ -954,19 +907,18 @@ pub fn presorted_best_split_newton(
     min_leaf: usize,
 ) -> Option<SplitChoice> {
     let sample = data.select(indices);
-    let slots: Vec<usize> = (0..indices.len()).collect();
+    let pre = PresortedDataset::build_sorted(&sample);
     let mut scratch = TreeScratch::new();
-    scratch.cols.build_from(&PresortedDataset::build_sorted(&sample), &slots);
+    let (n, _) = scratch.sample(&pre, &sample, 0..indices.len());
     let g_tot: f64 = grad.iter().sum();
     let h_tot: f64 = hess.iter().sum();
     let mut crit = NewtonCriterion::new(grad, hess, g_tot, h_tot, lambda);
     let mut best: Option<SplitChoice> = None;
     for f in 0..data.n_features() {
-        let order = scratch.cols.order_segment(f, 0, indices.len());
-        let values = scratch.cols.values_of(f);
-        let found = scan_feature(order, values, min_leaf, &mut crit);
+        let order = scratch.order_segment(f, 0, n);
+        let found = scan_feature(order, pre.values_of(f), min_leaf, &mut crit);
         if let Some((threshold, gain, split_at)) = found {
-            if best.map_or(true, |b| gain > b.gain) {
+            if best.is_none_or(|b| gain > b.gain) {
                 let feature = u16_from_usize(f);
                 best = Some(SplitChoice { feature, threshold, gain, split_at });
             }
@@ -1046,24 +998,26 @@ mod tests {
         let indices: Vec<usize> = (0..d.n_rows()).collect();
         for pre in [PresortedDataset::build_sorted(&d), PresortedDataset::build(&d)] {
             let mut scratch = TreeScratch::new();
-            scratch.prepare_gini_from(&pre, &d, &indices);
-            scratch.cols.apply_split(&pre, 0, 8, 0, 0.4, 4);
-            let cols = &scratch.cols;
+            scratch.sample(&pre, &d, indices.iter().copied());
+            assert_eq!(scratch.apply_split(&pre, 0, 8, 0, 0.4), 4);
             for k in 0..pre.n_sorted() {
-                let vals = cols.values_of(k);
-                for seg in [cols.order_segment(k, 0, 4), cols.order_segment(k, 4, 8)] {
+                let vals = pre.values_of(k);
+                for seg in [
+                    scratch.order_segment(k, 0, 4),
+                    scratch.order_segment(k, 4, 8),
+                ] {
                     for w in seg.windows(2) {
                         let (a, b) = (w[0] as usize, w[1] as usize);
                         assert!(vals[a] < vals[b] || (vals[a] == vals[b] && a < b));
                     }
                 }
-                // The left block holds exactly the low-x slots 0..4.
-                let mut left = cols.order_segment(k, 0, 4).to_vec();
+                // The left block holds exactly the low-x rows 0..4.
+                let mut left = scratch.order_segment(k, 0, 4).to_vec();
                 left.sort_unstable();
                 assert_eq!(left, vec![0, 1, 2, 3]);
             }
-            // The slot list stays ascending within each child.
-            assert_eq!(cols.slots, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+            // The row list stays ascending within each child.
+            assert_eq!(scratch.rows, vec![0, 1, 2, 3, 4, 5, 6, 7]);
         }
     }
 
@@ -1078,16 +1032,20 @@ mod tests {
         }
         let pre = PresortedDataset::build(&d);
         assert_eq!(pre.columns, vec![Column::Binned(0), Column::Sorted(0)]);
-        let indices: Vec<usize> = (0..d.n_rows()).collect();
         let mut scratch = TreeScratch::new();
-        let n_pos = scratch.prepare_gini_from(&pre, &d, &indices);
-        let s = scratch.scan_gini(&pre, 0, 0, 300, 1, GiniNode::new(300, n_pos)).expect("split");
+        let (n, n_pos) = scratch.sample(&pre, &d, 0..d.n_rows());
+        let s = scratch
+            .scan_gini(&pre, 0, 0, 300, 1, GiniNode::new(n, n_pos))
+            .expect("split");
         assert_eq!((s.choice.split_at, s.pos_left), (100, 0));
-        scratch.cols.apply_split(&pre, 0, 300, 0, s.choice.threshold, s.choice.split_at);
+        assert_eq!(
+            scratch.apply_split(&pre, 0, 300, 0, s.choice.threshold),
+            100
+        );
         let left: Vec<u32> = (0..300).filter(|&i| d.row(i as usize)[0] == 0.0).collect();
-        assert_eq!(scratch.cols.slots[..100], left[..]);
-        let seg = scratch.cols.order_segment(0, 0, 100);
-        let vals = scratch.cols.values_of(0);
+        assert_eq!(scratch.rows[..100], left[..]);
+        let seg = scratch.order_segment(0, 0, 100);
+        let vals = pre.values_of(0);
         assert!(seg.windows(2).all(|w| vals[w[0] as usize] < vals[w[1] as usize]));
         let mut seg = seg.to_vec();
         seg.sort_unstable();
@@ -1106,36 +1064,33 @@ mod tests {
     }
 
     #[test]
-    fn derived_orders_match_per_sample_sort() {
-        // Derived orders equal a naive per-sample sort keyed by
-        // (value, row, slot); with identity indices that key collapses to
-        // the reference finder's (value, slot).
+    fn sample_counts_multiplicities_and_filters_orders() {
+        // Weights count draws per row; the row list and every sorted order
+        // hold each sampled row once, orders by (value, row).
         let d = two_feature_data();
         let pre = PresortedDataset::build_sorted(&d);
         let mut scratch = TreeScratch::new();
-        let identity: Vec<usize> = (0..d.n_rows()).collect();
-        let boot = vec![3usize, 0, 3, 5, 1, 1, 7];
-        for indices in [identity, boot] {
-            scratch.cols.build_from(&pre, &indices);
-            for f in 0..2 {
-                let vals: Vec<f32> = indices.iter().map(|&i| d.row(i)[f]).collect();
-                assert_eq!(scratch.cols.values_of(f), &vals[..]);
-                let mut want: Vec<u32> = (0..indices.len() as u32).collect();
-                want.sort_by(|&a, &b| {
-                    let (a, b) = (a as usize, b as usize);
-                    vals[a].total_cmp(&vals[b]).then((indices[a], a).cmp(&(indices[b], b)))
-                });
-                assert_eq!(scratch.cols.order_segment(f, 0, indices.len()), &want[..]);
-                if indices.len() == d.n_rows() {
-                    assert_eq!(want, naive_order(&vals));
-                }
-            }
+        let boot = [3usize, 0, 3, 5, 1, 1, 7, 3];
+        assert_eq!(scratch.sample(&pre, &d, boot), (8, 2));
+        assert_eq!(scratch.rows, vec![0, 1, 3, 5, 7]);
+        let weights: Vec<[u32; 2]> = [0, 1, 3, 5, 7].map(|r| scratch.weight[r]).to_vec();
+        assert_eq!(weights, vec![[1, 0], [2, 0], [3, 0], [1, 1], [1, 1]]);
+        assert_eq!(scratch.weight[2], [0, 0]);
+        for k in 0..2 {
+            let vals = pre.values_of(k);
+            let mut want = scratch.rows.clone();
+            want.sort_by(|&a, &b| {
+                vals[a as usize]
+                    .total_cmp(&vals[b as usize])
+                    .then(a.cmp(&b))
+            });
+            assert_eq!(scratch.order_segment(k, 0, 5), &want[..]);
         }
     }
 
     #[test]
-    fn duplicate_indices_are_distinct_slots() {
-        // Bootstrap draws repeat rows; each draw must be its own slot.
+    fn duplicate_draws_count_with_multiplicity() {
+        // Bootstrap draws repeat rows; each draw is one sample.
         let d = two_feature_data();
         let indices = vec![0usize, 0, 0, 7, 7, 7];
         let reference = reference_best_split_gini(&d, &indices, 1).unwrap();
@@ -1146,5 +1101,8 @@ mod tests {
             assert_eq!(got.split_at, 3);
             assert_eq!(got, reference);
         }
+        // With every draw on one side of a min_leaf of 4, no split exists.
+        assert_eq!(binned_best_split_gini(&d, &indices, 4), None);
+        assert_eq!(reference_best_split_gini(&d, &indices, 4), None);
     }
 }

@@ -4,10 +4,17 @@
 //! The tree is the paper's second-best single model (Table 6) and the
 //! building block of its best one, the random forest. Importances use the
 //! same MDI construction the paper interprets in Figure 16.
+//!
+//! Growth runs on [`crate::split_kernel`]'s row layout: the sample is a
+//! set of distinct dataset rows with multiplicities, a node is a segment
+//! of those rows plus its weighted sample count, and every count the tree
+//! reads — leaf probabilities, `min_samples_*`, MDI node mass — is
+//! weighted. A row listed k times in `fit_on` grows the same tree as k
+//! copies of it.
 
 use crate::classifier::{Classifier, Trainer};
 use crate::dataset::Dataset;
-use crate::split_kernel::{GiniNode, GiniSplit, PresortedDataset, TreeScratch};
+use crate::split_kernel::{GiniNode, GiniSplit, PresortedDataset, TreeScratch, MAX_SAMPLE};
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{
     f32_from_usize, f64_from_usize, u16_from_usize, u32_from_usize, u64_from_usize,
@@ -87,12 +94,13 @@ pub struct DecisionTree {
     n_features: usize,
 }
 
-/// Grows one tree over the per-tree columns in a [`TreeScratch`].
+/// Grows one tree over the row layout in a [`TreeScratch`].
 ///
-/// Nodes are segments `[lo, hi)` of the shared sorted orders and slot
-/// list; the positive count is threaded down the recursion (computed once
-/// at the root, split counts taken from the winning scan) so no node ever
-/// re-counts labels.
+/// A node is a segment `[lo, hi)` of the distinct sampled rows (and of
+/// every sorted order) plus its sample count `n`, weighted by the rows'
+/// multiplicities. Counts are threaded down the recursion (totals from
+/// [`TreeScratch::sample`], split counts from the winning scan) so no node
+/// ever re-counts labels.
 struct Builder<'a> {
     config: &'a TreeConfig,
     pre: &'a PresortedDataset,
@@ -107,13 +115,13 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    /// Recursively grows the subtree over slots `[lo, hi)` holding `pos`
-    /// positives; returns its node id.
-    fn build(&mut self, lo: usize, hi: usize, pos: usize, depth: usize) -> u32 {
-        let n = hi - lo;
+    /// Recursively grows the subtree over rows `[lo, hi)` holding `n`
+    /// samples, `pos` of them positive; returns its node id.
+    fn build(&mut self, lo: usize, hi: usize, n: usize, pos: usize, depth: usize) -> u32 {
         let make_leaf = |nodes: &mut Vec<Node>| {
-            let prob = if n == 0 { 0.5 } else { f32_from_usize(pos) / f32_from_usize(n) };
-            nodes.push(Node::Leaf { prob });
+            nodes.push(Node::Leaf {
+                prob: f32_from_usize(pos) / f32_from_usize(n),
+            });
             u32_from_usize(nodes.len() - 1)
         };
 
@@ -125,7 +133,7 @@ impl<'a> Builder<'a> {
             return make_leaf(&mut self.nodes);
         }
 
-        let Some(GiniSplit { choice, pos_left }) = self.best_split(lo, hi, pos) else {
+        let Some(GiniSplit { choice, pos_left }) = self.best_split(lo, hi, n, pos) else {
             return make_leaf(&mut self.nodes);
         };
         let (feature, threshold, split_at) = (choice.feature, choice.threshold, choice.split_at);
@@ -153,10 +161,13 @@ impl<'a> Builder<'a> {
             self.nodes.push(Node::Leaf { prob: f32_from_usize(pos_right) / f32_from_usize(n_right) });
             ((me + 1), (me + 2))
         } else {
-            // One stable pass re-segments the slot list and sorted orders.
-            self.scratch.cols.apply_split(self.pre, lo, hi, feature, threshold, split_at);
-            let left = self.build(lo, lo + split_at, pos_left, depth + 1);
-            let right = self.build(lo + split_at, hi, pos_right, depth + 1);
+            // One stable pass re-segments the row list and sorted orders.
+            let mid = lo
+                + self
+                    .scratch
+                    .apply_split(self.pre, lo, hi, feature, threshold);
+            let left = self.build(lo, mid, n_left, pos_left, depth + 1);
+            let right = self.build(mid, hi, n_right, pos_right, depth + 1);
             (left, right)
         };
         self.nodes[usize_from_u32(me)] = Node::Split {
@@ -170,7 +181,7 @@ impl<'a> Builder<'a> {
 
     /// Finds the best split over the configured feature subset by scanning
     /// each candidate's column over the node.
-    fn best_split(&mut self, lo: usize, hi: usize, n_pos: usize) -> Option<GiniSplit> {
+    fn best_split(&mut self, lo: usize, hi: usize, n: usize, n_pos: usize) -> Option<GiniSplit> {
         let d = self.n_features;
 
         // Choose candidate features: all, or a fresh random subset.
@@ -184,7 +195,7 @@ impl<'a> Builder<'a> {
             }
         }
 
-        let node = GiniNode::new(hi - lo, n_pos);
+        let node = GiniNode::new(n, n_pos);
         let min_leaf = self.config.min_samples_leaf;
         let mut best: Option<GiniSplit> = None;
         for ci in 0..n_candidates {
@@ -202,59 +213,54 @@ impl<'a> Builder<'a> {
 
 impl DecisionTree {
     /// Fits a tree on the rows of `data` listed in `indices` (pass
-    /// `0..n_rows` for the full set; random forests pass bootstrap draws).
-    /// `seed` drives feature subsampling when `max_features` is set.
+    /// `0..n_rows` for the full set; a repeated row counts once per
+    /// listing, as a bootstrap draw does). `seed` drives feature
+    /// subsampling when `max_features` is set.
     pub fn fit_on(config: &TreeConfig, data: &Dataset, indices: &[usize], seed: u64) -> Self {
-        let mut scratch = TreeScratch::new();
-        Self::fit_on_with_scratch(config, data, indices, seed, &mut scratch)
-    }
-
-    /// [`fit_on`](Self::fit_on) with caller-provided scratch, so repeated
-    /// fits reuse the column buffers instead of allocating per tree.
-    /// Builds a [`PresortedDataset`] over `data` and fits through
-    /// [`fit_with_presorted`](Self::fit_with_presorted).
-    pub fn fit_on_with_scratch(
-        config: &TreeConfig,
-        data: &Dataset,
-        indices: &[usize],
-        seed: u64,
-        scratch: &mut TreeScratch,
-    ) -> Self {
-        let pre = PresortedDataset::build(data);
-        Self::fit_with_presorted(config, data, &pre, indices, seed, scratch)
-    }
-
-    /// The ensemble path: the per-tree columns are derived from a
-    /// [`PresortedDataset`] built once per forest and shared by every
-    /// tree, so no per-tree sorting happens at all.
-    pub fn fit_with_presorted(
-        config: &TreeConfig,
-        data: &Dataset,
-        pre: &PresortedDataset,
-        indices: &[usize],
-        seed: u64,
-        scratch: &mut TreeScratch,
-    ) -> Self {
         config.validate();
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
-        let n_pos = scratch.prepare_gini_from(pre, data, indices);
+        assert!(
+            indices.len() <= MAX_SAMPLE,
+            "cannot fit a tree on {} rows: the limit is {MAX_SAMPLE}",
+            indices.len()
+        );
+        let pre = PresortedDataset::build(data);
+        let mut scratch = TreeScratch::new();
+        let (n, n_pos) = scratch.sample(&pre, data, indices.iter().copied());
+        Self::grow(config, &pre, &mut scratch, n, n_pos, seed)
+    }
+
+    /// Grows a tree over the sample already laid out in `scratch` — `n`
+    /// draws, `n_pos` of them positive — from a [`PresortedDataset`] that
+    /// may be shared by every tree of an ensemble, so no per-tree sorting
+    /// happens at all.
+    pub(crate) fn grow(
+        config: &TreeConfig,
+        pre: &PresortedDataset,
+        scratch: &mut TreeScratch,
+        n: usize,
+        n_pos: usize,
+        seed: u64,
+    ) -> Self {
+        let n_features = pre.n_features();
         let mut b = Builder {
             config,
             pre,
             scratch,
-            n_features: data.n_features(),
+            n_features,
             nodes: Vec::new(),
-            importances: vec![0.0; data.n_features()],
-            n_total: f64_from_usize(indices.len()),
+            importances: vec![0.0; n_features],
+            n_total: f64_from_usize(n),
             // lint:allow(rng-discipline) -- per-tree stream root: the forest derives each tree's seed upstream, and re-mixing would break pinned predictions
             rng: SplitMix64::new(seed),
-            feature_pool: Vec::with_capacity(data.n_features()),
+            feature_pool: Vec::with_capacity(n_features),
         };
-        b.build(0, indices.len(), n_pos, 0);
+        let rows = b.scratch.n_distinct();
+        b.build(0, rows, n, n_pos, 0);
         DecisionTree {
             nodes: b.nodes,
             importances: b.importances,
-            n_features: data.n_features(),
+            n_features,
         }
     }
 

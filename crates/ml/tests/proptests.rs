@@ -285,6 +285,72 @@ fn presorted_newton_split_matches_naive_reference() {
 }
 
 #[test]
+fn tree_fit_on_repeated_rows_matches_fit_on_materialised_sample() {
+    // The row layout weights each distinct row by its multiplicity; the
+    // oracle fits the same draws as a dataset with one row per draw. Both
+    // must grow the same tree, bit for bit.
+    for_each_case(
+        "tree_fit_on_repeated_rows_matches_fit_on_materialised_sample",
+        256,
+        |g| {
+            let n = if g.bool() {
+                g.usize_in(6, 60)
+            } else {
+                g.usize_in(257, 400)
+            };
+            let d = g.usize_in(1, 5);
+            let cols: Vec<Vec<f32>> = (0..d).map(|_| kernel_column(g, n)).collect();
+            let mut data = Dataset::with_dims(d);
+            let mut row = vec![0f32; d];
+            for i in 0..n {
+                for (v, col) in row.iter_mut().zip(&cols) {
+                    *v = col[i];
+                }
+                data.push_row(&row, g.bool(), i as u32);
+            }
+            // Draws over the whole dataset, or over as few as 1-8 rows so
+            // multiplicities get large.
+            let pool: Vec<usize> = if g.bool() {
+                (0..n).collect()
+            } else {
+                (0..g.usize_in(1, 9)).map(|_| g.usize_in(0, n)).collect()
+            };
+            let m = g.usize_in(1, 2 * n + 1);
+            let indices: Vec<usize> = (0..m).map(|_| *g.choose(&pool)).collect();
+            let cfg = TreeConfig {
+                max_depth: g.usize_in(1, 9),
+                min_samples_split: g.usize_in(2, 13),
+                min_samples_leaf: g.usize_in(1, 7),
+                max_features: if g.bool() {
+                    None
+                } else {
+                    Some(g.usize_in(1, d + 1))
+                },
+            };
+            let seed = g.u64();
+            let weighted = DecisionTree::fit_on(&cfg, &data, &indices, seed);
+            let oracle = DecisionTree::fit(&cfg, &data.select(&indices), seed);
+            assert_eq!(weighted.n_nodes(), oracle.n_nodes(), "{cfg:?}");
+            let bits = |t: &DecisionTree| -> Vec<u64> {
+                t.raw_importances().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&weighted), bits(&oracle), "importances under {cfg:?}");
+            for i in 0..n {
+                let (a, b) = (
+                    weighted.predict_proba(data.row(i)),
+                    oracle.predict_proba(data.row(i)),
+                );
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "row {i} under {cfg:?}: {a} vs {b}"
+                );
+            }
+        },
+    );
+}
+
+#[test]
 fn forest_predictions_identical_across_pool_sizes() {
     // Per-worker scratch reuse must not leak state between trees: the
     // fitted forest is a function of (config, data, seed) only, never of

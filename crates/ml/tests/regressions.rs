@@ -225,6 +225,18 @@ fn forest_rejects_nan_bootstrap_fraction() {
 }
 
 #[test]
+#[should_panic(expected = "above the tree kernel's limit")]
+fn forest_rejects_bootstrap_beyond_the_kernel_width() {
+    // 8e12 draws overflow the kernel's u32 weights: the fit must refuse
+    // with a message before it allocates anything per draw.
+    let cfg = ForestConfig {
+        bootstrap_fraction: 1e12,
+        ..Default::default()
+    };
+    RandomForest::fit(&cfg, &two_class_data(), 0);
+}
+
+#[test]
 #[should_panic(expected = "TreeConfig.max_depth must be >= 1")]
 fn forest_validates_nested_tree_config() {
     let mut cfg = ForestConfig::default();

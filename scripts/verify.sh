@@ -44,7 +44,7 @@ cargo test -q --offline --workspace
 echo "== benches compile (all 14 targets) =="
 cargo bench --no-run --offline --workspace
 
-echo "== bench smoke: bench_sim (incl. sparse span walker + encode_stream/decode_stream) + ML kernels + flat predict + history compare =="
+echo "== bench smoke: bench_sim (incl. sparse span walker + encode_stream/decode_stream) + ML kernels + flat predict =="
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_sim
 
 # "train_" selects both training groups: train_2k_rows and train_imbalanced.
@@ -52,7 +52,6 @@ SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels 
 # Batch scoring of one Table-6-shaped CV fold: k-NN and a 100-tree forest.
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels score_cv_fold
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_flat_predict flat_predict
-scripts/bench_compare.sh
 
 echo "== streaming smoke: generate -> summarize, truncated/corrupt archives rejected =="
 smoke_dir="$(mktemp -d)"
