@@ -3,7 +3,7 @@
 use crate::failure::{failure_records, operational_periods};
 use crate::report::{pct, Series, TextTable};
 use ssd_stats::{Duration, Ecdf, KaplanMeier};
-use ssd_types::{DriveModel, FleetTrace};
+use ssd_types::{DriveLog, DriveModel, FleetTrace};
 
 /// Table 3: failure incidence per model.
 #[derive(Debug, Clone)]
@@ -192,26 +192,27 @@ pub fn time_to_repair_ecdf(trace: &FleetTrace) -> Ecdf {
 /// periods are censored, the KM failure CDF sits *above* the raw ECDF at
 /// every horizon (censored periods stop diluting the denominator).
 pub fn time_to_failure_km(trace: &FleetTrace) -> KaplanMeier {
-    let mut durations = Vec::new();
-    for d in &trace.drives {
-        for p in operational_periods(d) {
-            match p.length_to_failure {
-                Some(l) => durations.push(Duration {
-                    time: f64::from(l),
-                    event: true,
-                }),
-                None => {
-                    // Censoring time: observed span of the trailing period.
-                    let span = d.max_age_days().saturating_sub(p.start_day);
-                    durations.push(Duration {
-                        time: f64::from(span),
-                        event: false,
-                    });
-                }
-            }
-        }
-    }
+    let durations: Vec<Duration> = trace.drives.iter().flat_map(survival_durations).collect();
     KaplanMeier::fit(&durations)
+}
+
+/// One drive's operational periods as survival durations, in period
+/// order: a period that ends in failure is an event at its length; the
+/// trailing period is censored at its observed span.
+pub fn survival_durations(d: &DriveLog) -> impl Iterator<Item = Duration> {
+    let max_age = d.max_age_days();
+    operational_periods(d)
+        .into_iter()
+        .map(move |p| match p.length_to_failure {
+            Some(l) => Duration {
+                time: f64::from(l),
+                event: true,
+            },
+            None => Duration {
+                time: f64::from(max_age.saturating_sub(p.start_day)),
+                event: false,
+            },
+        })
 }
 
 /// Table 5: percentage of swapped drives that re-enter within n days, per

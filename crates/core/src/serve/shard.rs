@@ -51,7 +51,8 @@
 //! [`Duration`]: ssd_stats::Duration
 
 use super::protocol::Request;
-use crate::failure::{failure_records, operational_periods};
+use crate::failure::failure_records;
+use crate::lifecycle::survival_durations;
 use crate::predict::online::OnlineFleet;
 use crate::streaming::SummaryAccumulator;
 use ssd_ml::BatchScorer;
@@ -111,20 +112,7 @@ impl ShardState {
     pub(super) fn fold(&mut self, d: &DriveLog) {
         self.drive_days += d.reports.len() as u64;
         self.summary.observe(d);
-        // Mirrors `lifecycle::time_to_failure_km` exactly: events at the
-        // period length, censored periods at their observed trailing span.
-        for p in operational_periods(d) {
-            self.durations.push(match p.length_to_failure {
-                Some(l) => Duration {
-                    time: f64::from(l),
-                    event: true,
-                },
-                None => Duration {
-                    time: f64::from(d.max_age_days().saturating_sub(p.start_day)),
-                    event: false,
-                },
-            });
-        }
+        self.durations.extend(survival_durations(d));
         for r in &d.reports {
             bump(&mut self.exposure, r.age_days, self.horizon_days);
         }

@@ -257,66 +257,45 @@ fn escalation_for(plan: &LifecyclePlan, age: u32) -> Option<Escalation> {
     None
 }
 
-/// Destination for a drive's emitted reports and swap events.
+/// Generates one drive's reports and swaps into `log`.
 ///
-/// The emission loop ([`generate_drive_into`]) is generic over its sink so the
-/// same monomorphized code — and therefore the exact same RNG consumption
-/// — backs both the owned [`DriveLog`] path and the columnar
-/// [`ReportArena`](crate::ReportArena) path. That shared loop is what
-/// makes the arena archives byte-identical to the baseline by
-/// construction (pinned by `tests/determinism.rs`).
-pub trait ReportSink {
-    /// Hint that up to `additional` more reports are coming.
-    fn reserve(&mut self, _additional: usize) {}
-
-    /// Receive the drive's importance-sampling log-weight (exactly `0.0`
-    /// under uniform sampling). Called once, before any report.
-    fn weight(&mut self, _log_weight: f64) {}
-
-    /// Receive one daily report, in ascending `age_days` order.
-    fn report(&mut self, r: &DailyReport);
-
-    /// Receive one swap event, in ascending `swap_day` order.
-    fn swap(&mut self, s: SwapEvent);
-}
-
-impl ReportSink for DriveLog {
-    fn reserve(&mut self, additional: usize) {
-        self.reports.reserve(additional);
-    }
-
-    fn weight(&mut self, log_weight: f64) {
-        self.log_weight = log_weight;
-    }
-
-    fn report(&mut self, r: &DailyReport) {
-        self.reports.push(*r);
-    }
-
-    fn swap(&mut self, s: SwapEvent) {
-        self.swaps.push(s);
-    }
-}
-
-/// Generates one drive's reports and swaps into `sink`.
-///
-/// All randomness derives from `rng`, which callers seed per drive (see
+/// `log` is a reusable buffer: its reports and swaps are cleared and its
+/// `log_weight` is set here, while `id` and `model` are the caller's, the
+/// same reuse contract as [`TraceDecoder::next_drive_into`]. All
+/// randomness derives from `rng`, which callers seed per drive (see
 /// [`crate::fleet`]), making generation order- and thread-independent.
 /// With `infant_boost > 1` the first-period infant-failure probability is
-/// boosted and the drive's log-weight (see [`ReportSink::weight`])
-/// carries the correction.
-pub fn generate_drive_into<S: ReportSink>(
+/// boosted and `log_weight` carries the correction (exactly `0.0`
+/// otherwise).
+///
+/// [`TraceDecoder::next_drive_into`]: ssd_types::codec::TraceDecoder::next_drive_into
+pub fn generate_drive_into(
     params: &ModelParams,
     horizon_days: u32,
     opts: &DriveGenOptions,
     rng: &mut SplitMix64,
-    sink: &mut S,
+    log: &mut DriveLog,
 ) {
+    let (traits, plan) = plan_drive_into(params, horizon_days, opts, rng, log);
+    emit_into_opts(params, &traits, &plan, opts, rng, log);
+}
+
+/// Samples the drive's traits and lifecycle plan, then resets `log` for
+/// emission: reports and swaps cleared, `log_weight` set.
+fn plan_drive_into(
+    params: &ModelParams,
+    horizon_days: u32,
+    opts: &DriveGenOptions,
+    rng: &mut SplitMix64,
+    log: &mut DriveLog,
+) -> (DriveTraits, LifecyclePlan) {
     let traits = DriveTraits::sample(params, rng);
     let (plan, log_weight) =
         LifecyclePlan::sample_weighted(params, &traits, horizon_days, rng, opts.infant_boost);
-    sink.weight(log_weight);
-    emit_into_opts(params, &traits, &plan, opts, rng, sink);
+    log.reports.clear();
+    log.swaps.clear();
+    log.log_weight = log_weight;
+    (traits, plan)
 }
 
 /// Mutable per-drive emission state.
@@ -327,30 +306,30 @@ struct EmitState {
     read_only: bool,
 }
 
-/// Core emission: walks the drive's life-segments and pushes each
-/// observable report (and every swap) into `sink`.
+/// Core emission: walks the drive's life-segments and appends each
+/// observable report (and every swap) to `log`.
 ///
 /// `rng` is the tail of the per-drive stream after traits and plan were
 /// sampled; one draw from it seeds two independent substreams — the
 /// report schedule and the report contents — so that skipping days never
 /// perturbs later draws.
-fn emit_into_opts<S: ReportSink>(
+fn emit_into_opts(
     params: &ModelParams,
     traits: &DriveTraits,
     plan: &LifecyclePlan,
     opts: &DriveGenOptions,
     rng: &mut SplitMix64,
-    sink: &mut S,
+    log: &mut DriveLog,
 ) {
     // Capacity hint only (never observable in the output): expected
     // report count at the configured density, padded so typical variance
     // stays within one allocation. Hinting the full horizon instead made
     // the allocator — not the walker — the dominant per-drive cost for
     // sparse fleets.
-    let expected = u64::from(plan.horizon_age)
-        * u64::from(opts.report_permille.clamp(1, 1000))
-        / 1000;
-    sink.reserve(usize_from_u64(expected + expected / 4 + 8));
+    let expected =
+        u64::from(plan.horizon_age) * u64::from(opts.report_permille.clamp(1, 1000)) / 1000;
+    log.reports
+        .reserve(usize_from_u64(expected + expected / 4 + 8));
 
     let sub = rng.next_u64();
     let mut sched_rng = SplitMix64::for_stream(sub, 1);
@@ -380,27 +359,27 @@ fn emit_into_opts<S: ReportSink>(
                     sched.advance(&mut sched_rng);
                     st.wear += wear_model.span(accrued, age + 1);
                     accrued = age + 1;
-                    emit_op_day(params, traits, plan, age, &mut st, &mut emit_rng, sink);
+                    emit_op_day(params, traits, plan, age, &mut st, &mut emit_rng, log);
                 }
                 st.wear += wear_model.span(accrued, seg.end);
                 op_idx += len;
             }
             SegmentKind::InactiveReported => {
-                emit_inactive_segment(traits, seg, &st, &mut emit_rng, sink)
+                emit_inactive_segment(traits, seg, &st, &mut emit_rng, log)
             }
         }
     }
-    emit_swaps(plan, sink);
+    emit_swaps(plan, log);
 }
 
 /// Emits a failed-but-reporting window: every day reports (they are the
 /// observable symptom) with zero activity, and no wear accrues.
-fn emit_inactive_segment<S: ReportSink>(
+fn emit_inactive_segment(
     traits: &DriveTraits,
     seg: LifeSegment,
     st: &EmitState,
     rng: &mut SplitMix64,
-    sink: &mut S,
+    log: &mut DriveLog,
 ) {
     for age in seg.start..seg.end {
         let mut r = DailyReport::empty(age);
@@ -409,14 +388,14 @@ fn emit_inactive_segment<S: ReportSink>(
         r.grown_bad_blocks = st.grown_bad_blocks;
         r.status_dead = dist::bernoulli(rng, 0.7);
         r.status_read_only = st.read_only;
-        sink.report(&r);
+        log.reports.push(r);
     }
 }
 
 /// Emits every planned swap, in plan (= ascending swap-day) order.
-fn emit_swaps<S: ReportSink>(plan: &LifecyclePlan, sink: &mut S) {
+fn emit_swaps(plan: &LifecyclePlan, log: &mut DriveLog) {
     for f in &plan.failures {
-        sink.swap(SwapEvent {
+        log.swaps.push(SwapEvent {
             swap_day: f.swap_day,
             reentry_day: f.reentry_day,
         });
@@ -425,14 +404,14 @@ fn emit_swaps<S: ReportSink>(plan: &LifecyclePlan, sink: &mut S) {
 
 /// Emits one operational day's report: workload, errors, status flags.
 /// This is where every content-stream draw of an operational day happens.
-fn emit_op_day<S: ReportSink>(
+fn emit_op_day(
     params: &ModelParams,
     traits: &DriveTraits,
     plan: &LifecyclePlan,
     age: u32,
     st: &mut EmitState,
     rng: &mut SplitMix64,
-    sink: &mut S,
+    log: &mut DriveLog,
 ) {
     // The drive is defect-symptomatic while heading toward an infant
     // symptomatic failure in its first operational period.
@@ -477,7 +456,7 @@ fn emit_op_day<S: ReportSink>(
     r.grown_bad_blocks = st.grown_bad_blocks;
     r.status_read_only = st.read_only;
     r.errors = errors;
-    sink.report(&r);
+    log.reports.push(r);
 }
 
 #[cfg(test)]
@@ -486,34 +465,31 @@ pub(crate) mod tests {
     use crate::health::PlannedFailure;
     use ssd_types::{DriveId, DriveModel};
 
-    /// Reference walker: samples traits and plan exactly like
-    /// [`generate_drive_into`], then emits through the naive day-by-day
-    /// traversal ([`emit_day_by_day`]). The span walker must reproduce its
-    /// output byte for byte.
-    pub(crate) fn generate_drive_into_day_by_day<S: ReportSink>(
+    /// Reference walker: samples traits and plan and resets `log` exactly
+    /// like [`generate_drive_into`], then emits through the naive
+    /// day-by-day traversal ([`emit_day_by_day`]). The span walker must
+    /// reproduce its output byte for byte.
+    pub(crate) fn generate_drive_into_day_by_day(
         params: &ModelParams,
         horizon_days: u32,
         opts: &DriveGenOptions,
         rng: &mut SplitMix64,
-        sink: &mut S,
+        log: &mut DriveLog,
     ) {
-        let traits = DriveTraits::sample(params, rng);
-        let (plan, log_weight) =
-            LifecyclePlan::sample_weighted(params, &traits, horizon_days, rng, opts.infant_boost);
-        sink.weight(log_weight);
-        emit_day_by_day(params, &traits, &plan, opts, rng, sink);
+        let (traits, plan) = plan_drive_into(params, horizon_days, opts, rng, log);
+        emit_day_by_day(params, &traits, &plan, opts, rng, log);
     }
 
     /// The day-by-day oracle of [`emit_into_opts`]: walks every
     /// operational day, adds one `rate(age)` of wear per day, and compares
     /// each day's schedule index against the next scheduled emission.
-    fn emit_day_by_day<S: ReportSink>(
+    fn emit_day_by_day(
         params: &ModelParams,
         traits: &DriveTraits,
         plan: &LifecyclePlan,
         opts: &DriveGenOptions,
         rng: &mut SplitMix64,
-        sink: &mut S,
+        log: &mut DriveLog,
     ) {
         let sub = rng.next_u64();
         let mut sched_rng = SplitMix64::for_stream(sub, 1);
@@ -534,17 +510,17 @@ pub(crate) mod tests {
                         st.wear += wear_model.rate(age);
                         if op_idx == sched.next_emit() {
                             sched.advance(&mut sched_rng);
-                            emit_op_day(params, traits, plan, age, &mut st, &mut emit_rng, sink);
+                            emit_op_day(params, traits, plan, age, &mut st, &mut emit_rng, log);
                         }
                         op_idx += 1;
                     }
                 }
                 SegmentKind::InactiveReported => {
-                    emit_inactive_segment(traits, seg, &st, &mut emit_rng, sink)
+                    emit_inactive_segment(traits, seg, &st, &mut emit_rng, log)
                 }
             }
         }
-        emit_swaps(plan, sink);
+        emit_swaps(plan, log);
     }
 
     fn params() -> ModelParams {
@@ -856,6 +832,34 @@ pub(crate) mod tests {
             log
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn generating_into_a_used_log_equals_a_fresh_log() {
+        // Drive A leaves reports, swaps and a non-zero log-weight in the
+        // buffer; generating drive B over them must match B in a fresh log.
+        let p = params();
+        let opts = DriveGenOptions {
+            infant_boost: 4.0,
+            ..Default::default()
+        };
+        let gen = |stream: u64, log: &mut DriveLog| {
+            generate_drive_into(&p, 2190, &opts, &mut SplitMix64::for_stream(5, stream), log)
+        };
+        let mut reused = DriveLog::new(DriveId(2), DriveModel::MlcB);
+        let a = (0..500)
+            .find(|&stream| {
+                gen(stream, &mut reused);
+                !reused.reports.is_empty()
+                    && !reused.swaps.is_empty()
+                    && reused.log_weight.to_bits() != 0
+            })
+            .expect("some stream yields a drive with reports, swaps and a weight");
+        let mut fresh = DriveLog::new(DriveId(2), DriveModel::MlcB);
+        gen(a + 1, &mut fresh);
+        gen(a + 1, &mut reused);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.log_weight.to_bits(), fresh.log_weight.to_bits());
     }
 
     #[test]

@@ -11,14 +11,13 @@
 //! and a destination ([`run`](FleetGen::run) streams an archive,
 //! [`trace`](FleetGen::trace) materializes an owned [`FleetTrace`]).
 
-use crate::arena::ReportArena;
 use crate::calibration::ModelParams;
 use crate::config::SimConfig;
 use crate::drive::{generate_drive_into, DriveGenOptions};
 use ssd_parallel::prelude::*;
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{u32_from_usize, u64_from_usize, usize_from_u32, usize_from_u64};
-use ssd_types::codec::{encode_drive_soa, TraceEncoder};
+use ssd_types::codec::{encode_drive, TraceEncoder};
 use ssd_types::{DriveId, DriveLog, DriveModel, FleetTrace};
 use std::io::Write;
 
@@ -94,10 +93,10 @@ impl<'a> FleetGen<'a> {
     /// archive.
     ///
     /// This is the hot path for paper-scale fleets (30k drives × 6
-    /// years): drives are split into `min(n, 128)` contiguous id ranges,
-    /// each worker emits its drives into a reusable [`ReportArena`] and
-    /// serializes every drive into a per-chunk byte buffer as soon as it
-    /// is emitted. Chunks are produced in bounded *waves* (a small
+    /// years): drives are split into `min(n, 128)` contiguous id ranges;
+    /// each range is generated drive by drive into one reused
+    /// [`DriveLog`], and every drive is serialized into the range's byte
+    /// buffer as soon as it is generated. Chunks are produced in bounded *waves* (a small
     /// multiple of the worker count) and appended to the sink in id order
     /// as each wave lands, so peak memory is one wave of encoded chunks —
     /// not the whole archive — regardless of fleet size.
@@ -172,21 +171,11 @@ impl<'a> FleetGen<'a> {
         let opts = self.opts();
         let drives = (0..self.config.total_drives())
             .into_par_iter()
-            .map(|i| self.gen_drive(&params, &opts, i))
-            .collect();
-        FleetTrace {
-            horizon_days: self.config.horizon_days,
-            drives,
-        }
-    }
-
-    /// Sequential reference implementation of [`trace`](FleetGen::trace),
-    /// used to verify thread-count independence.
-    pub fn trace_sequential(&self) -> FleetTrace {
-        let params = all_params();
-        let opts = self.opts();
-        let drives = (0..self.config.total_drives())
-            .map(|i| self.gen_drive(&params, &opts, i))
+            .map(|i| {
+                let mut log = DriveLog::new(DriveId(i), DriveModel::from_index(0));
+                self.gen_drive_into(&params, &opts, i, &mut log);
+                log
+            })
             .collect();
         FleetTrace {
             horizon_days: self.config.horizon_days,
@@ -203,21 +192,29 @@ impl<'a> FleetGen<'a> {
         (model, SplitMix64::for_stream(self.config.seed, u64::from(i)))
     }
 
-    fn gen_drive(&self, params: &[ModelParams], opts: &DriveGenOptions, i: u32) -> DriveLog {
+    /// Generates drive `i` into `log`, reusing its buffers: sets the id
+    /// and model, and [`generate_drive_into`] refills the rest.
+    fn gen_drive_into(
+        &self,
+        params: &[ModelParams],
+        opts: &DriveGenOptions,
+        i: u32,
+        log: &mut DriveLog,
+    ) {
         let (model, mut rng) = self.drive_stream(i);
-        let mut log = DriveLog::new(DriveId(i), model);
+        log.id = DriveId(i);
+        log.model = model;
         generate_drive_into(
             &params[model.index()],
             self.config.horizon_days,
             opts,
             &mut rng,
-            &mut log,
+            log,
         );
-        log
     }
 
     /// Generates and encodes the contiguous drive-id range `[lo, hi)` into
-    /// one byte buffer through a reusable [`ReportArena`].
+    /// one byte buffer through one reused [`DriveLog`].
     fn encode_chunk(
         &self,
         params: &[ModelParams],
@@ -226,7 +223,8 @@ impl<'a> FleetGen<'a> {
         hi: u32,
     ) -> EncodedChunk {
         let config = self.config;
-        let mut arena = ReportArena::with_capacity(usize_from_u32(config.horizon_days));
+        let mut log = DriveLog::new(DriveId(lo), DriveModel::from_index(0));
+        log.reports.reserve(usize_from_u32(config.horizon_days));
         // ~40 encoded bytes per *reported* drive-day (matching
         // encode_trace's hint), scaled by the configured report density.
         let expected_days = u64::from(hi - lo)
@@ -238,25 +236,10 @@ impl<'a> FleetGen<'a> {
         let mut drive_days = 0u64;
         let mut swaps = 0u64;
         for i in lo..hi {
-            let (model, mut rng) = self.drive_stream(i);
-            arena.clear();
-            generate_drive_into(
-                &params[model.index()],
-                config.horizon_days,
-                opts,
-                &mut rng,
-                &mut arena,
-            );
-            drive_days += u64_from_usize(arena.columns().len());
-            swaps += u64_from_usize(arena.swaps().len());
-            encode_drive_soa(
-                &mut bytes,
-                DriveId(i),
-                model,
-                arena.log_weight(),
-                arena.columns(),
-                arena.swaps(),
-            );
+            self.gen_drive_into(params, opts, i, &mut log);
+            drive_days += u64_from_usize(log.reports.len());
+            swaps += u64_from_usize(log.swaps.len());
+            encode_drive(&mut bytes, &log);
         }
         EncodedChunk {
             drives: u64::from(hi - lo),
@@ -400,7 +383,11 @@ mod tests {
     fn parallel_equals_sequential() {
         let cfg = tiny();
         let gen = FleetGen::new(&cfg);
-        assert_eq!(gen.trace(), gen.trace_sequential());
+        let pool = ssd_parallel::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        assert_eq!(gen.trace(), pool.install(|| gen.trace()));
     }
 
     #[test]

@@ -46,8 +46,7 @@
 //! * [`TraceEncoder`] is generic over a [`Write`] sink: each appended
 //!   drive is serialized into an internal scratch buffer (reused between
 //!   drives) and flushed to the sink, so peak memory is one drive record
-//!   regardless of archive size. `TraceEncoder<Vec<u8>>` keeps the legacy
-//!   infallible in-memory API.
+//!   regardless of archive size.
 //!
 //! The resident entry points [`encode_trace`]/[`decode_trace`] are thin
 //! wrappers over the same core and remain byte-compatible with archives
@@ -76,13 +75,13 @@
 //! use ssd_types::codec::{TraceDecoder, TraceEncoder};
 //! use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel};
 //!
-//! let mut enc = TraceEncoder::new(30, 2);
+//! let mut enc = TraceEncoder::to_sink(Vec::new(), 30, 2).unwrap();
 //! for id in 0..2u32 {
 //!     let mut drive = DriveLog::new(DriveId(id), DriveModel::MlcA);
 //!     drive.reports.push(DailyReport::empty(3));
 //!     enc.append_drive(&drive).unwrap();
 //! }
-//! let bytes = enc.finish();
+//! let bytes = enc.finish_sink().unwrap();
 //!
 //! let mut dec = TraceDecoder::new(&bytes[..]).unwrap();
 //! assert_eq!(dec.horizon_days(), 30);
@@ -106,10 +105,10 @@ use std::io::{Read, Write};
 const MAGIC: &[u8; 8] = b"SSDFS\0v2";
 
 /// Bit set in the report flags byte when the drive failed (`status_dead`).
-pub const STATUS_DEAD: u8 = 1;
+const STATUS_DEAD: u8 = 1;
 
 /// Bit set in the report flags byte when the drive latched read-only mode.
-pub const STATUS_READ_ONLY: u8 = 1 << 1;
+const STATUS_READ_ONLY: u8 = 1 << 1;
 
 /// Default refill-buffer capacity for streaming decode (64 KiB).
 const STREAM_BUF_BYTES: usize = 64 * 1024;
@@ -401,8 +400,9 @@ fn encode_report(buf: &mut Vec<u8>, r: &DailyReport) {
     put_varint(buf, r.write_ops);
     put_varint(buf, r.erase_ops);
     put_varint(buf, u64::from(r.pe_cycles));
-    let flags = u8::from(r.status_dead) | (u8::from(r.status_read_only) << 1);
-    buf.push(flags);
+    buf.push(
+        (u8::from(r.status_dead) * STATUS_DEAD) | (u8::from(r.status_read_only) * STATUS_READ_ONLY),
+    );
     put_varint(buf, u64::from(r.factory_bad_blocks));
     put_varint(buf, u64::from(r.grown_bad_blocks));
     for (_, c) in r.errors.iter() {
@@ -518,93 +518,6 @@ fn decode_report_checked<S: Src>(src: &mut S) -> Result<DailyReport, DecodeError
     })
 }
 
-/// Borrowed struct-of-arrays view over one drive's daily reports.
-///
-/// Each slice is one column of the report table, all of equal length (one
-/// entry per report day). This is the zero-copy bridge from the
-/// simulator's columnar arena to the varint codec: [`encode_drive_soa`]
-/// walks the columns row by row and emits bytes identical to
-/// [`encode_trace`] on the equivalent [`DriveLog`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReportColumns<'a> {
-    /// Report age in days since deployment (`DailyReport::age_days`).
-    pub age_days: &'a [u32],
-    /// Cumulative read operations.
-    pub read_ops: &'a [u64],
-    /// Cumulative write operations.
-    pub write_ops: &'a [u64],
-    /// Cumulative erase operations.
-    pub erase_ops: &'a [u64],
-    /// Cumulative program/erase cycles.
-    pub pe_cycles: &'a [u32],
-    /// Packed status bits ([`STATUS_DEAD`] | [`STATUS_READ_ONLY`]).
-    pub status_flags: &'a [u8],
-    /// Factory bad-block count.
-    pub factory_bad_blocks: &'a [u32],
-    /// Grown (post-deployment) bad-block count.
-    pub grown_bad_blocks: &'a [u32],
-    /// One cumulative column per [`ErrorKind`], in `ErrorKind::ALL` order.
-    pub errors: [&'a [u64]; ErrorKind::COUNT],
-}
-
-impl ReportColumns<'_> {
-    /// Number of report rows. All columns share this length.
-    pub fn len(&self) -> usize {
-        self.age_days.len()
-    }
-
-    /// True when the view holds no reports.
-    pub fn is_empty(&self) -> bool {
-        self.age_days.is_empty()
-    }
-
-    fn assert_rectangular(&self) {
-        let n = self.age_days.len();
-        debug_assert_eq!(self.read_ops.len(), n);
-        debug_assert_eq!(self.write_ops.len(), n);
-        debug_assert_eq!(self.erase_ops.len(), n);
-        debug_assert_eq!(self.pe_cycles.len(), n);
-        debug_assert_eq!(self.status_flags.len(), n);
-        debug_assert_eq!(self.factory_bad_blocks.len(), n);
-        debug_assert_eq!(self.grown_bad_blocks.len(), n);
-        for col in &self.errors {
-            debug_assert_eq!(col.len(), n);
-        }
-    }
-}
-
-/// Encodes one drive record from a columnar view, byte-identical to the
-/// [`DriveLog`] path for the same data. `log_weight` is the drive's
-/// importance-sampling log-weight (`0.0` for uniform sampling).
-pub fn encode_drive_soa(
-    buf: &mut Vec<u8>,
-    id: DriveId,
-    model: DriveModel,
-    log_weight: f64,
-    cols: ReportColumns<'_>,
-    swaps: &[SwapEvent],
-) {
-    cols.assert_rectangular();
-    put_varint(buf, u64::from(id.0));
-    buf.push(model.index() as u8);
-    put_varint(buf, log_weight.to_bits());
-    put_varint(buf, cols.len() as u64);
-    for i in 0..cols.len() {
-        put_varint(buf, u64::from(cols.age_days[i]));
-        put_varint(buf, cols.read_ops[i]);
-        put_varint(buf, cols.write_ops[i]);
-        put_varint(buf, cols.erase_ops[i]);
-        put_varint(buf, u64::from(cols.pe_cycles[i]));
-        buf.push(cols.status_flags[i]);
-        put_varint(buf, u64::from(cols.factory_bad_blocks[i]));
-        put_varint(buf, u64::from(cols.grown_bad_blocks[i]));
-        for col in &cols.errors {
-            put_varint(buf, col[i]);
-        }
-    }
-    encode_swaps(buf, swaps);
-}
-
 fn encode_swaps(buf: &mut Vec<u8>, swaps: &[SwapEvent]) {
     put_varint(buf, swaps.len() as u64);
     for s in swaps {
@@ -619,7 +532,10 @@ fn encode_swaps(buf: &mut Vec<u8>, swaps: &[SwapEvent]) {
     }
 }
 
-fn encode_drive(buf: &mut Vec<u8>, d: &DriveLog) {
+/// Appends one drive record (the `drive` production of the wire framing)
+/// to `buf`. Records concatenated in ascending id order after a header
+/// form an archive; [`TraceEncoder::append_encoded`] takes such bytes.
+pub fn encode_drive(buf: &mut Vec<u8>, d: &DriveLog) {
     put_varint(buf, u64::from(d.id.0));
     buf.push(d.model.index() as u8);
     put_varint(buf, d.log_weight.to_bits());
@@ -806,25 +722,17 @@ impl<R: Read> Iterator for TraceDecoder<R> {
 /// streams paper-scale archives straight to disk through this type.
 ///
 /// The drive count is part of the header, so it must be declared at
-/// construction; [`finish_sink`](TraceEncoder::finish_sink) fails (and the
-/// `Vec<u8>` specialization's [`finish`](TraceEncoder::finish) panics) if
-/// the number of appended drives disagrees, which turns a
-/// silently-corrupt archive into a loud failure. Drives may arrive from
-/// any source — owned logs ([`append_drive`]), columnar views
-/// ([`append_columns`]), or pre-encoded chunks from parallel workers
-/// ([`append_encoded`]) — as long as they are appended in ascending id
-/// order (the decoder does not sort).
-///
-/// `TraceEncoder<Vec<u8>>` (the default sink) additionally offers the
-/// legacy infallible API: [`new`](TraceEncoder::new),
-/// [`with_capacity`](TraceEncoder::with_capacity) and
-/// [`finish`](TraceEncoder::finish).
+/// construction; [`finish_sink`](TraceEncoder::finish_sink) fails if the
+/// number of appended drives disagrees, which turns a silently-corrupt
+/// archive into a loud failure. Drives may arrive as owned logs
+/// ([`append_drive`]) or as records pre-encoded by [`encode_drive`] in
+/// parallel workers ([`append_encoded`]), as long as they are appended in
+/// ascending id order (the decoder does not sort).
 ///
 /// [`append_drive`]: TraceEncoder::append_drive
-/// [`append_columns`]: TraceEncoder::append_columns
 /// [`append_encoded`]: TraceEncoder::append_encoded
 #[derive(Debug)]
-pub struct TraceEncoder<W: Write = Vec<u8>> {
+pub struct TraceEncoder<W: Write> {
     sink: W,
     scratch: Vec<u8>,
     declared: u64,
@@ -864,21 +772,6 @@ impl<W: Write> TraceEncoder<W> {
     /// Appends one drive from an owned log.
     pub fn append_drive(&mut self, d: &DriveLog) -> std::io::Result<()> {
         encode_drive(&mut self.scratch, d);
-        self.appended += 1;
-        self.flush_scratch()
-    }
-
-    /// Appends one drive from a columnar report view with the given
-    /// importance-sampling log-weight (`0.0` for uniform sampling).
-    pub fn append_columns(
-        &mut self,
-        id: DriveId,
-        model: DriveModel,
-        log_weight: f64,
-        cols: ReportColumns<'_>,
-        swaps: &[SwapEvent],
-    ) -> std::io::Result<()> {
-        encode_drive_soa(&mut self.scratch, id, model, log_weight, cols, swaps);
         self.appended += 1;
         self.flush_scratch()
     }
@@ -925,49 +818,13 @@ impl<W: Write> TraceEncoder<W> {
     }
 }
 
-impl TraceEncoder<Vec<u8>> {
-    /// Starts an in-memory archive for `n_drives` drives over
-    /// `horizon_days`.
-    pub fn new(horizon_days: u32, n_drives: u64) -> Self {
-        TraceEncoder::with_capacity(horizon_days, n_drives, 0)
-    }
-
-    /// Like [`new`](TraceEncoder::new), pre-reserving `bytes_hint` output
-    /// bytes to avoid reallocation on large archives.
-    pub fn with_capacity(horizon_days: u32, n_drives: u64, bytes_hint: usize) -> Self {
-        let sink = Vec::with_capacity(bytes_hint.max(64));
-        // lint:allow(panic-freedom) -- io::Write into a Vec<u8> is infallible
-        TraceEncoder::to_sink(sink, horizon_days, n_drives).expect("Vec sink cannot fail")
-    }
-
-    /// Finalizes the in-memory archive.
-    ///
-    /// # Panics
-    /// If the number of appended drives differs from the count declared at
-    /// construction (the header would not match the body).
-    pub fn finish(self) -> Vec<u8> {
-        assert_eq!(
-            self.appended, self.declared,
-            "TraceEncoder: declared {} drives but appended {}",
-            self.declared, self.appended
-        );
-        self.sink
-    }
-}
-
 /// Encodes a fleet trace into the compact binary format.
 pub fn encode_trace(trace: &FleetTrace) -> Vec<u8> {
     // Rough pre-size: ~40 bytes per report avoids repeated reallocation.
-    let mut enc = TraceEncoder::with_capacity(
-        trace.horizon_days,
-        trace.drives.len() as u64,
-        64 + trace.total_drive_days() * 40,
-    );
-    for d in &trace.drives {
-        // lint:allow(panic-freedom) -- io::Write into a Vec<u8> is infallible
-        enc.append_drive(d).expect("Vec sink cannot fail");
-    }
-    enc.finish()
+    let mut out = Vec::with_capacity(64 + trace.total_drive_days() * 40);
+    // lint:allow(panic-freedom) -- io::Write into a Vec<u8> is infallible
+    encode_trace_to(trace, &mut out).expect("Vec sink cannot fail");
+    out
 }
 
 /// Streams a fleet trace into any [`Write`] sink, returning the number of
@@ -1133,108 +990,22 @@ mod tests {
         assert!(s.contains("expected"), "{s}");
     }
 
-    /// Columns borrowed from a drive's reports, for SoA-vs-AoS comparison.
-    struct Cols {
-        age_days: Vec<u32>,
-        read_ops: Vec<u64>,
-        write_ops: Vec<u64>,
-        erase_ops: Vec<u64>,
-        pe_cycles: Vec<u32>,
-        status_flags: Vec<u8>,
-        factory_bad_blocks: Vec<u32>,
-        grown_bad_blocks: Vec<u32>,
-        errors: [Vec<u64>; ErrorKind::COUNT],
-    }
-
-    impl Cols {
-        fn from_reports(reports: &[DailyReport]) -> Self {
-            let mut c = Cols {
-                age_days: Vec::new(),
-                read_ops: Vec::new(),
-                write_ops: Vec::new(),
-                erase_ops: Vec::new(),
-                pe_cycles: Vec::new(),
-                status_flags: Vec::new(),
-                factory_bad_blocks: Vec::new(),
-                grown_bad_blocks: Vec::new(),
-                errors: std::array::from_fn(|_| Vec::new()),
-            };
-            for r in reports {
-                c.age_days.push(r.age_days);
-                c.read_ops.push(r.read_ops);
-                c.write_ops.push(r.write_ops);
-                c.erase_ops.push(r.erase_ops);
-                c.pe_cycles.push(r.pe_cycles);
-                c.status_flags.push(
-                    u8::from(r.status_dead) * STATUS_DEAD
-                        | u8::from(r.status_read_only) * STATUS_READ_ONLY,
-                );
-                c.factory_bad_blocks.push(r.factory_bad_blocks);
-                c.grown_bad_blocks.push(r.grown_bad_blocks);
-                for (i, (_, count)) in r.errors.iter().enumerate() {
-                    c.errors[i].push(count);
-                }
-            }
-            c
-        }
-
-        fn view(&self) -> ReportColumns<'_> {
-            ReportColumns {
-                age_days: &self.age_days,
-                read_ops: &self.read_ops,
-                write_ops: &self.write_ops,
-                erase_ops: &self.erase_ops,
-                pe_cycles: &self.pe_cycles,
-                status_flags: &self.status_flags,
-                factory_bad_blocks: &self.factory_bad_blocks,
-                grown_bad_blocks: &self.grown_bad_blocks,
-                errors: std::array::from_fn(|i| self.errors[i].as_slice()),
-            }
-        }
-    }
-
-    #[test]
-    fn soa_encoding_matches_aos_per_drive() {
-        for d in &sample_trace().drives {
-            let mut aos = Vec::new();
-            encode_drive(&mut aos, d);
-            let cols = Cols::from_reports(&d.reports);
-            let mut soa = Vec::new();
-            encode_drive_soa(&mut soa, d.id, d.model, d.log_weight, cols.view(), &d.swaps);
-            assert_eq!(aos, soa, "drive {:?}", d.id);
-        }
-    }
-
     #[test]
     fn trace_encoder_assembles_identical_archive() {
         let t = sample_trace();
         let expected = encode_trace(&t);
 
-        // Mixed append paths: owned log, columnar view, pre-encoded bytes.
-        let mut enc = TraceEncoder::new(t.horizon_days, t.drives.len() as u64);
+        // Mixed append paths: owned log, then pre-encoded bytes.
+        let mut enc =
+            TraceEncoder::to_sink(Vec::new(), t.horizon_days, t.drives.len() as u64).unwrap();
         enc.append_drive(&t.drives[0]).unwrap();
-        let cols = Cols::from_reports(&t.drives[1].reports);
-        enc.append_columns(
-            t.drives[1].id,
-            t.drives[1].model,
-            t.drives[1].log_weight,
-            cols.view(),
-            &t.drives[1].swaps,
-        )
-        .unwrap();
         let mut chunk = Vec::new();
-        encode_drive(&mut chunk, &t.drives[2]);
-        enc.append_encoded(1, &chunk).unwrap();
-        assert_eq!(enc.finish(), expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "declared 3 drives but appended 1")]
-    fn trace_encoder_panics_on_count_mismatch() {
-        let t = sample_trace();
-        let mut enc = TraceEncoder::new(t.horizon_days, 3);
-        enc.append_drive(&t.drives[0]).unwrap();
-        let _ = enc.finish();
+        for d in &t.drives[1..] {
+            encode_drive(&mut chunk, d);
+        }
+        enc.append_encoded(t.drives.len() as u64 - 1, &chunk)
+            .unwrap();
+        assert_eq!(enc.finish_sink().unwrap(), expected);
     }
 
     #[test]

@@ -2,10 +2,7 @@
 //! well-formed traces, not just simulator output.
 
 use ssd_testkit::{for_each_case, Gen};
-use ssd_types::codec::{
-    decode_trace, encode_drive_soa, encode_trace, encode_trace_to, ReportColumns, TraceDecoder,
-    TraceEncoder, STATUS_DEAD, STATUS_READ_ONLY,
-};
+use ssd_types::codec::{decode_trace, encode_trace, encode_trace_to, TraceDecoder};
 use ssd_types::csv::{read_trace_csv, write_reports_csv, write_swaps_csv};
 use ssd_types::{
     DailyReport, DriveId, DriveLog, DriveModel, ErrorCounts, ErrorKind, FleetTrace, SwapEvent,
@@ -239,101 +236,6 @@ fn csv_codec_roundtrip() {
             .collect();
         assert_eq!(back.horizon_days, trace.horizon_days);
         assert_eq!(back.drives, expected);
-    });
-}
-
-/// Owned columns mirroring a drive's reports, lent out as [`ReportColumns`].
-struct OwnedColumns {
-    age_days: Vec<u32>,
-    read_ops: Vec<u64>,
-    write_ops: Vec<u64>,
-    erase_ops: Vec<u64>,
-    pe_cycles: Vec<u32>,
-    status_flags: Vec<u8>,
-    factory_bad_blocks: Vec<u32>,
-    grown_bad_blocks: Vec<u32>,
-    errors: [Vec<u64>; ErrorKind::COUNT],
-}
-
-impl OwnedColumns {
-    fn from_reports(reports: &[DailyReport]) -> Self {
-        let mut c = OwnedColumns {
-            age_days: Vec::new(),
-            read_ops: Vec::new(),
-            write_ops: Vec::new(),
-            erase_ops: Vec::new(),
-            pe_cycles: Vec::new(),
-            status_flags: Vec::new(),
-            factory_bad_blocks: Vec::new(),
-            grown_bad_blocks: Vec::new(),
-            errors: std::array::from_fn(|_| Vec::new()),
-        };
-        for r in reports {
-            c.age_days.push(r.age_days);
-            c.read_ops.push(r.read_ops);
-            c.write_ops.push(r.write_ops);
-            c.erase_ops.push(r.erase_ops);
-            c.pe_cycles.push(r.pe_cycles);
-            c.status_flags.push(
-                u8::from(r.status_dead) * STATUS_DEAD
-                    | u8::from(r.status_read_only) * STATUS_READ_ONLY,
-            );
-            c.factory_bad_blocks.push(r.factory_bad_blocks);
-            c.grown_bad_blocks.push(r.grown_bad_blocks);
-            for (i, (_, count)) in r.errors.iter().enumerate() {
-                c.errors[i].push(count);
-            }
-        }
-        c
-    }
-
-    fn view(&self) -> ReportColumns<'_> {
-        ReportColumns {
-            age_days: &self.age_days,
-            read_ops: &self.read_ops,
-            write_ops: &self.write_ops,
-            erase_ops: &self.erase_ops,
-            pe_cycles: &self.pe_cycles,
-            status_flags: &self.status_flags,
-            factory_bad_blocks: &self.factory_bad_blocks,
-            grown_bad_blocks: &self.grown_bad_blocks,
-            errors: std::array::from_fn(|i| self.errors[i].as_slice()),
-        }
-    }
-}
-
-#[test]
-fn soa_encoding_matches_aos_for_arbitrary_traces() {
-    for_each_case("soa_encoding_matches_aos", 64, |g| {
-        let trace = arb_trace(g);
-        let expected = encode_trace(&trace);
-        let mut enc =
-            TraceEncoder::new(trace.horizon_days, trace.drives.len() as u64);
-        for d in &trace.drives {
-            let cols = OwnedColumns::from_reports(&d.reports);
-            enc.append_columns(d.id, d.model, d.log_weight, cols.view(), &d.swaps)
-                .expect("Vec sink cannot fail");
-        }
-        let soa = enc.finish();
-        assert_eq!(soa, expected);
-        // And the SoA-built archive decodes back to the original trace.
-        assert_eq!(decode_trace(&soa).expect("decode"), trace);
-    });
-}
-
-#[test]
-fn per_drive_soa_encoding_is_self_consistent() {
-    for_each_case("per_drive_soa_encoding", 64, |g| {
-        let id = g.u32_in(0, 1000);
-        let d = arb_drive(g, id);
-        let cols = OwnedColumns::from_reports(&d.reports);
-        let mut soa = Vec::new();
-        encode_drive_soa(&mut soa, d.id, d.model, d.log_weight, cols.view(), &d.swaps);
-        let mut enc = TraceEncoder::new(100, 1);
-        enc.append_drive(&d).expect("Vec sink cannot fail");
-        let via_log = enc.finish();
-        // Skip the archive header; the drive record bytes must agree.
-        assert_eq!(&via_log[via_log.len() - soa.len()..], soa.as_slice());
     });
 }
 

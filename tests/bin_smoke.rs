@@ -191,6 +191,60 @@ fn repro_rejects_unknown_scale() {
 }
 
 #[test]
+fn repro_rejects_unknown_experiment_ids_before_generating() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "test", "tab3", "tab99"])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("repro: unknown experiment id: tab99"),
+        "stderr:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("generating fleet"),
+        "generated first:\n{stderr}"
+    );
+}
+
+#[test]
+fn repro_reports_unwritable_json_paths_without_panicking() {
+    let dir = scratch("repro_json_unwritable");
+    // A directory under a regular file cannot be created.
+    let file = dir.join("regular");
+    std::fs::write(&file, b"x").unwrap();
+    let under_file = file.join("sub");
+    // A result file that is already a directory cannot be written.
+    let taken = dir.join("taken");
+    std::fs::create_dir_all(taken.join("tab3.json")).unwrap();
+    for (json_dir, bad_path) in [
+        (&under_file, under_file.clone()),
+        (&taken, taken.join("tab3.json")),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([
+                "--scale",
+                "test",
+                "--json",
+                json_dir.to_str().unwrap(),
+                "tab3",
+            ])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+        let last = stderr.lines().last().unwrap_or_default();
+        assert!(
+            last.starts_with("repro: ") && last.contains(bad_path.to_str().unwrap()),
+            "stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn repro_runs_experiments_from_an_archived_trace() {
     let dir = scratch("repro_trace");
     gen_trace(&dir, "bin");

@@ -6,6 +6,7 @@ use ssd_field_study::core::{build_dataset, ExtractOptions};
 use ssd_field_study::ml::{cross_validate, CvOptions, ForestConfig, Trainer};
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::codec::encode_trace;
+use ssd_field_study::types::FleetTrace;
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -16,11 +17,20 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// `FleetGen::trace` run on a one-thread pool: the sequential reference.
+fn trace_on_one_thread(cfg: &SimConfig) -> FleetTrace {
+    let pool = ssd_field_study::parallel::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    pool.install(|| FleetGen::new(cfg).trace())
+}
+
 #[test]
 fn fleet_generation_is_thread_count_independent() {
     let cfg = cfg();
     let parallel = FleetGen::new(&cfg).trace();
-    let sequential = FleetGen::new(&cfg).trace_sequential();
+    let sequential = trace_on_one_thread(&cfg);
     assert_eq!(parallel, sequential);
     // Byte-identical archives, not just structural equality.
     assert_eq!(encode_trace(&parallel), encode_trace(&sequential));
@@ -44,21 +54,21 @@ fn fleet_generation_is_repeatable_within_and_across_thread_pools() {
 }
 
 #[test]
-fn arena_archive_is_byte_identical_to_baseline_at_every_pool_size() {
-    // 50 drives per model, seeded: the arena/SoA emission path must
-    // reproduce the pre-change path (materialize a FleetTrace, then
-    // encode it) bit for bit, at every pool size.
+fn archive_is_byte_identical_to_encoded_trace_at_every_pool_size() {
+    // 50 drives per model, seeded: the chunked archive path must
+    // reproduce materializing a FleetTrace on one thread and encoding it,
+    // bit for bit, at every pool size.
     let cfg = SimConfig {
         drives_per_model: 50,
         horizon_days: 1000,
         seed: 271828,
         ..SimConfig::default()
     };
-    let baseline = encode_trace(&FleetGen::new(&cfg).trace_sequential());
+    let baseline = encode_trace(&trace_on_one_thread(&cfg));
     assert_eq!(
         FleetGen::new(&cfg).run_vec(),
         baseline,
-        "arena path diverged from baseline"
+        "archive path diverged from the encoded trace"
     );
     for n_threads in [1, 2, 5] {
         let pool = ssd_field_study::parallel::ThreadPoolBuilder::new()
@@ -68,7 +78,7 @@ fn arena_archive_is_byte_identical_to_baseline_at_every_pool_size() {
         let archived = pool.install(|| FleetGen::new(&cfg).run_vec());
         assert_eq!(
             archived, baseline,
-            "pool size {n_threads} changed the arena archive"
+            "pool size {n_threads} changed the archive"
         );
     }
 }
