@@ -1,42 +1,20 @@
-//! Tables 3–5 and Figures 3–5 regeneration benchmarks (swap/repair
-//! lifecycle analyses).
+//! Table 5 and Figure 3 regeneration benchmarks (swap/repair lifecycle
+//! analyses outside the summary fold, which `bench_characterize` times).
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
 use ssd_bench::bench_trace;
-use ssd_field_study_core::lifecycle::{
-    failure_count_distribution, failure_incidence, non_operational_ecdf, repair_reentry,
-    time_to_failure_ecdf, time_to_repair_ecdf,
-};
+use ssd_field_study_core::lifecycle::{repair_reentry, time_to_failure_ecdf};
 
-fn bench_tables(c: &mut Criterion) {
+fn bench_lifecycle(c: &mut Criterion) {
     let trace = bench_trace();
-    let mut g = c.benchmark_group("lifecycle_tables");
+    let mut g = c.benchmark_group("lifecycle");
     g.sample_size(20);
-    g.bench_function("tab3_failure_incidence", |b| {
-        b.iter(|| failure_incidence(trace))
-    });
-    g.bench_function("tab4_failure_count_distribution", |b| {
-        b.iter(|| failure_count_distribution(trace))
-    });
     g.bench_function("tab5_repair_reentry", |b| b.iter(|| repair_reentry(trace)));
-    g.finish();
-}
-
-fn bench_figures(c: &mut Criterion) {
-    let trace = bench_trace();
-    let mut g = c.benchmark_group("lifecycle_figures");
-    g.sample_size(20);
     g.bench_function("fig3_time_to_failure", |b| {
         b.iter(|| time_to_failure_ecdf(trace))
     });
-    g.bench_function("fig4_non_operational_period", |b| {
-        b.iter(|| non_operational_ecdf(trace))
-    });
-    g.bench_function("fig5_time_to_repair", |b| {
-        b.iter(|| time_to_repair_ecdf(trace))
-    });
     g.finish();
 }
 
-criterion_group!(benches, bench_tables, bench_figures);
+criterion_group!(benches, bench_lifecycle);
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Trace characterization: Figure 1, Table 1, and Table 2 (Section 2).
 
 use crate::report::{Series, TextTable};
+use crate::streaming::summarize;
 use ssd_parallel::prelude::*;
 use ssd_stats::{spearman_matrix, Ecdf};
 use ssd_types::{DriveModel, ErrorKind, FleetTrace};
@@ -49,53 +50,9 @@ pub struct ErrorIncidence {
     pub rates: Vec<[f64; 3]>,
 }
 
-/// Computes Table 1.
+/// Computes Table 1: the [`summarize`] fold's error incidence.
 pub fn error_incidence(trace: &FleetTrace) -> ErrorIncidence {
-    // Parallel fold over drives: per-model day counts and per-kind
-    // error-day counts.
-    #[derive(Default, Clone)]
-    struct Acc {
-        days: [u64; 3],
-        error_days: [[u64; 3]; ErrorKind::COUNT],
-    }
-    let acc = trace
-        .drives
-        .par_iter()
-        .fold(Acc::default, |mut acc, d| {
-            let m = d.model.index();
-            acc.days[m] += d.reports.len() as u64;
-            for r in &d.reports {
-                for (k, c) in r.errors.iter() {
-                    if c > 0 {
-                        acc.error_days[k.index()][m] += 1;
-                    }
-                }
-            }
-            acc
-        })
-        .reduce(Acc::default, |mut a, b| {
-            for m in 0..3 {
-                a.days[m] += b.days[m];
-            }
-            for k in 0..ErrorKind::COUNT {
-                for m in 0..3 {
-                    a.error_days[k][m] += b.error_days[k][m];
-                }
-            }
-            a
-        });
-    let rates = (0..ErrorKind::COUNT)
-        .map(|k| {
-            let mut row = [0.0; 3];
-            for m in 0..3 {
-                if acc.days[m] > 0 {
-                    row[m] = acc.error_days[k][m] as f64 / acc.days[m] as f64;
-                }
-            }
-            row
-        })
-        .collect();
-    ErrorIncidence { rates }
+    summarize(trace).error_incidence
 }
 
 impl ErrorIncidence {

@@ -18,6 +18,9 @@ use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel, ErrorKind, FleetTrac
 /// Number of features per row.
 pub const N_FEATURES: usize = 31;
 
+/// Column of the "drive age" feature (age in days on the row's day).
+pub(crate) const AGE_COLUMN: usize = 29;
+
 /// Feature names in column order, matching the paper's labels (Figure 16).
 pub fn feature_names() -> Vec<String> {
     let mut names = vec![
@@ -172,7 +175,7 @@ impl RollingFeatures {
         }
         row[27] = r.pe_cycles as f32;
         row[28] = r.bad_blocks() as f32;
-        row[29] = r.age_days as f32;
+        row[AGE_COLUMN] = r.age_days as f32;
         row[30] =
             self.errors[ErrorKind::Correctable.index()] as f32 / (self.read.max(1) as f32);
     }
@@ -324,6 +327,7 @@ mod tests {
     #[test]
     fn schema_size_matches() {
         assert_eq!(feature_names().len(), N_FEATURES);
+        assert_eq!(feature_names()[AGE_COLUMN], "drive age");
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! | Paper artifact | Module |
 //! |---|---|
 //! | Figure 1 | [`characterize::trace_coverage`] |
-//! | Table 1 | [`characterize::error_incidence`] |
+//! | Table 1 | [`characterize::error_incidence`] ¹ |
 //! | Table 2 | [`characterize::correlation_matrix`] |
-//! | Table 3 | [`lifecycle::failure_incidence`] |
-//! | Table 4 | [`lifecycle::failure_count_distribution`] |
+//! | Table 3 | [`lifecycle::failure_incidence`] ¹ |
+//! | Table 4 | [`lifecycle::failure_count_distribution`] ¹ |
 //! | Figure 3 | [`lifecycle::time_to_failure_ecdf`] |
-//! | Figure 4 | [`lifecycle::non_operational_ecdf`] |
-//! | Figure 5 | [`lifecycle::time_to_repair_ecdf`] |
+//! | Figure 4 | [`lifecycle::non_operational_ecdf`] ¹ |
+//! | Figure 5 | [`lifecycle::time_to_repair_ecdf`] ¹ |
 //! | Table 5 | [`lifecycle::repair_reentry`] |
 //! | Figure 6 | [`aging::failure_age`] |
 //! | Figure 7 | [`aging::write_intensity`] |
@@ -29,6 +29,11 @@
 //! | Figure 15 | [`predict::age_analysis::young_old_roc`] |
 //! | Figure 16 | [`predict::importance::feature_importance`] |
 //! | Table 8 | [`predict::error_pred::error_prediction`] |
+//!
+//! ¹ One field of [`streaming::summarize`]: the
+//! [`streaming::SummaryAccumulator`] fold is the only code computing
+//! Tables 1, 3, 4 and Figures 4–5, for resident traces, streamed
+//! archives (`ssdstat`) and the `ssdserve` shards alike.
 //!
 //! (Figure 2 is the schematic failure timeline; its semantics are the
 //! state machine in [`failure`].)

@@ -1,7 +1,8 @@
 //! The swap/repair lifecycle: Tables 3–5 and Figures 3–5 (Section 3).
 
-use crate::failure::{failure_records, operational_periods};
+use crate::failure::operational_periods;
 use crate::report::{pct, Series, TextTable};
+use crate::streaming::{summarize, StreamSummary};
 use ssd_stats::{Duration, Ecdf, KaplanMeier};
 use ssd_types::{DriveLog, DriveModel, FleetTrace};
 
@@ -17,46 +18,9 @@ pub struct FailureIncidence {
     pub total_failed_fraction: f64,
 }
 
-/// Computes Table 3.
+/// Computes Table 3: the [`summarize`] fold's failure incidence.
 pub fn failure_incidence(trace: &FleetTrace) -> FailureIncidence {
-    let mut per_model = Vec::new();
-    let mut total_failures = 0;
-    let mut total_failed = 0;
-    let mut total_drives = 0;
-    for m in DriveModel::ALL {
-        let mut failures = 0;
-        let mut failed_drives = 0;
-        let mut drives = 0;
-        for d in trace.drives_of(m) {
-            drives += 1;
-            failures += d.swaps.len();
-            if d.ever_failed() {
-                failed_drives += 1;
-            }
-        }
-        per_model.push((
-            m.name().to_string(),
-            failures,
-            drives,
-            if drives == 0 {
-                0.0
-            } else {
-                failed_drives as f64 / drives as f64
-            },
-        ));
-        total_failures += failures;
-        total_failed += failed_drives;
-        total_drives += drives;
-    }
-    FailureIncidence {
-        per_model,
-        total_failures,
-        total_failed_fraction: if total_drives == 0 {
-            0.0
-        } else {
-            total_failed as f64 / total_drives as f64
-        },
-    }
+    summarize(trace).failure_incidence
 }
 
 impl FailureIncidence {
@@ -86,17 +50,9 @@ pub struct FailureCountDistribution {
     pub count_of: Vec<usize>,
 }
 
-/// Computes Table 4.
+/// Computes Table 4: the [`summarize`] fold's failure counts.
 pub fn failure_count_distribution(trace: &FleetTrace) -> FailureCountDistribution {
-    let mut count_of = vec![0usize; 1];
-    for d in &trace.drives {
-        let k = d.swaps.len();
-        if count_of.len() <= k {
-            count_of.resize(k + 1, 0);
-        }
-        count_of[k] += 1;
-    }
-    FailureCountDistribution { count_of }
+    summarize(trace).failure_counts
 }
 
 impl FailureCountDistribution {
@@ -160,30 +116,15 @@ pub fn time_to_failure_ecdf(trace: &FleetTrace) -> Ecdf {
 }
 
 /// Figure 4: CDF of the pre-swap non-operational period (days between the
-/// failure and the physical swap).
+/// failure and the physical swap), read from the [`summarize`] fold.
 pub fn non_operational_ecdf(trace: &FleetTrace) -> Ecdf {
-    let mut days = Vec::new();
-    for d in &trace.drives {
-        for f in failure_records(d) {
-            days.push(f64::from(f.non_operational_days()));
-        }
-    }
-    Ecdf::new(&days)
+    summarize(trace).non_operational
 }
 
-/// Figure 5: CDF of time to repair, with never-returning drives at ∞.
+/// Figure 5: CDF of time to repair, with never-returning drives at ∞,
+/// read from the [`summarize`] fold.
 pub fn time_to_repair_ecdf(trace: &FleetTrace) -> Ecdf {
-    let mut days = Vec::new();
-    let mut censored = 0u64;
-    for d in &trace.drives {
-        for s in &d.swaps {
-            match s.repair_days() {
-                Some(r) => days.push(f64::from(r)),
-                None => censored += 1,
-            }
-        }
-    }
-    Ecdf::with_censored(&days, censored)
+    summarize(trace).time_to_repair
 }
 
 /// Kaplan–Meier estimate of the time-to-failure distribution — the
@@ -307,11 +248,15 @@ impl RepairReentry {
     }
 }
 
-/// Figure 3/4/5 as printable series (CDF steps thinned for display).
+/// Figure 3/4/5 as printable series (CDF steps thinned for display);
+/// Figures 4 and 5 come from one [`summarize`] fold.
 pub fn lifecycle_series(trace: &FleetTrace) -> Vec<Series> {
     let ttf = time_to_failure_ecdf(trace);
-    let nop = non_operational_ecdf(trace);
-    let ttr = time_to_repair_ecdf(trace);
+    let StreamSummary {
+        non_operational: nop,
+        time_to_repair: ttr,
+        ..
+    } = summarize(trace);
     vec![
         Series::new(
             format!(

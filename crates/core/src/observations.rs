@@ -10,7 +10,8 @@
 //! expensive).
 
 use crate::predict::{age_analysis, importance, PredictConfig};
-use crate::{aging, characterize, errors_analysis, lifecycle};
+use crate::streaming::summarize;
+use crate::{aging, characterize, errors_analysis};
 use ssd_types::FleetTrace;
 
 /// Result of checking one observation.
@@ -62,8 +63,9 @@ pub fn audit_trace_observations(trace: &FleetTrace) -> Vec<ObservationCheck> {
     ));
 
     // Obs 3: failed drives usually swapped within a week; a tail lingers
-    // beyond a year.
-    let nop = lifecycle::non_operational_ecdf(trace);
+    // beyond a year. Figures 4 and 5 come from one summary fold.
+    let summary = summarize(trace);
+    let nop = &summary.non_operational;
     let week = nop.eval(7.0);
     let year_tail = 1.0 - nop.eval(365.0);
     out.push(check(
@@ -74,7 +76,7 @@ pub fn audit_trace_observations(trace: &FleetTrace) -> Vec<ObservationCheck> {
     ));
 
     // Obs 4: only about half of failed drives complete repair.
-    let rep = lifecycle::time_to_repair_ecdf(trace);
+    let rep = &summary.time_to_repair;
     let returned = 1.0 - rep.censored_fraction();
     out.push(check(
         4,

@@ -9,7 +9,7 @@
 //! fail waste a migration.
 
 use crate::failure::failure_records;
-use crate::features::{build_dataset, ExtractOptions};
+use crate::features::{build_dataset, ExtractOptions, AGE_COLUMN};
 use ssd_ml::Classifier;
 use ssd_types::FleetTrace;
 use std::collections::{BTreeMap, BTreeSet};
@@ -85,12 +85,6 @@ pub fn evaluate_policy(
         },
     );
     let scores = model.predict_batch(&data);
-    let age_col = data
-        .feature_names()
-        .iter()
-        .position(|n| n == "drive age")
-        // lint:allow(panic-freedom) -- the feature set is built in this crate and always includes "drive age"
-        .expect("drive age feature");
 
     let failed_drives: BTreeSet<u32> = deploy
         .drives
@@ -112,7 +106,7 @@ pub fn evaluate_policy(
             for i in 0..data.n_rows() {
                 if scores[i] >= threshold {
                     let drive = data.group(i);
-                    let age = data.row(i)[age_col];
+                    let age = data.row(i)[AGE_COLUMN];
                     first_alert
                         .entry(drive)
                         .and_modify(|a| *a = a.min(age))

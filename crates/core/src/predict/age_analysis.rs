@@ -7,8 +7,9 @@
 //! 0.970 vs 0.890 AUC.
 
 use super::PredictConfig;
-use crate::features::{build_dataset, AgeFilter, ExtractOptions};
+use crate::features::{build_dataset, AgeFilter, ExtractOptions, AGE_COLUMN};
 use crate::report::Series;
+use ssd_ml::split::complement;
 use ssd_ml::{
     cross_validate, downsample_majority, grouped_kfold, RocCurve, Trainer,
 };
@@ -24,24 +25,18 @@ struct HeldOut {
 /// Fits the forest on the complement of fold 0 and scores fold 0.
 fn held_out_scores(data: &ssd_ml::Dataset, config: &PredictConfig) -> HeldOut {
     let folds = grouped_kfold(data, config.cv.k, config.cv.seed);
-    let in_test: std::collections::BTreeSet<usize> = folds[0].iter().copied().collect();
-    let train_idx: Vec<usize> = (0..data.n_rows())
-        .filter(|i| !in_test.contains(i))
-        .collect();
-    let train_idx =
-        downsample_majority(data, &train_idx, config.cv.downsample_ratio, config.seed);
+    let train_idx = downsample_majority(
+        data,
+        &complement(data, &folds[0]),
+        config.cv.downsample_ratio,
+        config.seed,
+    );
     let model = config.forest.fit(&data.select(&train_idx), config.seed);
     let test = data.select(&folds[0]);
     let scores = model.predict_batch(&test);
-    let age_col = data
-        .feature_names()
-        .iter()
-        .position(|n| n == "drive age")
-        // lint:allow(panic-freedom) -- the feature set is built in this crate and always includes "drive age"
-        .expect("drive age feature");
     HeldOut {
         labels: test.labels().to_vec(),
-        ages_days: (0..test.n_rows()).map(|i| test.row(i)[age_col]).collect(),
+        ages_days: (0..test.n_rows()).map(|i| test.row(i)[AGE_COLUMN]).collect(),
         scores,
     }
 }

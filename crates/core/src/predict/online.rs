@@ -38,7 +38,18 @@
 use crate::features::{RollingFeatures, N_FEATURES};
 use ssd_ml::BatchScorer;
 use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+
+/// One row of a risk ranking: drive, model, swap probability.
+pub type Ranked = (DriveId, DriveModel, f64);
+
+/// The ranking order: highest score first, ties toward the lower drive
+/// id. It is total, so a ranking does not depend on drive arrival order,
+/// pool size or how shards split the fleet.
+pub(crate) fn by_risk(a: &Ranked, b: &Ranked) -> Ordering {
+    b.2.total_cmp(&a.2).then(a.0 .0.cmp(&b.0 .0))
+}
 
 /// Incremental feature state for every drive seen so far, materialized as
 /// one contiguous row-major feature matrix ready for batch scoring.
@@ -108,11 +119,6 @@ impl OnlineFleet {
             .map(|&s| &self.features[s * N_FEATURES..(s + 1) * N_FEATURES])
     }
 
-    /// The model of a drive, if it has been observed.
-    pub fn model_of(&self, id: DriveId) -> Option<DriveModel> {
-        self.slots.get(&id.0).map(|&s| self.models[s])
-    }
-
     /// The contiguous `n_drives × N_FEATURES` feature matrix, row order
     /// matching [`ids`](Self::ids).
     pub fn feature_matrix(&self) -> &[f32] {
@@ -127,6 +133,21 @@ impl OnlineFleet {
     pub fn predict_fleet_day(&self, scorer: &dyn BatchScorer) -> Vec<(DriveId, f64)> {
         let scores = scorer.predict_rows(&self.features, N_FEATURES);
         self.ids.iter().copied().zip(scores).collect()
+    }
+
+    /// [`predict_fleet_day`](Self::predict_fleet_day) as a risk ranking,
+    /// highest score first, ties toward the lower drive id: the list
+    /// `ssdpredict` prints and each `ssdserve` shard answers top-K
+    /// requests from.
+    pub fn rank(&self, scorer: &dyn BatchScorer) -> Vec<Ranked> {
+        let mut rows: Vec<Ranked> = self
+            .predict_fleet_day(scorer)
+            .into_iter()
+            .zip(&self.models)
+            .map(|((id, p), &model)| (id, model, p))
+            .collect();
+        rows.sort_by(by_risk);
+        rows
     }
 }
 
@@ -201,6 +222,17 @@ mod tests {
             assert!((0.0..=1.0).contains(p), "drive {}: {p}", id.0);
             assert!(seen.insert(id.0), "drive {} scored twice", id.0);
         }
+
+        // The ranking is the same scores with each drive's model, sorted
+        // by (score desc, id asc).
+        let ranked = fleet.rank(&flat);
+        assert_eq!(ranked.len(), scored.len());
+        assert!(ranked.windows(2).all(|w| by_risk(&w[0], &w[1]).is_lt()));
+        for &(id, model, p) in &ranked {
+            let log = trace.drives.iter().find(|d| d.id == id).unwrap();
+            assert_eq!(model, log.model, "drive {}", id.0);
+            assert!(scored.contains(&(id, p)), "drive {}", id.0);
+        }
     }
 
     #[test]
@@ -251,6 +283,5 @@ mod tests {
         let fleet = OnlineFleet::new();
         assert!(fleet.predict_fleet_day(&flat).is_empty());
         assert_eq!(fleet.features_of(DriveId(0)), None);
-        assert_eq!(fleet.model_of(DriveId(0)), None);
     }
 }

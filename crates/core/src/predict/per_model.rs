@@ -7,6 +7,7 @@ use ssd_ml::{
     cross_validate, downsample_majority, grouped_kfold, roc_auc, train_test_auc,
     RocCurve, Trainer,
 };
+use ssd_ml::split::complement;
 use ssd_types::{DriveModel, FleetTrace};
 
 fn model_dataset(
@@ -58,14 +59,9 @@ pub fn per_model_roc(trace: &FleetTrace, config: &PredictConfig) -> Vec<ModelRoc
                 })
                 .unwrap_or(&folds[0]);
             let test = data.select(fold);
-            let in_test: std::collections::BTreeSet<usize> =
-                fold.iter().copied().collect();
-            let train_idx: Vec<usize> = (0..data.n_rows())
-                .filter(|i| !in_test.contains(i))
-                .collect();
             let train_idx = downsample_majority(
                 &data,
-                &train_idx,
+                &complement(&data, fold),
                 config.cv.downsample_ratio,
                 config.seed,
             );

@@ -25,4 +25,4 @@ pub mod shard;
 
 pub use protocol::{read_frame, write_frame, ProtocolError, Request};
 pub use server::serve_connection;
-pub use service::{FleetService, ScorerSpec, ServeConfig, ServeError};
+pub use service::{train_scorer, FleetService, ScorerSpec, ServeConfig, ServeError};

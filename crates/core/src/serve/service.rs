@@ -47,6 +47,42 @@ pub enum ScorerSpec {
     },
 }
 
+impl ScorerSpec {
+    /// Parses a `--model` name with its `--trees` count: `forest`, `gbdt`
+    /// and, when `allow_none`, `none`.
+    pub fn parse(name: &str, trees: usize, allow_none: bool) -> Result<ScorerSpec, String> {
+        match name {
+            "forest" => Ok(ScorerSpec::Forest { trees }),
+            "gbdt" => Ok(ScorerSpec::Gbdt { trees }),
+            "none" if allow_none => Ok(ScorerSpec::None),
+            other => Err(format!(
+                "unknown model '{other}' (use forest|gbdt{})",
+                if allow_none { "|none" } else { "" }
+            )),
+        }
+    }
+
+    /// Checks the training settings `ssdpredict` and `ssdserve` take as
+    /// flags: at least one tree, a lookahead of at least one day, a
+    /// negative sample rate in `(0, 1]`. Lookahead and sample rate are
+    /// checked for [`ScorerSpec::None`] too, so whether a flag is valid
+    /// does not depend on `--model`.
+    pub fn check(self, lookahead_days: u32, sample_rate: f64) -> Result<(), String> {
+        if let ScorerSpec::Forest { trees: 0 } | ScorerSpec::Gbdt { trees: 0 } = self {
+            return Err("--trees must be at least 1".into());
+        }
+        if lookahead_days == 0 {
+            return Err("--lookahead must be at least 1 day".into());
+        }
+        if !(sample_rate > 0.0 && sample_rate <= 1.0) {
+            return Err(format!(
+                "--sample-rate must be in (0, 1], got {sample_rate}"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Load-time configuration for [`FleetService::load`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
@@ -146,39 +182,38 @@ pub struct FleetService {
     passes: AtomicU64,
 }
 
-fn train_scorer(
+/// Trains the flat risk scorer on a source's history, in one streaming
+/// pass: labels every drive-day "swap within `lookahead_days`", keeps
+/// negative rows at `sample_rate`, fits the forest or GBDT with `seed`,
+/// and flattens it. `Ok(None)` for [`ScorerSpec::None`]. `ssdpredict`
+/// and [`FleetService::load`] both train through it.
+pub fn train_scorer(
     source: &TraceSource,
-    cfg: &ServeConfig,
+    scorer: ScorerSpec,
+    lookahead_days: u32,
+    sample_rate: f64,
+    seed: u64,
 ) -> Result<Option<Arc<dyn BatchScorer>>, ServeError> {
-    let (gbdt, trees) = match cfg.scorer {
+    scorer
+        .check(lookahead_days, sample_rate)
+        .map_err(ServeError::Train)?;
+    let (gbdt, trees) = match scorer {
         ScorerSpec::None => return Ok(None),
         ScorerSpec::Forest { trees } => (false, trees),
         ScorerSpec::Gbdt { trees } => (true, trees),
     };
-    if trees == 0 {
-        return Err(ServeError::Train("tree count must be at least 1".into()));
-    }
-    if !(cfg.sample_rate > 0.0 && cfg.sample_rate <= 1.0) {
-        return Err(ServeError::Train(format!(
-            "sample rate must be in (0, 1], got {}",
-            cfg.sample_rate
-        )));
-    }
-    if cfg.lookahead_days == 0 {
-        return Err(ServeError::Train("lookahead must be at least 1 day".into()));
-    }
     let opts = ExtractOptions {
-        lookahead_days: cfg.lookahead_days,
-        negative_sample_rate: cfg.sample_rate,
-        seed: cfg.seed,
+        lookahead_days,
+        negative_sample_rate: sample_rate,
+        seed,
         ..Default::default()
     };
-    let mut reader = source.open()?;
-    let data = build_dataset_streaming(&mut reader, &opts)?;
+    let data = build_dataset_streaming(&mut source.open()?, &opts)?;
     let (pos, neg) = data.class_counts();
     if pos == 0 || neg == 0 {
         return Err(ServeError::Train(format!(
-            "training data needs both classes: {pos} positive / {neg} negative rows"
+            "training data needs both classes: {pos} positive / {neg} negative rows \
+             (try a longer trace or a larger lookahead)"
         )));
     }
     Ok(Some(if gbdt {
@@ -186,13 +221,13 @@ fn train_scorer(
             n_trees: trees,
             ..Default::default()
         };
-        Arc::new(FlatGbdt::from_gbdt(&Gbdt::fit(&gc, &data, cfg.seed)))
+        Arc::new(FlatGbdt::from_gbdt(&Gbdt::fit(&gc, &data, seed)))
     } else {
         let fc = ForestConfig {
             n_trees: trees,
             ..Default::default()
         };
-        Arc::new(FlatForest::from_forest(&RandomForest::fit(&fc, &data, cfg.seed)))
+        Arc::new(FlatForest::from_forest(&RandomForest::fit(&fc, &data, seed)))
     }))
 }
 
@@ -202,7 +237,13 @@ impl FleetService {
     /// that folds drives round-robin into the shards' views.
     pub fn load(source: &TraceSource, cfg: &ServeConfig) -> Result<FleetService, ServeError> {
         let n_shards = cfg.shards.max(1);
-        let scorer = train_scorer(source, cfg)?;
+        let scorer = train_scorer(
+            source,
+            cfg.scorer,
+            cfg.lookahead_days,
+            cfg.sample_rate,
+            cfg.seed,
+        )?;
         let scorer_name = scorer.as_ref().map(|s| s.scorer_name());
 
         let mut reader = source.open()?;

@@ -9,9 +9,9 @@
 //! - the survival [`Duration`] list, one entry per operational period;
 //! - integer exposure and event counts per age day, sized by the ages
 //!   seen, with every age at or past the horizon in one overflow cell;
-//! - an [`OnlineFleet`] feature tracker, scored in one batch call the
-//!   first time a top-K request needs it and kept sorted by (score desc,
-//!   id asc).
+//! - an [`OnlineFleet`] feature tracker, ranked by [`OnlineFleet::rank`]
+//!   the first time a top-K request needs it (the service does so at
+//!   load).
 //!
 //! A batch of requests compiles into one [`PassPlan`] — the union of
 //! everything the batch needs — and [`ShardState::execute`] answers it by
@@ -53,15 +53,12 @@
 use super::protocol::Request;
 use crate::failure::failure_records;
 use crate::lifecycle::survival_durations;
-use crate::predict::online::OnlineFleet;
+use crate::predict::online::{by_risk, OnlineFleet, Ranked};
 use crate::streaming::SummaryAccumulator;
 use ssd_ml::BatchScorer;
 use ssd_stats::{BinnedRate, Duration};
-use ssd_types::{DriveId, DriveLog, DriveModel};
+use ssd_types::DriveLog;
 use std::sync::{Arc, OnceLock};
-
-/// One top-K row: drive, model, swap probability.
-type Ranked = (DriveId, DriveModel, f64);
 
 /// One shard's views of its drives, folded at load.
 pub struct ShardState {
@@ -128,26 +125,13 @@ impl ShardState {
         self.drive_days
     }
 
-    /// The shard's drives scored in one batch call and sorted highest
-    /// risk first, ties toward the lower drive id — the same total order
-    /// the merge step re-applies globally. Computed on first use; empty
-    /// without a scorer.
+    /// The shard's drives ranked by [`OnlineFleet::rank`] — the same total
+    /// order the merge step re-applies globally. Computed on first use;
+    /// empty without a scorer.
     pub(super) fn ranked(&self) -> &[Ranked] {
-        self.ranked.get_or_init(|| {
-            let Some(scorer) = &self.scorer else {
-                return Vec::new();
-            };
-            let mut rows: Vec<Ranked> = self
-                .online
-                .predict_fleet_day(scorer.as_ref())
-                .into_iter()
-                .map(|(id, p)| {
-                    let model = self.online.model_of(id).unwrap_or(DriveModel::from_index(0));
-                    (id, model, p)
-                })
-                .collect();
-            rows.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0 .0.cmp(&b.0 .0)));
-            rows
+        self.ranked.get_or_init(|| match &self.scorer {
+            Some(scorer) => self.online.rank(scorer.as_ref()),
+            None => Vec::new(),
         })
     }
 
@@ -263,7 +247,7 @@ pub struct ShardPartial {
     /// One accumulator per entry of [`PassPlan::hazard_bins`].
     pub hazards: Vec<BinnedRate>,
     /// The shard's top-k `(id, model, score)` rows, highest risk first.
-    pub top: Vec<(DriveId, DriveModel, f64)>,
+    pub top: Vec<Ranked>,
 }
 
 impl ShardPartial {
@@ -296,8 +280,7 @@ impl ShardPartial {
     /// Re-applies the global total order to the merged top rows and
     /// truncates to `k`.
     pub fn finish_top(&mut self, k: usize) {
-        self.top
-            .sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0 .0.cmp(&b.0 .0)));
+        self.top.sort_by(by_risk);
         self.top.truncate(k);
     }
 }

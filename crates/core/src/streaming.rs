@@ -5,16 +5,19 @@
 //! (Table 3), failure-count distribution (Table 4), error incidence
 //! (Table 1), the non-operational-period ECDF (Figure 4), and the
 //! time-to-repair ECDF (Figure 5) — is a per-drive fold: no analysis
-//! needs two drives resident at once. [`SummaryAccumulator`] exploits
-//! that: feed it drives one at a time (e.g. from a streaming
-//! `TraceDecoder` over a multi-GB archive) and [`finish`] produces the
-//! *same* result structs as the resident functions in [`lifecycle`] and
-//! [`characterize`] — pinned by an equivalence test, and independent of
-//! the order drives are observed in (the ECDFs sort internally).
+//! needs two drives resident at once. [`SummaryAccumulator`] is the one
+//! implementation of all five: feed it drives one at a time (e.g. from a
+//! streaming `TraceDecoder` over a multi-GB archive) and [`finish`]
+//! produces the result structs. The resident functions in [`lifecycle`]
+//! and [`characterize`] read one field of [`summarize`], the same fold
+//! run over a resident trace on the worker pool. The result does not
+//! depend on the order drives are observed in: the counts are integers
+//! and the ECDFs sort at [`finish`].
 //!
 //! Folds are also *additive*: two accumulators built over disjoint drive
 //! sets [`merge`] into the same state one fold over the union would have
-//! produced — the property the sharded `ssdserve` service relies on:
+//! produced — the property the pool fold and the sharded `ssdserve`
+//! service rely on:
 //!
 //! ```
 //! use ssd_field_study_core::streaming::SummaryAccumulator;
@@ -49,11 +52,12 @@
 use crate::characterize::ErrorIncidence;
 use crate::failure::failure_records;
 use crate::lifecycle::{FailureCountDistribution, FailureIncidence};
+use ssd_parallel::prelude::*;
 use ssd_stats::Ecdf;
-use ssd_types::{DriveLog, DriveModel, ErrorKind};
+use ssd_types::{DriveLog, DriveModel, ErrorKind, FleetTrace};
 
 /// Everything `ssdstat`'s default report needs, computed in one streaming
-/// pass. Field types match the resident analysis functions exactly.
+/// pass. The resident analysis functions return its fields.
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
     /// Number of drives observed.
@@ -62,15 +66,15 @@ pub struct StreamSummary {
     pub total_drive_days: usize,
     /// Total swap events across all drives.
     pub total_swaps: usize,
-    /// Table 3, identical to `lifecycle::failure_incidence`.
+    /// Table 3, returned by `lifecycle::failure_incidence`.
     pub failure_incidence: FailureIncidence,
-    /// Table 4, identical to `lifecycle::failure_count_distribution`.
+    /// Table 4, returned by `lifecycle::failure_count_distribution`.
     pub failure_counts: FailureCountDistribution,
-    /// Table 1, identical to `characterize::error_incidence`.
+    /// Table 1, returned by `characterize::error_incidence`.
     pub error_incidence: ErrorIncidence,
-    /// Figure 4, identical to `lifecycle::non_operational_ecdf`.
+    /// Figure 4, returned by `lifecycle::non_operational_ecdf`.
     pub non_operational: Ecdf,
-    /// Figure 5, identical to `lifecycle::time_to_repair_ecdf`.
+    /// Figure 5, returned by `lifecycle::time_to_repair_ecdf`.
     pub time_to_repair: Ecdf,
     /// Importance-weighted population estimates; `Some` only when at least
     /// one observed drive carried a non-zero log-weight (i.e. the archive
@@ -277,8 +281,8 @@ impl SummaryAccumulator {
         self.n_drives
     }
 
-    /// Finalizes the fold into the same result structs the resident
-    /// analysis functions produce.
+    /// Finalizes the fold into the result structs of Tables 1, 3, 4 and
+    /// Figures 4–5.
     pub fn finish(&self) -> StreamSummary {
         let mut per_model = Vec::new();
         let mut total_failures = 0;
@@ -385,12 +389,30 @@ impl SummaryAccumulator {
     }
 }
 
+/// Folds a resident trace on the worker pool: one accumulator per chunk
+/// of drives, merged in chunk order, then finished. The unweighted fields
+/// equal a sequential fold's exactly (integer counts, ECDFs sorted at
+/// `finish`), and the chunking depends only on the drive count, so the
+/// weighted sums do not depend on the pool size either.
+pub fn summarize(trace: &FleetTrace) -> StreamSummary {
+    trace
+        .drives
+        .par_iter()
+        .fold(SummaryAccumulator::new, |mut acc, d| {
+            acc.observe(d);
+            acc
+        })
+        .reduce(SummaryAccumulator::new, |mut a, b| {
+            a.merge(&b);
+            a
+        })
+        .finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{characterize, lifecycle};
     use ssd_sim::{FleetGen, Sampling, SimConfig};
-    use ssd_types::FleetTrace;
 
     fn trace() -> FleetTrace {
         FleetGen::new(&SimConfig {
@@ -402,27 +424,107 @@ mod tests {
         .trace()
     }
 
-    fn assert_matches_resident(summary: &StreamSummary, t: &FleetTrace) {
+    /// Independent reference: each table as its own plain sequential loop
+    /// over the resident trace, sharing no code with the fold.
+    mod oracle {
+        use crate::failure::failure_records;
+        use crate::lifecycle::FailureIncidence;
+        use ssd_stats::Ecdf;
+        use ssd_types::{DriveModel, ErrorKind, FleetTrace};
+
+        /// Table 3.
+        pub fn failure_incidence(t: &FleetTrace) -> FailureIncidence {
+            let mut per_model = Vec::new();
+            let (mut failures, mut failed) = (0, 0);
+            for m in DriveModel::ALL {
+                let drives: Vec<_> = t.drives_of(m).collect();
+                let f: usize = drives.iter().map(|d| d.swaps.len()).sum();
+                let fd = drives.iter().filter(|d| d.ever_failed()).count();
+                let frac = if drives.is_empty() {
+                    0.0
+                } else {
+                    fd as f64 / drives.len() as f64
+                };
+                per_model.push((m.name().to_string(), f, drives.len(), frac));
+                failures += f;
+                failed += fd;
+            }
+            FailureIncidence {
+                per_model,
+                total_failures: failures,
+                total_failed_fraction: failed as f64 / t.n_drives() as f64,
+            }
+        }
+
+        /// Table 4: drives per lifetime failure count.
+        pub fn failure_counts(t: &FleetTrace) -> Vec<usize> {
+            let max = t.drives.iter().map(|d| d.swaps.len()).max().unwrap_or(0);
+            (0..=max)
+                .map(|k| t.drives.iter().filter(|d| d.swaps.len() == k).count())
+                .collect()
+        }
+
+        /// Table 1: error-day fraction per (kind, model).
+        pub fn error_rates(t: &FleetTrace) -> Vec<[f64; 3]> {
+            ErrorKind::ALL
+                .iter()
+                .map(|&kind| {
+                    let mut row = [0.0; 3];
+                    for m in DriveModel::ALL {
+                        let days: usize = t.drives_of(m).map(|d| d.reports.len()).sum();
+                        let hit = t
+                            .drives_of(m)
+                            .flat_map(|d| &d.reports)
+                            .filter(|r| r.errors.get(kind) > 0)
+                            .count();
+                        if days > 0 {
+                            row[m.index()] = hit as f64 / days as f64;
+                        }
+                    }
+                    row
+                })
+                .collect()
+        }
+
+        /// Figure 4.
+        pub fn non_operational(t: &FleetTrace) -> Ecdf {
+            let days: Vec<f64> = t
+                .drives
+                .iter()
+                .flat_map(failure_records)
+                .map(|f| f64::from(f.non_operational_days()))
+                .collect();
+            Ecdf::new(&days)
+        }
+
+        /// Figure 5, never-returning swaps censored.
+        pub fn time_to_repair(t: &FleetTrace) -> Ecdf {
+            let swaps: Vec<_> = t.drives.iter().flat_map(|d| &d.swaps).collect();
+            let days: Vec<f64> = swaps
+                .iter()
+                .filter_map(|s| s.repair_days())
+                .map(f64::from)
+                .collect();
+            Ecdf::with_censored(&days, (swaps.len() - days.len()) as u64)
+        }
+    }
+
+    fn assert_matches_oracle(summary: &StreamSummary, t: &FleetTrace) {
         assert_eq!(summary.n_drives, t.n_drives());
         assert_eq!(summary.total_drive_days, t.total_drive_days());
         assert_eq!(summary.total_swaps, t.total_swaps());
 
-        let inc = lifecycle::failure_incidence(t);
+        let inc = oracle::failure_incidence(t);
         assert_eq!(summary.failure_incidence.per_model, inc.per_model);
         assert_eq!(summary.failure_incidence.total_failures, inc.total_failures);
         assert_eq!(
             summary.failure_incidence.total_failed_fraction,
             inc.total_failed_fraction
         );
-
-        let dist = lifecycle::failure_count_distribution(t);
-        assert_eq!(summary.failure_counts.count_of, dist.count_of);
-
-        let err = characterize::error_incidence(t);
-        assert_eq!(summary.error_incidence.rates, err.rates);
-
-        assert_eq!(summary.non_operational, lifecycle::non_operational_ecdf(t));
-        assert_eq!(summary.time_to_repair, lifecycle::time_to_repair_ecdf(t));
+        assert_eq!(summary.failure_counts.count_of, oracle::failure_counts(t));
+        assert_eq!(summary.error_incidence.rates, oracle::error_rates(t));
+        assert_eq!(summary.non_operational, oracle::non_operational(t));
+        assert_eq!(summary.time_to_repair, oracle::time_to_repair(t));
     }
 
     #[test]
@@ -432,7 +534,9 @@ mod tests {
         for d in &t.drives {
             acc.observe(d);
         }
-        assert_matches_resident(&acc.finish(), &t);
+        assert_matches_oracle(&acc.finish(), &t);
+        // The resident entry points read the pool fold.
+        assert_matches_oracle(&summarize(&t), &t);
     }
 
     #[test]
@@ -442,7 +546,7 @@ mod tests {
         for d in t.drives.iter().rev() {
             acc.observe(d);
         }
-        assert_matches_resident(&acc.finish(), &t);
+        assert_matches_oracle(&acc.finish(), &t);
     }
 
     #[test]
@@ -459,7 +563,7 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.n_drives(), t.n_drives());
-        assert_matches_resident(&a.finish(), &t);
+        assert_matches_oracle(&a.finish(), &t);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! cargo run --release --example fleet_characterization
 //! ```
 
-use ssd_field_study::core::{aging, characterize, errors_analysis, lifecycle};
+use ssd_field_study::core::streaming::summarize;
+use ssd_field_study::core::{aging, characterize, errors_analysis};
 use ssd_field_study::sim::{FleetGen, SimConfig};
 
 fn main() {
@@ -26,20 +27,23 @@ fn main() {
         trace.total_drive_days()
     );
 
+    // One summary fold answers Tables 3-4 and Figures 4-5.
+    let summary = summarize(&trace);
+
     // How often do drives fail? (Table 3 / Table 4)
-    println!("{}", lifecycle::failure_incidence(&trace).table());
-    println!("{}", lifecycle::failure_count_distribution(&trace).table());
+    println!("{}", summary.failure_incidence.table());
+    println!("{}", summary.failure_counts.table());
 
     // How long do failed drives linger, and does repair ever finish?
     // (Figures 4 and 5)
-    let nop = lifecycle::non_operational_ecdf(&trace);
+    let nop = &summary.non_operational;
     println!("failed drives swapped within 1 day:  {:>5.1}%", nop.eval(1.0) * 100.0);
     println!("failed drives swapped within 7 days: {:>5.1}%", nop.eval(7.0) * 100.0);
     println!(
         "failed drives lingering 100+ days:   {:>5.1}%",
         (1.0 - nop.eval(100.0)) * 100.0
     );
-    let rep = lifecycle::time_to_repair_ecdf(&trace);
+    let rep = &summary.time_to_repair;
     println!(
         "swapped drives never observed back:  {:>5.1}%\n",
         rep.censored_fraction() * 100.0

@@ -12,14 +12,18 @@
 //! directory (then `--horizon` is required). The run is two streaming
 //! passes over the source, each holding one drive resident:
 //!
-//! 1. **Train** — `build_dataset_streaming` folds every drive into a
-//!    labeled dataset (swap within `--lookahead` days), a random forest
-//!    or GBDT is fitted, and the ensemble is flattened into contiguous
-//!    node arrays (`ssd_ml::flat`).
+//! 1. **Train** — `serve::train_scorer`, the trainer `ssdserve` loads
+//!    with: every drive folds into a labeled dataset (swap within
+//!    `--lookahead` days), a random forest or GBDT is fitted, and the
+//!    ensemble is flattened into contiguous node arrays (`ssd_ml::flat`).
 //! 2. **Score** — each drive's history replays through [`OnlineFleet`]'s
-//!    incremental feature state; one `predict_fleet_day` batch call then
-//!    scores the whole fleet's current day, and the top `--top` risky
-//!    drives are printed.
+//!    incremental feature state; `OnlineFleet::rank` then scores the
+//!    whole fleet's current day in one batch call and orders it the way
+//!    `ssdserve` answers top-K requests, and the top `--top` risky drives
+//!    are printed.
+//!
+//! `--model`, `--trees`, `--lookahead` and `--sample-rate` are checked
+//! before the trace is opened, with the same rules as `ssdserve`.
 //!
 //! Output is deterministic for fixed inputs and flags, for every
 //! thread-pool size.
@@ -27,9 +31,8 @@
 #![forbid(unsafe_code)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
-use ssd_field_study_core::features::{build_dataset_streaming, ExtractOptions};
+use ssd_field_study_core::serve::{train_scorer, ScorerSpec};
 use ssd_field_study_core::OnlineFleet;
-use ssd_ml::{BatchScorer, FlatForest, FlatGbdt, ForestConfig, Gbdt, GbdtConfig, RandomForest};
 use ssd_types::source::TraceSource;
 use ssd_types::{DriveId, DriveLog, DriveModel};
 
@@ -39,110 +42,68 @@ const USAGE: &str = "ssdpredict --trace PATH [--horizon DAYS] [--model forest|gb
 struct Args {
     trace: String,
     horizon: Option<u32>,
-    model: String,
+    scorer: ScorerSpec,
     lookahead: u32,
-    trees: usize,
     seed: u64,
     sample_rate: f64,
     top: usize,
 }
 
 fn parse_args() -> Result<Args, UsageError> {
-    let mut args = Args {
-        trace: String::new(),
-        horizon: None,
-        model: "forest".into(),
-        lookahead: 7,
-        trees: 30,
-        seed: 0,
-        sample_rate: 1.0,
-        top: 10,
-    };
+    let mut trace = String::new();
+    let mut horizon = None;
+    let mut model = "forest".to_string();
+    let mut trees = 30;
+    let mut lookahead = 7;
+    let mut seed = 0;
+    let mut sample_rate = 1.0;
+    let mut top = 10;
     let mut it = ArgStream::from_env(USAGE);
     while let Some(a) = it.next_arg() {
         match a.as_str() {
-            "--trace" => args.trace = it.value("--trace")?,
-            "--horizon" => args.horizon = Some(it.parsed("--horizon")?),
-            "--model" => args.model = it.value("--model")?,
-            "--lookahead" => args.lookahead = it.parsed("--lookahead")?,
-            "--trees" => args.trees = it.parsed("--trees")?,
-            "--seed" => args.seed = it.parsed("--seed")?,
-            "--sample-rate" => args.sample_rate = it.parsed("--sample-rate")?,
-            "--top" => args.top = it.parsed("--top")?,
+            "--trace" => trace = it.value("--trace")?,
+            "--horizon" => horizon = Some(it.parsed("--horizon")?),
+            "--model" => model = it.value("--model")?,
+            "--lookahead" => lookahead = it.parsed("--lookahead")?,
+            "--trees" => trees = it.parsed("--trees")?,
+            "--seed" => seed = it.parsed("--seed")?,
+            "--sample-rate" => sample_rate = it.parsed("--sample-rate")?,
+            "--top" => top = it.parsed("--top")?,
             other => return Err(it.unknown(other)),
         }
     }
-    if args.trace.is_empty() {
+    if trace.is_empty() {
         return Err("--trace is required".into());
     }
-    if args.lookahead < 1 {
-        return Err("--lookahead must be at least 1 day".into());
-    }
-    if !(args.sample_rate > 0.0 && args.sample_rate <= 1.0) {
-        return Err("--sample-rate must be in (0, 1]".into());
-    }
-    if args.trees < 1 {
-        return Err("--trees must be at least 1".into());
-    }
-    Ok(args)
-}
-
-/// Trains the requested model on the streamed dataset and flattens it.
-fn train_scorer(
-    args: &Args,
-    data: &ssd_ml::Dataset,
-) -> Result<Box<dyn BatchScorer>, BinError> {
-    match args.model.as_str() {
-        "forest" => {
-            let cfg = ForestConfig {
-                n_trees: args.trees,
-                ..Default::default()
-            };
-            let forest = RandomForest::fit(&cfg, data, args.seed);
-            Ok(Box::new(FlatForest::from_forest(&forest)))
-        }
-        "gbdt" => {
-            let cfg = GbdtConfig {
-                n_trees: args.trees,
-                ..Default::default()
-            };
-            let model = Gbdt::fit(&cfg, data, args.seed);
-            Ok(Box::new(FlatGbdt::from_gbdt(&model)))
-        }
-        other => Err(format!("unknown model '{other}' (use forest|gbdt)").into()),
-    }
+    let scorer = ScorerSpec::parse(&model, trees, false)?;
+    scorer.check(lookahead, sample_rate)?;
+    Ok(Args {
+        trace,
+        horizon,
+        scorer,
+        lookahead,
+        seed,
+        sample_rate,
+        top,
+    })
 }
 
 fn run(args: &Args) -> Result<(), BinError> {
     let source = TraceSource::from_path(&args.trace, args.horizon)?;
 
-    // Pass 1: stream the trace into a labeled training set.
-    let opts = ExtractOptions {
-        lookahead_days: args.lookahead,
-        negative_sample_rate: args.sample_rate,
-        seed: args.seed,
-        ..Default::default()
-    };
-    let mut reader = source.open()?;
-    let data = build_dataset_streaming(&mut reader, &opts)?;
-    let (pos, neg) = data.class_counts();
-    if pos == 0 || neg == 0 {
-        return Err(format!(
-            "training data needs both classes: {pos} positive / {neg} negative rows \
-             (try a longer trace or a larger --lookahead)"
-        )
-        .into());
-    }
-    let scorer = train_scorer(args, &data)?;
-    eprintln!(
-        "trained {} ({} trees) on {} rows ({pos} positive) in one streaming pass",
-        scorer.scorer_name(),
-        args.trees,
-        data.n_rows()
-    );
+    // Pass 1: train on the streamed history.
+    let scorer = train_scorer(
+        &source,
+        args.scorer,
+        args.lookahead,
+        args.sample_rate,
+        args.seed,
+    )?
+    .ok_or("no scorer to train")?;
+    eprintln!("trained {} in one streaming pass", scorer.scorer_name());
 
     // Pass 2: replay each drive's telemetry through the online feature
-    // state, then score the whole fleet's current day in one batch.
+    // state, then rank the whole fleet's current day in one batch.
     let mut reader = source.open()?;
     let mut fleet = OnlineFleet::new();
     let mut drive = DriveLog::new(DriveId(0), DriveModel::from_index(0));
@@ -154,16 +115,13 @@ fn run(args: &Args) -> Result<(), BinError> {
         drive_days += drive.reports.len() as u64;
         fleet.observe_drive(&drive);
     }
-    let mut scored = fleet.predict_fleet_day(scorer.as_ref());
-    // Highest risk first; ties break toward the lower drive id so the
-    // report is stable across runs and pool sizes.
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+    let ranked = fleet.rank(scorer.as_ref());
 
     let n = fleet.n_drives();
     let mean = if n == 0 {
         0.0
     } else {
-        scored.iter().map(|(_, p)| p).sum::<f64>() / n as f64
+        ranked.iter().map(|r| r.2).sum::<f64>() / n as f64
     };
     println!("fleet risk (swap within {} days)", args.lookahead);
     println!("  drives:      {n}");
@@ -171,11 +129,13 @@ fn run(args: &Args) -> Result<(), BinError> {
     println!("  mean score:  {mean:.4}");
     println!();
     println!("top {} drives by current-day risk:", args.top.min(n));
-    for (id, p) in scored.iter().take(args.top) {
-        let model = fleet
-            .model_of(*id)
-            .map_or_else(|| "?".to_string(), |m| m.to_string());
-        println!("  drive {:>6}  model {:<6}  score {:.4}", id.0, model, p);
+    for (id, model, p) in ranked.iter().take(args.top) {
+        println!(
+            "  drive {:>6}  model {:<6}  score {:.4}",
+            id.0,
+            model.name(),
+            p
+        );
     }
     Ok(())
 }

@@ -16,6 +16,10 @@
 //! clients wait to be accepted). A socket connection idle past
 //! `serve::server::CONNECTION_DEADLINE` is dropped.
 //!
+//! `--model`, `--trees`, `--lookahead` and `--sample-rate` are checked
+//! before the trace is opened, with the same rules as `ssdpredict`, even
+//! under `--model none`.
+//!
 //! Responses are byte-identical for any `--shards` value and any client
 //! interleaving. Malformed frames get a typed error frame and a nonzero
 //! exit (stdio mode) or a closed connection (socket mode).
@@ -34,74 +38,52 @@ const USAGE: &str = "ssdserve --trace PATH [--horizon DAYS] [--shards N] \
 struct Args {
     trace: String,
     horizon: Option<u32>,
-    shards: usize,
-    queue_cap: usize,
-    model: String,
-    trees: usize,
-    seed: u64,
-    lookahead: u32,
-    sample_rate: f64,
     socket: Option<String>,
+    cfg: ServeConfig,
 }
 
 fn parse_args() -> Result<Args, UsageError> {
-    let mut args = Args {
-        trace: String::new(),
-        horizon: None,
-        shards: 4,
-        queue_cap: 16,
-        model: "forest".into(),
-        trees: 30,
-        seed: 0,
-        lookahead: 7,
-        sample_rate: 1.0,
-        socket: None,
-    };
+    let mut trace = String::new();
+    let mut horizon = None;
+    let mut socket = None;
+    let mut model = "forest".to_string();
+    let mut trees = 30;
+    let mut cfg = ServeConfig::default();
     let mut it = ArgStream::from_env(USAGE);
     while let Some(a) = it.next_arg() {
         match a.as_str() {
-            "--trace" => args.trace = it.value("--trace")?,
-            "--horizon" => args.horizon = Some(it.parsed("--horizon")?),
-            "--shards" => args.shards = it.parsed("--shards")?,
-            "--queue-cap" => args.queue_cap = it.parsed("--queue-cap")?,
-            "--model" => args.model = it.value("--model")?,
-            "--trees" => args.trees = it.parsed("--trees")?,
-            "--seed" => args.seed = it.parsed("--seed")?,
-            "--lookahead" => args.lookahead = it.parsed("--lookahead")?,
-            "--sample-rate" => args.sample_rate = it.parsed("--sample-rate")?,
-            "--socket" => args.socket = Some(it.value("--socket")?),
+            "--trace" => trace = it.value("--trace")?,
+            "--horizon" => horizon = Some(it.parsed("--horizon")?),
+            "--shards" => cfg.shards = it.parsed("--shards")?,
+            "--queue-cap" => cfg.queue_cap = it.parsed("--queue-cap")?,
+            "--model" => model = it.value("--model")?,
+            "--trees" => trees = it.parsed("--trees")?,
+            "--seed" => cfg.seed = it.parsed("--seed")?,
+            "--lookahead" => cfg.lookahead_days = it.parsed("--lookahead")?,
+            "--sample-rate" => cfg.sample_rate = it.parsed("--sample-rate")?,
+            "--socket" => socket = Some(it.value("--socket")?),
             other => return Err(it.unknown(other)),
         }
     }
-    if args.trace.is_empty() {
+    if trace.is_empty() {
         return Err("--trace is required".into());
     }
-    if args.shards == 0 {
+    if cfg.shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    Ok(args)
-}
-
-fn scorer_spec(args: &Args) -> Result<ScorerSpec, BinError> {
-    match args.model.as_str() {
-        "forest" => Ok(ScorerSpec::Forest { trees: args.trees }),
-        "gbdt" => Ok(ScorerSpec::Gbdt { trees: args.trees }),
-        "none" => Ok(ScorerSpec::None),
-        other => Err(format!("unknown model '{other}' (use forest|gbdt|none)").into()),
-    }
+    cfg.scorer = ScorerSpec::parse(&model, trees, true)?;
+    cfg.scorer.check(cfg.lookahead_days, cfg.sample_rate)?;
+    Ok(Args {
+        trace,
+        horizon,
+        socket,
+        cfg,
+    })
 }
 
 fn run(args: &Args) -> Result<(), BinError> {
     let source = TraceSource::from_path(&args.trace, args.horizon)?;
-    let cfg = ServeConfig {
-        shards: args.shards,
-        queue_cap: args.queue_cap,
-        scorer: scorer_spec(args)?,
-        lookahead_days: args.lookahead,
-        sample_rate: args.sample_rate,
-        seed: args.seed,
-    };
-    let service = Arc::new(FleetService::load(&source, &cfg)?);
+    let service = Arc::new(FleetService::load(&source, &args.cfg)?);
     let meta = service.meta();
     eprintln!(
         "ready: {} drives / {} drive-days on {} shards (scorer: {})",
@@ -112,7 +94,7 @@ fn run(args: &Args) -> Result<(), BinError> {
     );
 
     match &args.socket {
-        Some(path) => serve_socket(path, service, cfg.queue_cap),
+        Some(path) => serve_socket(path, service, args.cfg.queue_cap),
         None => {
             // stdio mode: one client, answered in-thread.
             let mut stdin = std::io::stdin().lock();

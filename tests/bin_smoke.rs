@@ -441,6 +441,89 @@ fn ssdpredict_gbdt_model_runs_on_the_same_archive() {
 }
 
 #[test]
+fn training_flags_are_usage_errors_before_the_trace_is_opened() {
+    // The trace does not exist: a bin that opened it before checking its
+    // flags would exit 1 with a read error instead of 2.
+    let trace = "/no/such/trace.ssdfs";
+    let cases: [(&str, &str, &[&str], &str); 10] = [
+        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--trees", "0"], "--trees"),
+        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--sample-rate", "0"], "--sample-rate"),
+        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--lookahead", "0"], "--lookahead"),
+        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--model", "bogus"], "unknown model 'bogus'"),
+        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--model", "none"], "unknown model 'none'"),
+        ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--trees", "0"], "--trees"),
+        ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--sample-rate", "0"], "--sample-rate"),
+        ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--lookahead", "0"], "--lookahead"),
+        ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--model", "bogus"], "unknown model 'bogus'"),
+        (
+            "ssdserve",
+            env!("CARGO_BIN_EXE_ssdserve"),
+            &["--model", "none", "--sample-rate", "2"],
+            "--sample-rate",
+        ),
+    ];
+    for (name, bin, flags, expect) in cases {
+        let out = Command::new(bin)
+            .args(["--trace", trace])
+            .args(flags)
+            .output()
+            .expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {flags:?} must be a usage error:\n{stderr}");
+        assert!(
+            stderr.starts_with(&format!("{name}: ")) && stderr.contains(expect),
+            "{name} {flags:?} must name the bad flag ({expect}):\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn ssdpredict_and_ssdserve_rank_the_same_drives() {
+    let dir = scratch("rank_agreement");
+    gen_predict_trace(&dir);
+    let trace = dir.join("trace.ssdfs");
+    let flags = ["--trees", "10", "--seed", "7", "--lookahead", "14", "--sample-rate", "0.5"];
+
+    let mut args = vec!["--trace", trace.to_str().unwrap(), "--top", "5"];
+    args.extend(flags);
+    let out = run(env!("CARGO_BIN_EXE_ssdpredict"), &args);
+    // Ranking lines read "  drive {id}  model {model}  score {score:.4}".
+    let predicted: Vec<(u64, String, String)> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|line| {
+            let w: Vec<&str> = line.split_whitespace().collect();
+            match w.as_slice() {
+                ["drive", id, "model", model, "score", score] => {
+                    Some((id.parse().unwrap(), model.to_string(), score.to_string()))
+                }
+                _ => None,
+            }
+        })
+        .collect();
+    assert_eq!(predicted.len(), 5, "ssdpredict must list 5 drives");
+
+    let out = run_ssdserve(&trace, &flags, &serve_frame(br#"{"q":"topk","k":5}"#));
+    assert!(out.status.success(), "stderr:\n{}", String::from_utf8_lossy(&out.stderr));
+    let frames = serve_split(&out.stdout);
+    let top = json::parse(std::str::from_utf8(&frames[0]).unwrap()).expect("topk json");
+    let Some(json::Value::Arr(drives)) = top.get("drives") else {
+        panic!("topk answer lists drives")
+    };
+    let served: Vec<(u64, String, String)> = drives
+        .iter()
+        .map(|d| {
+            (
+                d.get("id").and_then(json::Value::as_u64).expect("id"),
+                d.get("model").and_then(json::Value::as_str).expect("model").to_string(),
+                format!("{:.4}", d.get("score").and_then(json::Value::as_f64).expect("score")),
+            )
+        })
+        .collect();
+    assert_eq!(predicted, served, "both bins must rank the same drives in the same order");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn ssdpredict_reports_single_class_traces_with_typed_error() {
     // The shared tiny fleet produces no swaps, so training must fail
     // with the class-balance diagnostic, not a panic or a zero ranking.
