@@ -5,16 +5,28 @@
 //! accuracy/cost trade-off is visible in one run.
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
-use ssd_bench::{bench_predict_config, small_trace};
-use ssd_field_study_core::{build_dataset, ExtractOptions};
+use ssd_field_study_core::{build_dataset, ExtractOptions, PredictConfig};
 use ssd_ml::{cross_validate, CvOptions, Dataset, ForestConfig};
+use ssd_sim::{FleetGen, SimConfig};
 use std::sync::OnceLock;
+
+/// The configuration every sweep starts from.
+fn bench_predict_config() -> PredictConfig {
+    PredictConfig::fast(8080)
+}
 
 fn dataset() -> &'static Dataset {
     static DATA: OnceLock<Dataset> = OnceLock::new();
     DATA.get_or_init(|| {
+        let trace = FleetGen::new(&SimConfig {
+            drives_per_model: 120,
+            horizon_days: 1500,
+            seed: 9090,
+            ..SimConfig::default()
+        })
+        .trace();
         build_dataset(
-            small_trace(),
+            &trace,
             &ExtractOptions {
                 lookahead_days: 1,
                 negative_sample_rate: 0.04,
@@ -118,50 +130,11 @@ fn bench_feature_sets(c: &mut Criterion) {
     g.finish();
 }
 
-/// MDI (train-time, free) vs permutation (held-out, expensive) feature
-/// importance: cost comparison, with the two top-5 rankings printed so
-/// their (dis)agreement is visible — the standard caveat on Figure 16.
-fn bench_importance_methods(c: &mut Criterion) {
-    use ssd_ml::{permutation_importance, RandomForest};
-    let data = dataset();
-    let cfg = bench_predict_config();
-    let all: Vec<usize> = (0..data.n_rows()).collect();
-    let idx = ssd_ml::downsample_majority(data, &all, 1.0, 1);
-    let train = data.select(&idx);
-    let forest = RandomForest::fit(&cfg.forest, &train, 1);
-
-    let top5 = |pairs: Vec<(String, f64)>| -> Vec<String> {
-        pairs.into_iter().take(5).map(|(n, _)| n).collect()
-    };
-    let mdi = top5(forest.ranked_importances(data.feature_names()));
-    let perm_values = permutation_importance(&forest, data, 2, 1);
-    let mut perm_pairs: Vec<(String, f64)> = data
-        .feature_names()
-        .iter()
-        .cloned()
-        .zip(perm_values)
-        .collect();
-    perm_pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    eprintln!("[ablation] MDI top-5:         {mdi:?}");
-    eprintln!("[ablation] permutation top-5: {:?}", top5(perm_pairs));
-
-    let mut g = c.benchmark_group("ablation_importance_methods");
-    g.sample_size(10);
-    g.bench_function("mdi_via_refit", |b| {
-        b.iter(|| RandomForest::fit(&cfg.forest, &train, 1).feature_importances().to_vec())
-    });
-    g.bench_function("permutation_2_repeats", |b| {
-        b.iter(|| permutation_importance(&forest, data, 2, 1))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_forest_size,
     bench_tree_depth,
     bench_downsampling_ratio,
-    bench_feature_sets,
-    bench_importance_methods
+    bench_feature_sets
 );
 criterion_main!(benches);

@@ -150,8 +150,8 @@ pub fn pre_failure_errors(trace: &FleetTrace) -> PreFailureErrors {
                 }
             }
             if let Some(nearest) = nearest {
-                for n in nearest..W {
-                    within[slot][n] += 1;
+                for w in &mut within[slot][nearest..] {
+                    *w += 1;
                 }
             }
         }

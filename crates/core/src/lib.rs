@@ -44,7 +44,6 @@
 
 pub mod aging;
 pub mod characterize;
-pub mod drift;
 pub mod errors_analysis;
 pub mod failure;
 pub mod features;
@@ -57,7 +56,6 @@ pub mod report;
 pub mod serve;
 pub mod streaming;
 
-pub use drift::{drift_report, DriftCheck, DriftReport};
 pub use failure::{failure_records, operational_periods, FailureRecord, OperationalPeriod};
 pub use features::{
     build_dataset, build_dataset_streaming, feature_names, AgeFilter, ExtractOptions, LabelKind,

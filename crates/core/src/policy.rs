@@ -103,8 +103,8 @@ pub fn evaluate_policy(
         .map(|&threshold| {
             // First-alert age per drive.
             let mut first_alert: BTreeMap<u32, f32> = BTreeMap::new();
-            for i in 0..data.n_rows() {
-                if scores[i] >= threshold {
+            for (i, &score) in scores.iter().enumerate() {
+                if score >= threshold {
                     let drive = data.group(i);
                     let age = data.row(i)[AGE_COLUMN];
                     first_alert

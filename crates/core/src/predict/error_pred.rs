@@ -33,13 +33,16 @@ pub fn table8_targets() -> Vec<(String, LabelKind)> {
     targets
 }
 
+/// One Table 8 row: (target name, combined AUC, young AUC, old AUC).
+pub type ErrorPredictionRow = (String, Option<f64>, Option<f64>, Option<f64>);
+
 /// Result of the Table 8 experiment.
 #[derive(Debug, Clone)]
 pub struct ErrorPrediction {
-    /// Per target: (name, combined AUC, young AUC, old AUC). AUCs are
-    /// `None` where the target class was too rare to evaluate (the paper
-    /// likewise marks response errors "—" for the age splits).
-    pub rows: Vec<(String, Option<f64>, Option<f64>, Option<f64>)>,
+    /// One row per target. AUCs are `None` where the target class was
+    /// too rare to evaluate (the paper likewise marks response errors "—"
+    /// for the age splits).
+    pub rows: Vec<ErrorPredictionRow>,
 }
 
 fn try_cv(

@@ -77,9 +77,9 @@ impl PredictConfig {
     }
 }
 
-/// The paper's six classifier families (Table 6 row order), with the
-/// hyperparameters our grid search settled on (see
-/// `benches/bench_ablations.rs` for the sweeps).
+/// The paper's six classifier families (Table 6 row order), each at its
+/// fixed default hyperparameters (`bench_ablations` in `crates/bench`
+/// sweeps them).
 pub fn six_model_trainers() -> Vec<Box<dyn Trainer>> {
     vec![
         Box::new(LogisticRegressionConfig::default()),

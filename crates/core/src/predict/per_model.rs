@@ -121,8 +121,7 @@ pub fn transfer_matrix(trace: &FleetTrace, config: &PredictConfig) -> TransferMa
             // Train on all three models; the grouped CV inside keeps the
             // test drives out of training. Evaluate only rows of the test
             // model by training on `all` minus this model's drives.
-            let scores_auc = transfer_all_to(&all, test, config);
-            scores_auc
+            transfer_all_to(&all, test, config)
         };
     }
     TransferMatrix { auc }

@@ -316,9 +316,9 @@ impl SummaryAccumulator {
         let rates = (0..ErrorKind::COUNT)
             .map(|k| {
                 let mut row = [0.0; 3];
-                for m in 0..3 {
+                for (m, rate) in row.iter_mut().enumerate() {
                     if self.days[m] > 0 {
-                        row[m] = self.error_days[k][m] as f64 / self.days[m] as f64;
+                        *rate = self.error_days[k][m] as f64 / self.days[m] as f64;
                     }
                 }
                 row
@@ -363,9 +363,9 @@ impl SummaryAccumulator {
         let error_rates = (0..ErrorKind::COUNT)
             .map(|k| {
                 let mut row = [0.0; 3];
-                for m in 0..3 {
+                for (m, rate) in row.iter_mut().enumerate() {
                     if self.w_days[m] > 0.0 {
-                        row[m] = self.w_error_days[k][m] / self.w_days[m];
+                        *rate = self.w_error_days[k][m] / self.w_days[m];
                     }
                 }
                 row

@@ -419,7 +419,7 @@ fn into_diagnostics(rel_path: &str, findings: Vec<rules::Finding>) -> Vec<Diagno
             message: f.message,
         })
         .collect();
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    out.sort_by_key(|d| (d.line, d.rule));
     out
 }
 

@@ -230,8 +230,7 @@ impl<'t, 'a> Parser<'t, 'a> {
         // A lone `const`/`extern` that is itself the item keyword
         // (`const X: ...`, `extern crate`, `extern "C" { ... }`) is
         // handled by not consuming it here.
-        loop {
-            let Some(t) = self.peek() else { break };
+        while let Some(t) = self.peek() {
             if t.kind != TokenKind::Ident || !QUALIFIERS.contains(&t.text) {
                 break;
             }

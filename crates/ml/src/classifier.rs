@@ -24,8 +24,7 @@ pub trait Classifier: Send + Sync {
 }
 
 /// A training recipe: fits a [`Classifier`] to a dataset. Implemented by
-/// the config type of each model family, and by closures via
-/// [`FnTrainer`].
+/// the config type of each model family.
 pub trait Trainer: Send + Sync {
     /// Fits a model. `seed` controls any training-time randomness
     /// (bootstraps, initialization, shuffling) for reproducibility.
@@ -33,38 +32,6 @@ pub trait Trainer: Send + Sync {
 
     /// Display name for result tables.
     fn name(&self) -> String;
-}
-
-/// Adapter turning a closure into a [`Trainer`].
-pub struct FnTrainer<F> {
-    name: String,
-    f: F,
-}
-
-impl<F> FnTrainer<F>
-where
-    F: Fn(&Dataset, u64) -> Box<dyn Classifier> + Send + Sync,
-{
-    /// Wraps a closure with a display name.
-    pub fn new(name: impl Into<String>, f: F) -> Self {
-        FnTrainer {
-            name: name.into(),
-            f,
-        }
-    }
-}
-
-impl<F> Trainer for FnTrainer<F>
-where
-    F: Fn(&Dataset, u64) -> Box<dyn Classifier> + Send + Sync,
-{
-    fn fit(&self, data: &Dataset, seed: u64) -> Box<dyn Classifier> {
-        (self.f)(data, seed)
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
 }
 
 /// Numerically stable logistic sigmoid.
@@ -101,18 +68,6 @@ mod tests {
         let c = Constant(0.42);
         let batch = c.predict_batch(&d);
         assert_eq!(batch, vec![0.42; 10]);
-    }
-
-    #[test]
-    fn fn_trainer_wraps_closures() {
-        let t = FnTrainer::new("const", |_d: &Dataset, _s: u64| {
-            Box::new(Constant(0.5)) as Box<dyn Classifier>
-        });
-        let mut d = Dataset::with_dims(1);
-        d.push_row(&[0.0], true, 0);
-        let m = t.fit(&d, 0);
-        assert_eq!(m.predict_proba(&[1.0]), 0.5);
-        assert_eq!(t.name(), "const");
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl<'a> RegBuilder<'a> {
             if let Some((threshold, gain, split_at)) =
                 scan_feature(order, self.pre.values_of(f), self.min_leaf, &mut crit)
             {
-                if best.map_or(true, |b| gain > b.3) {
+                if best.is_none_or(|b| gain > b.3) {
                     best = Some((u16_from_usize(f), threshold, split_at, gain));
                 }
             }
@@ -295,8 +295,8 @@ impl Gbdt {
             let tree = RegTree {
                 nodes: builder.nodes,
             };
-            for i in 0..n {
-                scores[i] += config.learning_rate * tree.predict(data.row(i));
+            for (i, score) in scores.iter_mut().enumerate() {
+                *score += config.learning_rate * tree.predict(data.row(i));
             }
             trees.push(tree);
         }

@@ -10,8 +10,7 @@
 //!   importances for Figure 16);
 //! * the evaluation protocol of Section 5.1 — ROC curves and AUC
 //!   ([`metrics`]), drive-grouped k-fold CV with training-side 1:1
-//!   downsampling ([`cv`], [`split`]);
-//! * hyperparameter grid search ([`grid_search`]).
+//!   downsampling ([`cv`], [`split`]).
 //!
 //! All training is deterministic given a seed, and the parallel paths
 //! (forest training, batch prediction) are reduction-order stable.
@@ -20,38 +19,29 @@
 
 #![warn(missing_docs)]
 
-mod calibrate;
 pub mod classifier;
 pub mod cv;
 pub mod dataset;
 pub mod flat;
 pub mod forest;
 pub mod gbdt;
-mod gridsearch;
 pub mod knn;
 pub mod linear;
 pub mod metrics;
-mod naive_bayes;
 mod nn;
-pub mod permutation;
 pub mod split;
 pub mod split_kernel;
 pub mod tree;
 
-pub use calibrate::{expected_calibration_error, Calibrated, PlattScaler};
-pub use classifier::{Classifier, FnTrainer, Trainer};
-pub use naive_bayes::{NaiveBayes, NaiveBayesConfig};
-pub use permutation::permutation_importance;
+pub use classifier::{Classifier, Trainer};
 pub use cv::{cross_validate, train_test_auc, CvOptions, CvResult};
 pub use dataset::{Dataset, Scaler};
 pub use flat::{BatchScorer, FlatForest, FlatGbdt};
 pub use forest::{ForestConfig, RandomForest};
 pub use gbdt::{Gbdt, GbdtConfig};
-pub use gridsearch::{grid_search, GridSearchResult};
 pub use knn::{Knn, KnnConfig};
 pub use linear::{LinearSvm, LinearSvmConfig, LogisticRegression, LogisticRegressionConfig};
-pub use metrics::{average_precision, roc_auc, roc_auc_weighted, Confusion, RocCurve, RocPoint};
+pub use metrics::{roc_auc, roc_auc_weighted, Confusion, RocCurve, RocPoint};
 pub use nn::{Mlp, MlpConfig};
 pub use split::{downsample_majority, grouped_kfold};
-pub use split_kernel::SplitChoice;
 pub use tree::{DecisionTree, TreeConfig};

@@ -242,36 +242,6 @@ impl Confusion {
     }
 }
 
-/// Average precision (area under the precision–recall curve, step-wise),
-/// the imbalance-sensitive companion metric to ROC AUC.
-pub fn average_precision(scores: &[f64], labels: &[bool]) -> f64 {
-    assert_eq!(scores.len(), labels.len());
-    let n_pos = labels.iter().filter(|&&l| l).count();
-    assert!(n_pos > 0, "average precision needs positives");
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-    let mut tp = 0usize;
-    let mut seen = 0usize;
-    let mut ap = 0.0;
-    let mut prev_recall = 0.0;
-    let mut i = 0;
-    while i < order.len() {
-        let s = scores[order[i]];
-        while i < order.len() && scores[order[i]] == s {
-            if labels[order[i]] {
-                tp += 1;
-            }
-            seen += 1;
-            i += 1;
-        }
-        let recall = f64_from_usize(tp) / f64_from_usize(n_pos);
-        let precision = f64_from_usize(tp) / f64_from_usize(seen);
-        ap += (recall - prev_recall) * precision;
-        prev_recall = recall;
-    }
-    ap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,15 +332,6 @@ mod tests {
         // first negative).
         assert!((c.tpr_at_fpr(0.0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.tpr_at_fpr(0.6) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_precision_perfect_and_known() {
-        let labels = [true, true, false, false];
-        assert!((average_precision(&[0.9, 0.8, 0.2, 0.1], &labels) - 1.0).abs() < 1e-12);
-        // Ranking: pos, neg, pos, neg → AP = 0.5·1 + 0.5·(2/3) = 5/6.
-        let ap = average_precision(&[0.9, 0.8, 0.7, 0.6], &[true, false, true, false]);
-        assert!((ap - 5.0 / 6.0).abs() < 1e-12, "{ap}");
     }
 
     #[test]

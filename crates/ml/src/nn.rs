@@ -161,8 +161,7 @@ impl Mlp {
                             let (dprev, dcur) = deltas.split_at_mut(l);
                             let dprev = &mut dprev[l - 1];
                             dprev.iter_mut().for_each(|v| *v = 0.0);
-                            for o in 0..layers[l].n_out {
-                                let dl = dcur[0][o];
+                            for (o, &dl) in dcur[0].iter().enumerate() {
                                 let row = &layers[l].w
                                     [o * layers[l].n_in..(o + 1) * layers[l].n_in];
                                 for (dp, &w) in dprev.iter_mut().zip(row) {

@@ -100,7 +100,7 @@ mod tests {
         let mut d = Dataset::with_dims(1);
         for g in 0..n_groups {
             for r in 0..rows_per_group {
-                d.push_row(&[r as f32], (g + r as u32) % 7 == 0, g);
+                d.push_row(&[r as f32], (g + r as u32).is_multiple_of(7), g);
             }
         }
         d

@@ -321,7 +321,7 @@ pub fn scan_feature<C: SplitCriterion>(
             continue;
         }
         let gain = crit.gain(n_left);
-        if gain > GAIN_EPS && best.map_or(true, |b| gain > b.1) {
+        if gain > GAIN_EPS && best.is_none_or(|b| gain > b.1) {
             best = Some((split_threshold(v_here, v_next), gain, n_left));
         }
     }
@@ -832,7 +832,7 @@ fn reference_scan<C: SplitCriterion>(
         let vals: Vec<f32> = indices.iter().map(|&i| data.row(i)[usize::from(f)]).collect();
         let order = naive_order(&vals);
         if let Some((threshold, gain, split_at)) = scan_feature(&order, &vals, min_leaf, crit) {
-            if best.map_or(true, |b| gain > b.gain) {
+            if best.is_none_or(|b| gain > b.gain) {
                 best = Some(SplitChoice { feature: f, threshold, gain, split_at });
             }
         }
@@ -885,7 +885,7 @@ fn root_split_gini(
     let mut best: Option<SplitChoice> = None;
     for f in 0..u16_from_usize(data.n_features()) {
         if let Some(s) = scratch.scan_gini(pre, f, 0, rows, min_leaf, node) {
-            if best.map_or(true, |b| s.choice.gain > b.gain) {
+            if best.is_none_or(|b| s.choice.gain > b.gain) {
                 best = Some(s.choice);
             }
         }

@@ -202,7 +202,7 @@ impl<'a> Builder<'a> {
             let f = self.feature_pool[ci];
             let found = self.scratch.scan_gini(self.pre, f, lo, hi, min_leaf, node);
             if let Some(s) = found {
-                if best.map_or(true, |b| s.choice.gain > b.choice.gain) {
+                if best.is_none_or(|b| s.choice.gain > b.choice.gain) {
                     best = Some(s);
                 }
             }

@@ -49,7 +49,7 @@ pub fn current_num_threads() -> usize {
 
 /// Split `len` items into a chunk size whose value depends only on `len`.
 fn chunk_size(len: usize) -> usize {
-    len.div_ceil(len.min(MAX_CHUNKS).max(1)).max(1)
+    len.div_ceil(len.clamp(1, MAX_CHUNKS)).max(1)
 }
 
 /// Run `work` over every chunk of `0..len` and return the per-chunk results
@@ -300,7 +300,7 @@ where
             }
             acc
         });
-        parts.into_iter().fold(identity(), |a, b| reduce(a, b))
+        parts.into_iter().fold(identity(), reduce)
     }
 }
 

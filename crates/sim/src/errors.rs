@@ -236,7 +236,7 @@ fn escalation_ue_count(esc: Escalation, rng: &mut SplitMix64) -> u64 {
         mu += (100.0f64).ln();
     }
     // lint:allow(lossy-cast) -- clamped log-normal sample quantized to an error count
-    dist::log_normal(rng, mu, 1.5).ceil().min(1e12).max(1.0) as u64
+    dist::log_normal(rng, mu, 1.5).ceil().clamp(1.0, 1e12) as u64
 }
 
 #[cfg(test)]

@@ -135,10 +135,10 @@ mod tests {
         let c = [5.0, 4.0, 3.0, 2.0, 1.0];
         let m = spearman_matrix(&[&a, &b, &c]);
         assert_eq!(m.len(), 3);
-        for i in 0..3 {
-            assert_eq!(m[i][i], 1.0);
-            for j in 0..3 {
-                assert!((m[i][j] - m[j][i]).abs() < 1e-15);
+        for (i, row) in m.iter().enumerate() {
+            assert_eq!(row[i], 1.0);
+            for (j, &v) in row.iter().enumerate() {
+                assert!((v - m[j][i]).abs() < 1e-15);
             }
         }
         assert!((m[0][2] + 1.0).abs() < 1e-12); // a vs c perfectly reversed

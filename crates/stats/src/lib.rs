@@ -14,7 +14,6 @@
 //! * [`correlation`] — Pearson and Spearman correlation and full matrices
 //!   (Table 2); Spearman is rank-then-Pearson, so it detects arbitrary
 //!   monotone relationships.
-//! * [`histogram`] — fixed-width binning.
 //! * [`hazard`] — exposure-normalized event rates (the dashed failure-rate
 //!   curves of Figures 6 and 8, where raw counts must be normalized by the
 //!   number of drives at risk in each bin).
@@ -32,7 +31,6 @@
 pub mod correlation;
 pub mod ecdf;
 pub mod hazard;
-pub mod histogram;
 pub mod quantile;
 pub mod rank;
 pub mod rng;
@@ -42,7 +40,6 @@ pub mod survival;
 pub use correlation::{pearson, spearman, spearman_matrix};
 pub use ecdf::Ecdf;
 pub use hazard::BinnedRate;
-pub use histogram::Histogram;
 pub use quantile::{quantile, quartiles};
 pub use rank::fractional_ranks;
 pub use rng::SplitMix64;

@@ -336,7 +336,7 @@ mod tests {
         write_reports_csv(&t, &mut reports).unwrap();
         write_swaps_csv(&t, &mut swaps).unwrap();
         let mut text = String::from_utf8(reports).unwrap();
-        text = text.replace("drive_id,", "drive_id,").replacen("0,MLC-A,0,", "0,MLC-A,zero,", 1);
+        text = text.replacen("0,MLC-A,0,", "0,MLC-A,zero,", 1);
         let err = read_trace_csv(
             BufReader::new(text.as_bytes()),
             BufReader::new(swaps.as_slice()),

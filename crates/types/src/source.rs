@@ -177,7 +177,7 @@ impl TraceSource {
     }
 
     /// Loads the full trace into memory. Prefer [`open`](TraceSource::open)
-    /// + a per-drive fold when the analysis does not need random access:
+    /// plus a per-drive fold when the analysis does not need random access:
     /// for `Archive` sources this call materializes every drive.
     pub fn load(&self) -> Result<FleetTrace, TraceReadError> {
         let trace = match self {

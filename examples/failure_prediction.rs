@@ -10,11 +10,11 @@
 //! cargo run --release --example failure_prediction
 //! ```
 
+use ssd_field_study::core::predict::six_model_trainers;
 use ssd_field_study::core::{build_dataset, ExtractOptions};
 use ssd_field_study::ml::{
     cross_validate, downsample_majority, grouped_kfold, Confusion, CvOptions, ForestConfig,
-    GbdtConfig, KnnConfig, LinearSvmConfig, LogisticRegressionConfig, MlpConfig,
-    NaiveBayesConfig, RocCurve, Trainer, TreeConfig,
+    GbdtConfig, RocCurve, Trainer,
 };
 use ssd_field_study::sim::{FleetGen, SimConfig};
 
@@ -43,19 +43,10 @@ fn main() {
         downsample_ratio: 1.0,
         seed: 9,
     };
-    // The paper's six families plus two extended baselines: naive Bayes
-    // (the related-work Bayesian approach) and gradient boosting (the
-    // natural "improve prediction for large N" follow-up).
-    let trainers: Vec<Box<dyn Trainer>> = vec![
-        Box::new(LogisticRegressionConfig::default()),
-        Box::new(KnnConfig::default()),
-        Box::new(LinearSvmConfig::default()),
-        Box::new(MlpConfig::default()),
-        Box::new(TreeConfig::default()),
-        Box::new(ForestConfig::default()),
-        Box::new(NaiveBayesConfig::default()),
-        Box::new(GbdtConfig::default()),
-    ];
+    // The paper's six families plus gradient boosting, the natural
+    // "improve prediction for large N" follow-up.
+    let mut trainers = six_model_trainers();
+    trainers.push(Box::new(GbdtConfig::default()));
     println!("cross-validated ROC AUC (N = 3 days):");
     for t in &trainers {
         let r = cross_validate(t.as_ref(), &data, &cv);

@@ -29,6 +29,9 @@ if [ "${lint_elapsed}" -gt 60 ]; then
   exit 1
 fi
 
+echo "== clippy gate: every target warning-free =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "== doc gate: rustdoc builds warning-free =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
@@ -41,7 +44,7 @@ cargo test -q --offline
 echo "== full workspace test suite =="
 cargo test -q --offline --workspace
 
-echo "== benches compile (all 14 targets) =="
+echo "== benches compile (all 5 targets) =="
 cargo bench --no-run --offline --workspace
 
 echo "== bench smoke: bench_sim (incl. sparse span walker + encode_stream/decode_stream) + ML kernels + flat predict =="

@@ -22,6 +22,11 @@
 //!    `ssdserve` answers top-K requests, and the top `--top` risky drives
 //!    are printed.
 //!
+//! `drives:` counts every drive in the source, as `ssdstat` and
+//! `ssdserve` do. `scored drives:` counts the drives with at least one
+//! report, the only ones with a current day to score; `mean score`
+//! averages over those.
+//!
 //! `--model`, `--trees`, `--lookahead` and `--sample-rate` are checked
 //! before the trace is opened, with the same rules as `ssdserve`.
 //!
@@ -107,11 +112,13 @@ fn run(args: &Args) -> Result<(), BinError> {
     let mut reader = source.open()?;
     let mut fleet = OnlineFleet::new();
     let mut drive = DriveLog::new(DriveId(0), DriveModel::from_index(0));
+    let mut drives = 0u64;
     let mut drive_days = 0u64;
     while reader.next_drive_into(&mut drive)? {
         drive
             .validate()
             .map_err(|e| format!("trace invariants: {e}"))?;
+        drives += 1;
         drive_days += drive.reports.len() as u64;
         fleet.observe_drive(&drive);
     }
@@ -124,7 +131,8 @@ fn run(args: &Args) -> Result<(), BinError> {
         ranked.iter().map(|r| r.2).sum::<f64>() / n as f64
     };
     println!("fleet risk (swap within {} days)", args.lookahead);
-    println!("  drives:      {n}");
+    println!("  drives:      {drives}");
+    println!("  scored drives: {n}");
     println!("  drive-days:  {drive_days}");
     println!("  mean score:  {mean:.4}");
     println!();

@@ -410,9 +410,10 @@ fn ssdpredict_ranks_fleet_from_binary_archive() {
     assert!(stderr.contains("trained Flat Random Forest"), "missing train line:\n{stderr}");
     assert!(stdout.contains("fleet risk (swap within 14 days)"), "missing header:\n{stdout}");
     assert!(stdout.contains("top 5 drives by current-day risk"), "missing ranking:\n{stdout}");
-    // Scores are probabilities printed to 4 places; the header block
-    // reports the fleet size that actually reported telemetry.
-    assert!(stdout.contains("drives:      66"), "wrong fleet size:\n{stdout}");
+    // The header block reports every drive in the archive, then the
+    // drives that reported telemetry and so have a current day to score.
+    assert!(stdout.contains("  drives:      120\n"), "wrong fleet size:\n{stdout}");
+    assert!(stdout.contains("  scored drives: 66\n"), "wrong scored count:\n{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -520,6 +521,39 @@ fn ssdpredict_and_ssdserve_rank_the_same_drives() {
         })
         .collect();
     assert_eq!(predicted, served, "both bins must rank the same drives in the same order");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The number after `label` on the first stdout line that starts with it.
+fn count_after(stdout: &[u8], label: &str) -> u64 {
+    let text = String::from_utf8_lossy(stdout);
+    text.lines()
+        .find_map(|l| l.trim_start().strip_prefix(label))
+        .and_then(|rest| rest.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no `{label}` count in:\n{text}"))
+}
+
+#[test]
+fn every_bin_reports_the_same_fleet_size() {
+    let dir = scratch("fleet_size");
+    gen_predict_trace(&dir);
+    let trace = dir.join("trace.ssdfs");
+    let path = trace.to_str().unwrap();
+    let flags = ["--trees", "10", "--seed", "7", "--lookahead", "14", "--sample-rate", "0.5"];
+
+    let stat = run(env!("CARGO_BIN_EXE_ssdstat"), &["--trace", path]);
+    let mut args = vec!["--trace", path];
+    args.extend(flags);
+    let predict = run(env!("CARGO_BIN_EXE_ssdpredict"), &args);
+    let served = run_ssdserve(&trace, &flags, &serve_frame(br#"{"q":"info"}"#));
+    assert!(served.status.success(), "stderr:\n{}", String::from_utf8_lossy(&served.stderr));
+    let info = json::parse(std::str::from_utf8(&serve_split(&served.stdout)[0]).unwrap())
+        .expect("info json");
+
+    let drives = count_after(&stat.stdout, "drives:");
+    assert_eq!(count_after(&predict.stdout, "drives:"), drives, "ssdpredict vs ssdstat");
+    assert_eq!(info.get("drives").and_then(json::Value::as_u64), Some(drives), "ssdserve vs ssdstat");
+    assert!(count_after(&predict.stdout, "scored drives:") <= drives);
     std::fs::remove_dir_all(&dir).ok();
 }
 

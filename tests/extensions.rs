@@ -1,14 +1,8 @@
-//! Integration coverage for the beyond-the-paper extensions: GBDT,
-//! probability calibration, drift detection, and the observation audit,
-//! all running on the same simulated fleet end to end.
+//! Integration coverage for the beyond-the-paper extensions, GBDT and the
+//! observation audit, both running on the same simulated fleet end to end.
 
-use ssd_field_study::core::{
-    audit_trace_observations, build_dataset, drift_report, ExtractOptions,
-};
-use ssd_field_study::ml::{
-    cross_validate, expected_calibration_error, grouped_kfold, roc_auc, CvOptions,
-    ForestConfig, GbdtConfig, PlattScaler, Trainer,
-};
+use ssd_field_study::core::{audit_trace_observations, build_dataset, ExtractOptions};
+use ssd_field_study::ml::{cross_validate, CvOptions, ForestConfig, GbdtConfig};
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::FleetTrace;
 use std::sync::OnceLock;
@@ -63,68 +57,6 @@ fn gbdt_is_competitive_with_the_forest() {
         gb.mean(),
         rf.mean()
     );
-}
-
-#[test]
-fn calibration_improves_forest_probabilities() {
-    let data = build_dataset(
-        trace(),
-        &ExtractOptions {
-            lookahead_days: 3,
-            negative_sample_rate: 0.05,
-            ..Default::default()
-        },
-    );
-    // Hold out fold 0 for calibration + evaluation; train on the rest,
-    // downsampled (which is exactly what mis-calibrates the forest).
-    let folds = grouped_kfold(&data, 4, 1);
-    let held: std::collections::HashSet<usize> = folds[0].iter().copied().collect();
-    let train_idx: Vec<usize> = (0..data.n_rows()).filter(|i| !held.contains(i)).collect();
-    let train_idx = ssd_field_study::ml::downsample_majority(&data, &train_idx, 1.0, 1);
-    let model = ForestConfig {
-        n_trees: 40,
-        ..Default::default()
-    }
-    .fit(&data.select(&train_idx), 1);
-
-    let test = data.select(&folds[0]);
-    let raw = model.predict_batch(&test);
-    let scaler = PlattScaler::fit(&raw, test.labels());
-    let cal = scaler.transform_batch(&raw);
-
-    let ece_raw = expected_calibration_error(&raw, test.labels(), 10);
-    let ece_cal = expected_calibration_error(&cal, test.labels(), 10);
-    assert!(
-        ece_cal < ece_raw,
-        "calibration must reduce ECE: {ece_raw} -> {ece_cal}"
-    );
-    // And never change the ranking.
-    let auc_raw = roc_auc(&raw, test.labels());
-    let auc_cal = roc_auc(&cal, test.labels());
-    assert!((auc_raw - auc_cal).abs() < 1e-9);
-}
-
-#[test]
-fn drift_is_silent_between_like_fleets_and_loud_after_a_shift() {
-    let reference = trace();
-    let like = FleetGen::new(&SimConfig {
-        drives_per_model: 300,
-        horizon_days: 2190,
-        seed: 999,
-        ..SimConfig::default()
-    })
-    .trace();
-    let quiet = drift_report(reference, &like);
-    assert!(!quiet.any_drift(1e-5), "like fleets must not alarm");
-
-    let mut shifted = like.clone();
-    for d in &mut shifted.drives {
-        for r in &mut d.reports {
-            r.write_ops = (r.write_ops as f64 * 1.8) as u64;
-        }
-    }
-    let loud = drift_report(reference, &shifted);
-    assert!(loud.any_drift(1e-5), "workload shift must alarm");
 }
 
 #[test]
