@@ -27,11 +27,9 @@ pub const EARLY_DEPLOY_WINDOW_DAYS: u32 = 730;
 /// Late deployments are uniform over `[730, LATE_DEPLOY_END_DAYS)`.
 pub const LATE_DEPLOY_END_DAYS: u32 = 2010;
 
-/// Daily probability that a report is recorded (small random log gaps make
-/// Figure 1's "Data Count" CDF sit left of "Max Age").
-pub const REPORT_PROBABILITY: f64 = 0.97;
-/// [`REPORT_PROBABILITY`] expressed in permille — the calibrated default
-/// for [`crate::SimConfig::report_permille`]. Event-sparse configurations
+/// Daily probability, in permille, that a report is recorded (small random
+/// log gaps make Figure 1's "Data Count" CDF sit left of "Max Age") — the
+/// calibrated default for [`crate::SimConfig::report_permille`]. Event-sparse configurations
 /// (the span-walker benchmarks) lower it; the emission schedule clamps to
 /// `1..=1000`.
 pub const DEFAULT_REPORT_PERMILLE: u32 = 970;

@@ -32,13 +32,6 @@ pub fn exponential(rng: &mut SplitMix64, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Pareto (type I) sample: support `[x_min, ∞)`, shape `alpha`.
-pub fn pareto(rng: &mut SplitMix64, x_min: f64, alpha: f64) -> f64 {
-    debug_assert!(x_min > 0.0 && alpha > 0.0);
-    let u = (1.0 - rng.next_f64()).max(1e-300);
-    x_min / u.powf(1.0 / alpha)
-}
-
 /// Bernoulli trial.
 #[inline]
 pub fn bernoulli(rng: &mut SplitMix64, p: f64) -> bool {
@@ -223,18 +216,6 @@ mod tests {
     fn exponential_mean() {
         let (m, _) = sample_mean_std(|r| exponential(r, 0.25), 100_000);
         assert!((m - 4.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
-    fn pareto_support_and_median() {
-        let mut r = rng();
-        let mut v: Vec<f64> = (0..50_000).map(|_| pareto(&mut r, 2.0, 1.5)).collect();
-        assert!(v.iter().all(|&x| x >= 2.0));
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        // Median of Pareto(x_min, alpha) = x_min * 2^(1/alpha).
-        let expect = 2.0 * 2.0f64.powf(1.0 / 1.5);
-        let median = v[v.len() / 2];
-        assert!((median - expect).abs() / expect < 0.05, "{median} vs {expect}");
     }
 
     #[test]

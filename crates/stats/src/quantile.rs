@@ -38,13 +38,6 @@ pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
     )
 }
 
-/// Computes several quantiles in one sort. `qs` need not be sorted.
-pub fn quantiles(values: &[f64], qs: &[f64]) -> Vec<f64> {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    qs.iter().map(|&q| quantile_sorted(&v, q)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,15 +73,6 @@ mod tests {
     fn empty_is_nan_and_single_is_itself() {
         assert!(quantile(&[], 0.5).is_nan());
         assert_eq!(quantile(&[7.0], 0.99), 7.0);
-    }
-
-    #[test]
-    fn multi_quantile_matches_single() {
-        let v = [5.0, 3.0, 8.0, 1.0, 9.0, 2.0];
-        let qs = quantiles(&v, &[0.1, 0.5, 0.9]);
-        assert_eq!(qs[0], quantile(&v, 0.1));
-        assert_eq!(qs[1], quantile(&v, 0.5));
-        assert_eq!(qs[2], quantile(&v, 0.9));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl ErrorCounts {
         self.0[kind.index()] += value;
     }
 
-    /// True if every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&c| c == 0)
-    }
-
     /// Total count across all error kinds.
     pub fn total(&self) -> u64 {
         self.0.iter().sum()
@@ -63,11 +58,6 @@ impl ErrorCounts {
     /// Total count across non-transparent error kinds only.
     pub fn total_non_transparent(&self) -> u64 {
         ErrorKind::non_transparent().map(|k| self.get(k)).sum()
-    }
-
-    /// True if any non-transparent error occurred.
-    pub fn any_non_transparent(&self) -> bool {
-        ErrorKind::non_transparent().any(|k| self.get(k) > 0)
     }
 
     /// Iterate over `(kind, count)` pairs in canonical order.
@@ -124,12 +114,11 @@ mod tests {
     #[test]
     fn get_set_add_roundtrip() {
         let mut c = ErrorCounts::zero();
-        assert!(c.is_zero());
+        assert_eq!(c.total(), 0);
         c.set(ErrorKind::Uncorrectable, 5);
         c.add_count(ErrorKind::Uncorrectable, 2);
         assert_eq!(c.get(ErrorKind::Uncorrectable), 7);
         assert_eq!(c[ErrorKind::Uncorrectable], 7);
-        assert!(!c.is_zero());
         assert_eq!(c.total(), 7);
     }
 
@@ -141,11 +130,6 @@ mod tests {
         c.set(ErrorKind::Timeout, 1); // non-transparent
         assert_eq!(c.total(), 104);
         assert_eq!(c.total_non_transparent(), 4);
-        assert!(c.any_non_transparent());
-
-        let mut t = ErrorCounts::zero();
-        t.set(ErrorKind::Write, 9);
-        assert!(!t.any_non_transparent());
     }
 
     #[test]

@@ -97,7 +97,7 @@ mod tests {
         let r = DailyReport::empty(10);
         assert_eq!(r.age_days, 10);
         assert!(!r.is_active());
-        assert!(r.errors.is_zero());
+        assert_eq!(r.errors.total(), 0);
         assert_eq!(r.bad_blocks(), 0);
     }
 
