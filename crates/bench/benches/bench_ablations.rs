@@ -3,6 +3,10 @@
 //! cumulative-only feature sets. Each variant reports its wall-clock (the
 //! Criterion measurement) and prints its cross-validated AUC once, so the
 //! accuracy/cost trade-off is visible in one run.
+//!
+//! All work happens inside the `bench_function` closures, which the
+//! harness skips for ids a filter excludes: `-- forest_size` builds the
+//! dataset once and fits only the three forest-size variants.
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
 use ssd_field_study_core::{build_dataset, ExtractOptions, PredictConfig};
@@ -37,7 +41,6 @@ fn dataset() -> &'static Dataset {
 }
 
 fn bench_forest_size(c: &mut Criterion) {
-    let data = dataset();
     let cfg = bench_predict_config();
     let mut g = c.benchmark_group("ablation_forest_size");
     g.sample_size(10);
@@ -46,9 +49,10 @@ fn bench_forest_size(c: &mut Criterion) {
             n_trees,
             ..Default::default()
         };
-        let auc = cross_validate(&forest, data, &cfg.cv).mean();
-        eprintln!("[ablation] n_trees={n_trees}: AUC {auc:.3}");
         g.bench_function(format!("n_trees_{n_trees}"), |b| {
+            let data = dataset();
+            let auc = cross_validate(&forest, data, &cfg.cv).mean();
+            eprintln!("[ablation] n_trees={n_trees}: AUC {auc:.3}");
             b.iter(|| cross_validate(&forest, data, &cfg.cv))
         });
     }
@@ -56,16 +60,16 @@ fn bench_forest_size(c: &mut Criterion) {
 }
 
 fn bench_tree_depth(c: &mut Criterion) {
-    let data = dataset();
     let cfg = bench_predict_config();
     let mut g = c.benchmark_group("ablation_tree_depth");
     g.sample_size(10);
     for depth in [4usize, 10, 20] {
         let mut forest = cfg.forest.clone();
         forest.tree.max_depth = depth;
-        let auc = cross_validate(&forest, data, &cfg.cv).mean();
-        eprintln!("[ablation] max_depth={depth}: AUC {auc:.3}");
         g.bench_function(format!("max_depth_{depth}"), |b| {
+            let data = dataset();
+            let auc = cross_validate(&forest, data, &cfg.cv).mean();
+            eprintln!("[ablation] max_depth={depth}: AUC {auc:.3}");
             b.iter(|| cross_validate(&forest, data, &cfg.cv))
         });
     }
@@ -73,7 +77,6 @@ fn bench_tree_depth(c: &mut Criterion) {
 }
 
 fn bench_downsampling_ratio(c: &mut Criterion) {
-    let data = dataset();
     let cfg = bench_predict_config();
     let mut g = c.benchmark_group("ablation_downsample_ratio");
     g.sample_size(10);
@@ -84,9 +87,10 @@ fn bench_downsampling_ratio(c: &mut Criterion) {
             downsample_ratio: ratio,
             ..cfg.cv
         };
-        let auc = cross_validate(&cfg.forest, data, &opts).mean();
-        eprintln!("[ablation] ratio=1:{ratio}: AUC {auc:.3}");
         g.bench_function(format!("neg_per_pos_{ratio}"), |b| {
+            let data = dataset();
+            let auc = cross_validate(&cfg.forest, data, &opts).mean();
+            eprintln!("[ablation] ratio=1:{ratio}: AUC {auc:.3}");
             b.iter(|| cross_validate(&cfg.forest, data, &opts))
         });
     }
@@ -96,11 +100,11 @@ fn bench_downsampling_ratio(c: &mut Criterion) {
 /// Daily-only vs cumulative-only feature sets (Section 5.1 motivates
 /// including both; this quantifies each half's contribution).
 fn bench_feature_sets(c: &mut Criterion) {
-    let data = dataset();
     let cfg = bench_predict_config();
     // Columns 0..=13 are daily features (+ the age column 29 as context);
     // columns 14..=30 are cumulative/derived.
     let project = |cols: &[usize]| {
+        let data = dataset();
         let names: Vec<String> = cols
             .iter()
             .map(|&j| data.feature_names()[j].clone())
@@ -120,10 +124,10 @@ fn bench_feature_sets(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_feature_sets");
     g.sample_size(10);
     for (name, cols) in [("daily_only", daily), ("cumulative_only", cumulative)] {
-        let proj = project(&cols);
-        let auc = cross_validate(&cfg.forest, &proj, &cfg.cv).mean();
-        eprintln!("[ablation] features={name}: AUC {auc:.3}");
         g.bench_function(name, |b| {
+            let proj = project(&cols);
+            let auc = cross_validate(&cfg.forest, &proj, &cfg.cv).mean();
+            eprintln!("[ablation] features={name}: AUC {auc:.3}");
             b.iter(|| cross_validate(&cfg.forest, &proj, &cfg.cv))
         });
     }

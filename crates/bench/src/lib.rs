@@ -11,6 +11,7 @@
 //! targets link against.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod harness;
 

@@ -51,7 +51,9 @@ use std::io::{Read, Write};
 pub const MAX_REQUEST_FRAME: u32 = 64 * 1024;
 
 /// Largest response frame a client should accept (64 MiB) — survival
-/// curves over multi-million-drive fleets dominate response size.
+/// curves over multi-million-drive fleets dominate response size. The
+/// server never writes a larger one: it answers `response-too-large`
+/// instead.
 pub const MAX_RESPONSE_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Most requests one batch frame may carry.
@@ -146,9 +148,16 @@ impl From<JsonError> for ProtocolError {
     }
 }
 
-/// Writes one `len ‖ body` frame.
+/// Writes one `len ‖ body` frame. A body too long for the `u32` length
+/// prefix is an [`std::io::ErrorKind::InvalidInput`] error, and nothing is
+/// written.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    let len = body.len() as u32;
+    let len = u32::try_from(body.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame body of {} bytes overflows the u32 length prefix", body.len()),
+        )
+    })?;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(body)?;
     Ok(())
@@ -317,6 +326,24 @@ pub fn error_body(kind: &str, msg: &str) -> Vec<u8> {
     render(&v)
 }
 
+/// Passes a rendered response body through if a client can read it
+/// (at most [`MAX_RESPONSE_FRAME`] bytes), and otherwise replaces it with
+/// a `response-too-large` error body, so the peer gets an answer it can
+/// frame and the connection stays usable.
+pub(super) fn fit_response(body: Vec<u8>) -> Vec<u8> {
+    if u32::try_from(body.len()).is_ok_and(|len| len <= MAX_RESPONSE_FRAME) {
+        return body;
+    }
+    error_body(
+        "response-too-large",
+        &format!(
+            "response of {} bytes exceeds the {MAX_RESPONSE_FRAME}-byte frame limit; \
+             ask for a smaller k or fewer requests per frame",
+            body.len()
+        ),
+    )
+}
+
 /// Serializes a response [`Value`] to compact JSON bytes. Rendering is
 /// deterministic: object member order is insertion order and floats use
 /// the shortest round-tripping form.
@@ -421,6 +448,17 @@ mod tests {
             Err(ProtocolError::Utf8 { valid_up_to: 0 }) => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn responses_over_the_frame_limit_become_a_typed_error() {
+        let limit = MAX_RESPONSE_FRAME as usize;
+        let fits = fit_response(vec![b' '; limit]);
+        assert_eq!(fits.len(), limit);
+        let over = fit_response(vec![b' '; limit + 1]);
+        let text = String::from_utf8(over).unwrap();
+        assert!(text.starts_with(r#"{"err":{"kind":"response-too-large","#), "{text}");
+        assert!(text.contains("67108865 bytes"), "{text}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the service-level restatement of the workspace's determinism
 //! contract, pinned by `tests/serve.rs`.
 
-use super::protocol::{error_body, render, ProtocolError, Request};
+use super::protocol::{error_body, fit_response, render, ProtocolError, Request};
 use super::shard::{PassPlan, ShardPartial, ShardState};
 use crate::features::{build_dataset_streaming, ExtractOptions};
 use crate::streaming::StreamSummary;
@@ -362,21 +362,24 @@ impl FleetService {
     /// in → array out). Malformed bodies surface as [`ProtocolError`] for
     /// the transport to report; a failed [`handle`](Self::handle) would
     /// render as an internal error response instead of killing the
-    /// connection.
+    /// connection, and so does an answer larger than
+    /// [`MAX_RESPONSE_FRAME`](super::protocol::MAX_RESPONSE_FRAME)
+    /// (kind `response-too-large`).
     pub fn respond(&self, frame_body: &[u8]) -> Result<Vec<u8>, ProtocolError> {
         let (requests, batched) = Request::parse_frame(frame_body)?;
         let values = match self.handle(&requests) {
             Ok(v) => v,
             Err(e) => return Ok(error_body("internal", &e.to_string())),
         };
-        Ok(if batched {
+        let body = if batched {
             render(&Value::Arr(values))
         } else {
             match values.into_iter().next() {
                 Some(v) => render(&v),
                 None => render(&Value::Arr(Vec::new())),
             }
-        })
+        };
+        Ok(fit_response(body))
     }
 
     fn info_value(&self) -> Value {

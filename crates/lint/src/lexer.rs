@@ -578,16 +578,16 @@ mod tests {
 
     #[test]
     fn allow_directive_round_trip() {
-        let lexed = lex("// lint:allow(panic-freedom) -- caller checked\nx.unwrap();");
+        let lexed = lex("// lint:allow(nondeterminism) -- caller checked\nx.unwrap();");
         assert_eq!(lexed.allows.len(), 1);
-        assert_eq!(lexed.allows[0].rule, "panic-freedom");
+        assert_eq!(lexed.allows[0].rule, "nondeterminism");
         assert_eq!(lexed.allows[0].line, 1);
         assert!(lexed.malformed.is_empty());
     }
 
     #[test]
     fn allow_without_reason_is_malformed() {
-        let lexed = lex("// lint:allow(panic-freedom)\n");
+        let lexed = lex("// lint:allow(nondeterminism)\n");
         assert!(lexed.allows.is_empty());
         assert_eq!(lexed.malformed.len(), 1);
     }
@@ -595,7 +595,7 @@ mod tests {
     #[test]
     fn doc_comments_do_not_carry_directives() {
         // Docs may describe the grammar without enacting it.
-        let lexed = lex("/// lint:allow(panic-freedom) -- example in docs\n//! lint:allow(broken\n");
+        let lexed = lex("/// lint:allow(nondeterminism) -- example in docs\n//! lint:allow(broken\n");
         assert!(lexed.allows.is_empty());
         assert!(lexed.malformed.is_empty());
     }

@@ -1,6 +1,5 @@
-#![forbid(unsafe_code)]
-//! `ssd-lint`: in-tree static analysis for the workspace's standing
-//! invariants — determinism, panic-freedom, and hermeticity.
+//! `ssd-lint`: in-tree static analysis for the workspace invariants the
+//! compiler cannot see — determinism, rng discipline, hermeticity.
 //!
 //! The reproduction's core claims (byte-identical archives at every pool
 //! size, bit-identical forest predictions, a fully offline build) are
@@ -13,26 +12,26 @@
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | `panic-freedom` | library `src/` | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` |
 //! | `float-determinism` | library `src/` | no `.partial_cmp()`, no `==`/`!=` vs float literals |
 //! | `nondeterminism` | library `src/` | no `HashMap`/`HashSet`, no `SystemTime::now`/`Instant::now` |
 //! | `hermeticity` | every `Cargo.toml` | all dependencies are `path =`/workspace-inherited |
 //! | `unsafe-gate` | crate roots | `#![forbid(unsafe_code)]` present |
-//! | `missing-crate-doc` | crate roots | crate-level `//!` docs present |
 //! | `rng-discipline` | library `src/` minus `crates/stats` | `SplitMix64` built via `for_stream`, never raw `new` |
-//! | `lossy-cast` | `crates/{sim,ml}/src` | every `as` cast provably lossless, checked, or justified |
 //! | `dead-pub` | whole workspace | every fully-`pub` item referenced outside its file |
-//! | `missing-pub-doc` | library `src/` minus bin roots | every fully-`pub` item carries `///` docs |
 //! | `allow-grammar` | everywhere | `lint:allow` comments parse and name a real rule |
 //!
 //! "Library `src/`" means `crates/{core,lint,ml,parallel,sim,stats,types}/src`
 //! outside `#[test]`/`#[cfg(test)]` items; tests, benches, examples, and
-//! the bench/testkit substrate crates may panic and hash freely.
+//! the bench/testkit substrate crates may hash and read clocks freely.
 //!
-//! The first six rules and `missing-pub-doc` are per-file: token or item
-//! scans over one source at a time. `dead-pub` is *cross-file*: the
-//! engine parses every file's item tree (see [`parser`]), assembles a
-//! workspace-wide [`graph::SymbolGraph`] mapping each `pub` definition
+//! Panic-freedom, cast discipline and documentation are not rules here:
+//! they are rustc and clippy lints denied at each crate root (DESIGN §9),
+//! which see types where a token scanner only sees names.
+//!
+//! The first five rules are per-file token scans over one source at a
+//! time. `dead-pub` is *cross-file*: the engine parses every file's item
+//! tree (see [`parser`]), assembles a workspace-wide
+//! [`graph::SymbolGraph`] mapping each `pub` definition
 //! ([`graph::DefSite`]) to the set of files mentioning its name — code
 //! tokens and doc text alike — and reports definitions nothing else
 //! references. Bins, tests, benches, and examples are scanned as use
@@ -50,10 +49,14 @@
 //! disable a gate. This crate is inside the lint's own scope: the
 //! analyzer must pass itself.
 
+#![forbid(unsafe_code)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 pub mod graph;
 pub mod lexer;
 pub mod parser;
-pub mod report;
 pub mod rules;
 
 use lexer::{lex, Token, TokenKind};
@@ -119,9 +122,10 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Crates whose `src/` trees are held to the determinism and
-/// panic-freedom rules. `bench` and `testkit` are test substrates and
-/// exempt by design (they time things and drive property tests).
+/// Crates whose `src/` trees are held to the determinism rules, and whose
+/// lib roots carry the compiler gates (DESIGN §9). `bench` and `testkit`
+/// are test substrates and exempt by design (they time things and drive
+/// property tests).
 pub const SCOPED_CRATES: &[&str] = &["core", "lint", "ml", "parallel", "sim", "stats", "types"];
 
 /// How the rules see one file.
@@ -276,9 +280,6 @@ pub fn lint_source_str(rel_path: &str, src: &str, enabled: &[RuleId]) -> Vec<Dia
     let mut findings = Vec::new();
 
     if role.scoped_src {
-        if enabled.contains(&RuleId::PanicFreedom) {
-            rules::check_panic_freedom(&lexed.tokens, &mut findings);
-        }
         if enabled.contains(&RuleId::FloatDeterminism) {
             rules::check_float_determinism(&lexed.tokens, &mut findings);
         }
@@ -290,30 +291,11 @@ pub fn lint_source_str(rel_path: &str, src: &str, enabled: &[RuleId]) -> Vec<Dia
         if enabled.contains(&RuleId::RngDiscipline) && !rel_path.starts_with("crates/stats/") {
             rules::check_rng_discipline(&lexed.tokens, &mut findings);
         }
-        // Cast-heavy hot paths: fleet simulation index math and ML
-        // feature extraction, where a silent truncation skews numbers.
-        if enabled.contains(&RuleId::LossyCast)
-            && (rel_path.starts_with("crates/sim/src") || rel_path.starts_with("crates/ml/src"))
-        {
-            rules::check_lossy_cast(&lexed.tokens, &mut findings);
-        }
-        // Bin roots (`main.rs`, `src/bin/*`) export nothing.
-        if enabled.contains(&RuleId::MissingPubDoc) && !is_bin_root(rel_path) {
-            let items = parser::parse_items(&lexed.tokens);
-            rules::check_missing_pub_doc(&items, &lexed.doc_lines, &mut findings);
-        }
-        // Test-only code may panic and hash freely.
+        // Test-only code may hash and read clocks freely.
         findings.retain(|f| !in_regions(f.line, &regions));
     }
-    if role.crate_root {
-        if enabled.contains(&RuleId::UnsafeGate) {
-            rules::check_unsafe_gate(&lexed.tokens, &mut findings);
-        }
-        if enabled.contains(&RuleId::MissingCrateDoc) {
-            // Doc comments never reach the token stream, so this rule
-            // reads the raw source.
-            rules::check_missing_crate_doc(src, &mut findings);
-        }
+    if role.crate_root && enabled.contains(&RuleId::UnsafeGate) {
+        rules::check_unsafe_gate(&lexed.tokens, &mut findings);
     }
 
     // Allow-directive suppression: a directive covers its own line and

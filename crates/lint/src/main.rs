@@ -1,42 +1,36 @@
-#![forbid(unsafe_code)]
 //! `ssd-lint` CLI: lints the workspace and exits nonzero on violations.
 //!
 //! ```text
-//! ssd-lint [--root DIR] [--rule NAME]... [--format text|json] [--list-rules] [--quiet]
+//! ssd-lint [--root DIR] [--rule NAME]... [--list-rules] [--quiet]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
 //! With no `--root`, the workspace root is found by walking up from the
 //! current directory to the first `Cargo.toml` containing `[workspace]`.
-//! `--format json` prints one machine-readable report document on stdout
-//! (see [`ssd_lint::report`]) whether or not violations were found; the
-//! exit code still distinguishes clean from dirty.
 
-use ssd_lint::{lint_workspace, report, RuleId};
+#![forbid(unsafe_code)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+
+use ssd_lint::{lint_workspace, RuleId};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Format {
-    Text,
-    Json,
-}
 
 struct Options {
     root: Option<PathBuf>,
     rules: Vec<RuleId>,
-    format: Format,
     list_rules: bool,
     quiet: bool,
 }
 
 fn usage() -> String {
     let mut s = String::from(
-        "usage: ssd-lint [--root DIR] [--rule NAME]... [--format text|json] [--list-rules] [--quiet]\n\
+        "usage: ssd-lint [--root DIR] [--rule NAME]... [--list-rules] [--quiet]\n\
          \n\
-         Enforces the workspace's determinism, panic-freedom, and hermeticity\n\
-         invariants. Exit codes: 0 clean, 1 violations, 2 usage/io error.\n\
-         --format json prints one report document on stdout either way.\n\
+         Enforces the workspace's determinism, rng-discipline, and hermeticity\n\
+         invariants (panic-freedom, casts and docs are clippy/rustc lints).\n\
+         Exit codes: 0 clean, 1 violations, 2 usage/io error.\n\
          \n\
          rules:\n",
     );
@@ -50,7 +44,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: None,
         rules: Vec::new(),
-        format: Format::Text,
         list_rules: false,
         quiet: false,
     };
@@ -62,18 +55,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     return Err("--root requires a directory".to_string());
                 };
                 opts.root = Some(PathBuf::from(dir));
-            }
-            "--format" => {
-                let Some(name) = it.next() else {
-                    return Err("--format requires `text` or `json`".to_string());
-                };
-                opts.format = match name.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => {
-                        return Err(format!("unknown format `{other}` (text or json)"));
-                    }
-                };
             }
             "--rule" => {
                 let Some(name) = it.next() else {
@@ -152,9 +133,7 @@ fn main() -> ExitCode {
 
     match lint_workspace(&root, &rules) {
         Ok(diags) => {
-            if opts.format == Format::Json {
-                print!("{}", report::to_json(&diags, &rules));
-            } else if diags.is_empty() {
+            if diags.is_empty() {
                 if !opts.quiet {
                     println!(
                         "ssd-lint: clean ({} rules over {})",

@@ -7,7 +7,7 @@
 //! `macro_rules!` definitions — together with each item's visibility,
 //! attribute span, and line extent. Expression bodies are skipped as
 //! balanced token trees. That is exactly the information the cross-file
-//! rules need (`dead-pub`, `missing-pub-doc`) and nothing more, which
+//! `dead-pub` rule needs and nothing more, which
 //! keeps the parser total: any token soup parses to *some* item list,
 //! malformed input degrades to skipped tokens, and the parser can never
 //! panic or loop (every path advances the cursor).

@@ -11,9 +11,6 @@ use crate::lexer::{Token, TokenKind};
 /// Identifies one rule family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// No `unwrap`/`expect` calls or `panic!`/`todo!`/`unimplemented!`
-    /// in library sources (tests, benches, and examples are exempt).
-    PanicFreedom,
     /// No `.partial_cmp()` and no `==`/`!=` against float literals in
     /// library sources — ordering must go through `total_cmp`.
     FloatDeterminism,
@@ -26,57 +23,38 @@ pub enum RuleId {
     Hermeticity,
     /// Every crate root must carry `#![forbid(unsafe_code)]`.
     UnsafeGate,
-    /// Every crate root must open with crate-level docs (`//!` or `/*!`),
-    /// so `cargo doc` renders a front page for every crate.
-    MissingCrateDoc,
     /// Every non-test `SplitMix64` construction outside `crates/stats`
     /// must go through the `for_stream` substream-derivation API; a raw
     /// `new(seed)` silently breaks the per-drive substream contract.
     RngDiscipline,
-    /// `as` casts in the numeric hot paths (`crates/sim`, `crates/ml`)
-    /// are classified by lossiness; narrowing, sign-changing,
-    /// float↔int, and source-invisible casts need a checked conversion
-    /// or a reasoned allow.
-    LossyCast,
     /// Fully-`pub` library items must be referenced from at least one
     /// other file in the workspace (symbol-graph rule).
     DeadPub,
-    /// Fully-`pub` items in scoped library sources must carry doc
-    /// comments.
-    MissingPubDoc,
     /// `lint:allow` comments must parse and name a real rule.
     AllowGrammar,
 }
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 11] = [
-        RuleId::PanicFreedom,
+    pub const ALL: [RuleId; 7] = [
         RuleId::FloatDeterminism,
         RuleId::Nondeterminism,
         RuleId::Hermeticity,
         RuleId::UnsafeGate,
-        RuleId::MissingCrateDoc,
         RuleId::RngDiscipline,
-        RuleId::LossyCast,
         RuleId::DeadPub,
-        RuleId::MissingPubDoc,
         RuleId::AllowGrammar,
     ];
 
     /// The kebab-case name used on the CLI and in allow comments.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::PanicFreedom => "panic-freedom",
             RuleId::FloatDeterminism => "float-determinism",
             RuleId::Nondeterminism => "nondeterminism",
             RuleId::Hermeticity => "hermeticity",
             RuleId::UnsafeGate => "unsafe-gate",
-            RuleId::MissingCrateDoc => "missing-crate-doc",
             RuleId::RngDiscipline => "rng-discipline",
-            RuleId::LossyCast => "lossy-cast",
             RuleId::DeadPub => "dead-pub",
-            RuleId::MissingPubDoc => "missing-pub-doc",
             RuleId::AllowGrammar => "allow-grammar",
         }
     }
@@ -84,9 +62,6 @@ impl RuleId {
     /// One-line description for `--list-rules`.
     pub fn description(self) -> &'static str {
         match self {
-            RuleId::PanicFreedom => {
-                "no unwrap/expect/panic!/todo!/unimplemented! in library sources"
-            }
             RuleId::FloatDeterminism => {
                 "no .partial_cmp() or ==/!= against float literals; use total_cmp"
             }
@@ -97,17 +72,12 @@ impl RuleId {
                 "every Cargo.toml dependency is a path/workspace dependency"
             }
             RuleId::UnsafeGate => "every crate root carries #![forbid(unsafe_code)]",
-            RuleId::MissingCrateDoc => "every crate root carries crate-level `//!` docs",
             RuleId::RngDiscipline => {
                 "SplitMix64 is constructed via for_stream outside crates/stats, never raw new(seed)"
-            }
-            RuleId::LossyCast => {
-                "as-casts in sim/ml hot paths are lossless or carry a checked form/reasoned allow"
             }
             RuleId::DeadPub => {
                 "every fully-pub library item is referenced from at least one other file"
             }
-            RuleId::MissingPubDoc => "every fully-pub item in scoped library sources is documented",
             RuleId::AllowGrammar => "lint:allow comments parse and name a real rule",
         }
     }
@@ -131,44 +101,6 @@ pub struct Finding {
 
 fn finding(line: u32, rule: RuleId, message: impl Into<String>) -> Finding {
     Finding { line, rule, message: message.into() }
-}
-
-/// Method names whose *calls* (`.name(`) can panic.
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-/// Macro names (`name!`) that panic by design.
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
-
-/// panic-freedom: flags `.unwrap(` / `.expect(` method calls and
-/// `panic!` / `todo!` / `unimplemented!` macro invocations.
-pub fn check_panic_freedom(tokens: &[Token<'_>], out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev_dot = i > 0 && tokens[i - 1].is_punct(".");
-        let next = tokens.get(i + 1);
-        if PANIC_METHODS.contains(&t.text)
-            && prev_dot
-            && next.is_some_and(|n| n.is_punct("("))
-        {
-            out.push(finding(
-                t.line,
-                RuleId::PanicFreedom,
-                format!(
-                    "`.{}()` can panic; propagate a typed error (or justify with \
-                     `// lint:allow(panic-freedom) -- <reason>`)",
-                    t.text
-                ),
-            ));
-        }
-        if PANIC_MACROS.contains(&t.text) && next.is_some_and(|n| n.is_punct("!")) {
-            out.push(finding(
-                t.line,
-                RuleId::PanicFreedom,
-                format!("`{}!` panics; return an error instead", t.text),
-            ));
-        }
-    }
 }
 
 /// float-determinism: flags `.partial_cmp(` calls and `==`/`!=` where
@@ -257,23 +189,6 @@ pub fn check_unsafe_gate(tokens: &[Token<'_>], out: &mut Vec<Finding>) {
             1,
             RuleId::UnsafeGate,
             "crate root is missing `#![forbid(unsafe_code)]`",
-        ));
-    }
-}
-
-/// missing-crate-doc: the crate root must contain crate-level docs — a
-/// line starting (after indentation) with `//!` or `/*!`. Line-level
-/// rather than token-level because doc comments never survive the lexer.
-pub fn check_missing_crate_doc(src: &str, out: &mut Vec<Finding>) {
-    let documented = src
-        .lines()
-        .any(|l| l.trim_start().starts_with("//!") || l.trim_start().starts_with("/*!"));
-    if !documented {
-        out.push(finding(
-            1,
-            RuleId::MissingCrateDoc,
-            "crate root has no crate-level docs; open the file with `//!` \
-             paragraphs describing the crate's purpose",
         ));
     }
 }
@@ -405,259 +320,5 @@ pub fn check_rng_discipline(tokens: &[Token<'_>], out: &mut Vec<Finding>) {
                  justify with `// lint:allow(rng-discipline) -- <reason>`)",
             ));
         }
-    }
-}
-
-/// A primitive numeric type as seen by the cast classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Prim {
-    /// Unsigned integer with the given bit width (`usize` counts as 64:
-    /// the workspace's documented 64-bit target policy).
-    U(u32),
-    /// Signed integer with the given bit width (`isize` = 64).
-    I(u32),
-    /// Float with the given mantissa width (f32 → 24, f64 → 53).
-    F(u32),
-    /// `char`.
-    Char,
-    /// `bool` (source only; `as bool` does not exist).
-    Bool,
-}
-
-fn prim(name: &str) -> Option<Prim> {
-    Some(match name {
-        "u8" => Prim::U(8),
-        "u16" => Prim::U(16),
-        "u32" => Prim::U(32),
-        "u64" => Prim::U(64),
-        "u128" => Prim::U(128),
-        "usize" => Prim::U(64),
-        "i8" => Prim::I(8),
-        "i16" => Prim::I(16),
-        "i32" => Prim::I(32),
-        "i64" => Prim::I(64),
-        "i128" => Prim::I(128),
-        "isize" => Prim::I(64),
-        "f32" => Prim::F(24),
-        "f64" => Prim::F(53),
-        "char" => Prim::Char,
-        "bool" => Prim::Bool,
-        _ => return None,
-    })
-}
-
-/// What the token directly before `as` tells us about the cast source.
-#[derive(Debug, Clone, Copy)]
-enum CastSource {
-    /// An integer literal with this (absolute) value.
-    IntLit(u128),
-    /// A float literal.
-    FloatLit,
-    /// A chained cast (`x as u32 as u64`): the inner target type.
-    Known(Prim),
-    /// Anything else: the source type is not syntactically visible.
-    Unknown,
-}
-
-/// Classifies one cast; `None` means provably lossless, `Some(reason)`
-/// names the lossiness class.
-fn classify_cast(src: CastSource, dst: Prim, negated: bool) -> Option<&'static str> {
-    match (src, dst) {
-        (_, Prim::Bool) => None, // `as bool` does not compile; ignore
-        (CastSource::IntLit(v), Prim::U(b)) => {
-            let fits = b >= 128 || v < (1u128 << b);
-            (!fits || negated).then_some("int literal out of range for target")
-        }
-        (CastSource::IntLit(v), Prim::I(b)) => {
-            let limit = 1u128 << (b - 1);
-            let fits = if negated { v <= limit } else { v < limit };
-            (!fits).then_some("int literal out of range for target")
-        }
-        (CastSource::IntLit(v), Prim::F(m)) => {
-            (v > (1u128 << m)).then_some("int literal beyond float mantissa precision")
-        }
-        (CastSource::IntLit(_), Prim::Char) => None, // only `u8 as char` compiles
-        (CastSource::FloatLit, Prim::F(_)) => None,  // compile-time constant rounding
-        (CastSource::FloatLit, _) => Some("float-to-int truncation"),
-        (CastSource::Known(s), d) => classify_known(s, d),
-        (CastSource::Unknown, _) => {
-            Some("source type not syntactically visible; lossiness cannot be proven")
-        }
-    }
-}
-
-fn classify_known(src: Prim, dst: Prim) -> Option<&'static str> {
-    match (src, dst) {
-        (Prim::Bool, Prim::U(_) | Prim::I(_)) => None,
-        (Prim::Char, Prim::U(b)) if b >= 32 => None,
-        (Prim::Char, _) => Some("narrowing char-to-int cast"),
-        (Prim::U(8), Prim::Char) => None,
-        (_, Prim::Char) => Some("narrowing int-to-char cast"),
-        (Prim::U(a), Prim::U(b)) => (a > b).then_some("narrowing unsigned cast"),
-        (Prim::I(a), Prim::I(b)) => (a > b).then_some("narrowing signed cast"),
-        (Prim::U(a), Prim::I(b)) => {
-            (a >= b).then_some("unsigned-to-signed cast can flip sign")
-        }
-        (Prim::I(_), Prim::U(_)) => Some("signed-to-unsigned cast wraps negatives"),
-        (Prim::F(a), Prim::F(b)) => (a > b).then_some("narrowing float cast"),
-        (Prim::F(_), Prim::U(_) | Prim::I(_)) => Some("float-to-int truncation"),
-        (Prim::U(a), Prim::F(m)) => {
-            (a > m).then_some("int-to-float cast beyond mantissa precision")
-        }
-        (Prim::I(a), Prim::F(m)) => {
-            (a - 1 > m).then_some("int-to-float cast beyond mantissa precision")
-        }
-        (Prim::Bool, _) | (_, Prim::Bool) => None,
-    }
-}
-
-/// Parses the numeric value of an integer-literal token (`42`, `0xFF`,
-/// `1_000u64`). Returns `None` when the value overflows `u128` or the
-/// token is malformed (then treated as an unknown source).
-fn int_lit_value(text: &str) -> Option<u128> {
-    let clean: String = text.chars().filter(|&c| c != '_').collect();
-    let (digits, radix) = if let Some(rest) = clean.strip_prefix("0x").or(clean.strip_prefix("0X")) {
-        (rest, 16)
-    } else if let Some(rest) = clean.strip_prefix("0o").or(clean.strip_prefix("0O")) {
-        (rest, 8)
-    } else if let Some(rest) = clean.strip_prefix("0b").or(clean.strip_prefix("0B")) {
-        (rest, 2)
-    } else {
-        (clean.as_str(), 10)
-    };
-    // Strip a type suffix (`u64`, `i32`, ...): digits end at the first
-    // char outside the radix alphabet.
-    let end = digits
-        .char_indices()
-        .find(|(_, c)| !c.is_digit(radix))
-        .map_or(digits.len(), |(i, _)| i);
-    u128::from_str_radix(&digits[..end], radix).ok()
-}
-
-/// lossy-cast: classifies every `expr as <prim>` cast by lossiness.
-/// Lossless casts (widenings, in-range literals, mantissa-covered
-/// int→float) pass silently; everything else — including casts whose
-/// source type a syntactic tool cannot see — needs a checked conversion
-/// (`From`/`TryFrom`/`ssd_types::cast`) or a reasoned allow.
-pub fn check_lossy_cast(tokens: &[Token<'_>], out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if !t.is_ident("as") || i == 0 {
-            continue;
-        }
-        let Some(next) = tokens.get(i + 1) else { continue };
-        if next.kind != TokenKind::Ident {
-            continue;
-        }
-        let Some(dst) = prim(next.text) else {
-            continue; // `use x as y`, `<T as Trait>`, `as dyn Trait`, ...
-        };
-        let prev = &tokens[i - 1];
-        let negated = i >= 2 && tokens[i - 2].is_punct("-");
-        let src = match prev.kind {
-            TokenKind::Int => int_lit_value(prev.text)
-                .map_or(CastSource::Unknown, CastSource::IntLit),
-            TokenKind::Float => CastSource::FloatLit,
-            // `'x' as u32` is a char source; `b'x' as usize` is a u8.
-            TokenKind::Char => CastSource::Known(if prev.text.starts_with('b') {
-                Prim::U(8)
-            } else {
-                Prim::Char
-            }),
-            TokenKind::Ident => match prim(prev.text) {
-                // `x as u32 as u64`: chained cast, the inner target is
-                // the visible source type (only when the ident really is
-                // a preceding cast target, i.e. follows another `as`).
-                Some(p) if i >= 2 && tokens[i - 2].is_ident("as") => CastSource::Known(p),
-                _ => CastSource::Unknown,
-            },
-            _ => CastSource::Unknown,
-        };
-        if let Some(class) = classify_cast(src, dst, negated) {
-            out.push(finding(
-                t.line,
-                RuleId::LossyCast,
-                format!(
-                    "`as {}`: {class}; use `From`/`TryFrom`, an `ssd_types::cast` \
-                     checked helper, or justify with `// lint:allow(lossy-cast) -- \
-                     <reason>`",
-                    next.text
-                ),
-            ));
-        }
-    }
-}
-
-/// missing-pub-doc: every fully-`pub` named item must have a doc comment
-/// ending directly above its first line (attributes included). `use`
-/// re-exports, impl blocks, and test items are exempt; `pub(crate)` and
-/// narrower scopes are internal and exempt by definition.
-pub fn check_missing_pub_doc(
-    items: &[crate::parser::Item],
-    doc_lines: &[u32],
-    out: &mut Vec<Finding>,
-) {
-    use crate::parser::{for_each_item, ItemKind, Visibility};
-    for_each_item(items, &mut |item, parent| {
-        if item.vis != Visibility::Public || item.is_test {
-            return;
-        }
-        let Some(name) = &item.name else { return };
-        if matches!(item.kind, ItemKind::Use | ItemKind::Impl | ItemKind::ExternCrate) {
-            return;
-        }
-        if item.kind == ItemKind::Mod {
-            // `pub mod x;` is documented by `//!` inner docs inside
-            // `x.rs` (a different file); inline mods carry `//!` docs
-            // ending inside their own body. Both are invisible to the
-            // outer-doc check, so accept either shape.
-            let out_of_line = item.children.is_empty() && item.end_line == item.kw_line;
-            let inner_doc = doc_lines
-                .iter()
-                .any(|&d| item.kw_line < d && d <= item.end_line);
-            if out_of_line || inner_doc {
-                return;
-            }
-        }
-        if let Some(p) = parent {
-            // Trait-impl members take their docs from the trait; test
-            // modules are out of scope.
-            if p.is_trait_impl || p.is_test {
-                return;
-            }
-        }
-        let lo = item.attr_line.saturating_sub(1);
-        let documented = doc_lines
-            .iter()
-            .any(|&d| lo <= d && d < item.kw_line.max(lo + 1));
-        if !documented {
-            out.push(finding(
-                item.kw_line,
-                RuleId::MissingPubDoc,
-                format!(
-                    "pub {} `{}` has no doc comment; add `///` docs describing it \
-                     (rendered by the warning-free rustdoc gate)",
-                    kind_word(item.kind),
-                    name
-                ),
-            ));
-        }
-    });
-}
-
-fn kind_word(kind: crate::parser::ItemKind) -> &'static str {
-    use crate::parser::ItemKind;
-    match kind {
-        ItemKind::Fn => "fn",
-        ItemKind::Struct => "struct",
-        ItemKind::Enum => "enum",
-        ItemKind::Trait => "trait",
-        ItemKind::TypeAlias => "type alias",
-        ItemKind::Const => "const",
-        ItemKind::Static => "static",
-        ItemKind::Mod => "mod",
-        ItemKind::MacroDef => "macro",
-        ItemKind::Use => "use",
-        ItemKind::Impl => "impl",
-        ItemKind::ExternCrate => "extern crate",
     }
 }

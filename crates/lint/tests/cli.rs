@@ -1,5 +1,5 @@
 //! End-to-end tests of the `ssd-lint` binary: exit codes, rule
-//! selection, and the machine-checkable output contract.
+//! selection, and the `file:line: [rule]` output contract.
 
 use std::path::Path;
 use std::process::Command;
@@ -49,11 +49,12 @@ fn list_rules_names_every_rule() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     for name in [
-        "panic-freedom",
         "float-determinism",
         "nondeterminism",
         "hermeticity",
         "unsafe-gate",
+        "rng-discipline",
+        "dead-pub",
         "allow-grammar",
     ] {
         assert!(stdout.contains(name), "missing {name}: {stdout}");
@@ -97,7 +98,7 @@ fn violations_exit_one_with_file_line_output() {
     .expect("write crate manifest");
     std::fs::write(
         src.join("lib.rs"),
-        "#![forbid(unsafe_code)]\npub fn f(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n",
+        "#![forbid(unsafe_code)]\npub fn f() -> std::collections::HashMap<u32, u32> {\n    std::collections::HashMap::new()\n}\n",
     )
     .expect("write lib.rs");
 
@@ -108,82 +109,9 @@ fn violations_exit_one_with_file_line_output() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/core/src/lib.rs:3: [panic-freedom]"),
+        stdout.contains("crates/core/src/lib.rs:3: [nondeterminism]"),
         "stdout: {stdout}"
     );
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn json_report_round_trips_through_workspace_parser() {
-    // The clean-workspace JSON report must parse with the same in-tree
-    // JSON substrate every other artifact of the reproduction uses.
-    let out = bin()
-        .args(["--root", &workspace_root(), "--format", "json"])
-        .output()
-        .expect("run ssd-lint");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "stdout: {stdout}");
-
-    let doc = ssd_types::json::parse(&stdout).expect("report parses");
-    assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(1));
-    assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(0));
-    let Some(ssd_types::json::Value::Arr(rules)) = doc.get("rules") else {
-        panic!("rules is not an array: {stdout}");
-    };
-    assert_eq!(rules.len(), ssd_lint::RuleId::ALL.len());
-    let Some(ssd_types::json::Value::Arr(diags)) = doc.get("diagnostics") else {
-        panic!("diagnostics is not an array: {stdout}");
-    };
-    assert!(diags.is_empty(), "{stdout}");
-}
-
-#[test]
-fn json_report_lists_violations_and_still_exits_one() {
-    let dir = std::env::temp_dir().join("ssd-lint-cli-json-fixture");
-    let src = dir.join("crates/core/src");
-    std::fs::create_dir_all(&src).expect("mkdir");
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/*\"]\n",
-    )
-    .expect("write root manifest");
-    std::fs::write(
-        dir.join("crates/core").join("Cargo.toml"),
-        "[package]\nname = \"ssd-core\"\n",
-    )
-    .expect("write crate manifest");
-    std::fs::write(
-        src.join("lib.rs"),
-        "//! Docs.\n#![forbid(unsafe_code)]\n\n/// Doc.\npub fn f(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n",
-    )
-    .expect("write lib.rs");
-
-    let out = bin()
-        .args(["--root", dir.to_str().expect("utf8 path"), "--format", "json"])
-        .output()
-        .expect("run ssd-lint");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-
-    let doc = ssd_types::json::parse(&stdout).expect("report parses");
-    assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(2));
-    let Some(ssd_types::json::Value::Arr(diags)) = doc.get("diagnostics") else {
-        panic!("diagnostics is not an array: {stdout}");
-    };
-    // unwrap() panics + the pub fn is dead in a one-file workspace.
-    assert_eq!(diags.len(), 2, "{stdout}");
-    let rules: Vec<&str> = diags
-        .iter()
-        .filter_map(|d| d.get("rule").and_then(|r| r.as_str()))
-        .collect();
-    assert!(rules.contains(&"panic-freedom"), "{stdout}");
-    let first = &diags[0];
-    assert_eq!(
-        first.get("path").and_then(|p| p.as_str()),
-        Some("crates/core/src/lib.rs"),
-        "{stdout}"
-    );
-    assert!(first.get("line").and_then(|l| l.as_u64()).is_some(), "{stdout}");
 }

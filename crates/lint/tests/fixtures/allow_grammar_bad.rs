@@ -11,3 +11,7 @@ pub fn unknown_rule() {}
 // lint:allow panic-freedom -- reason
 /// Fixture item `missing_parens`.
 pub fn missing_parens() {}
+
+// lint:allow(lossy-cast) -- clippy::as_conversions owns casts now
+/// Fixture item `moved_rule`.
+pub fn moved_rule() {}

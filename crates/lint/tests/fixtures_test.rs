@@ -23,24 +23,8 @@ fn rules_fired(diags: &[Diagnostic]) -> Vec<RuleId> {
 }
 
 #[test]
-fn panic_freedom_fixture() {
-    let bad = lint_scoped(include_str!("fixtures/panic_freedom_bad.rs"));
-    let bad: Vec<&Diagnostic> = bad.iter().filter(|d| d.rule == RuleId::PanicFreedom).collect();
-    // unwrap, expect, panic!, todo!, unimplemented! — five distinct forms.
-    assert_eq!(bad.len(), 5, "{bad:?}");
-    assert!(bad.iter().any(|d| d.message.contains(".unwrap()")));
-    assert!(bad.iter().any(|d| d.message.contains("`todo!`")));
-
-    let clean = lint_scoped(include_str!("fixtures/panic_freedom_clean.rs"));
-    assert!(clean.is_empty(), "{clean:?}");
-
-    let allowed = lint_scoped(include_str!("fixtures/panic_freedom_allowed.rs"));
-    assert!(allowed.is_empty(), "{allowed:?}");
-}
-
-#[test]
-fn panic_freedom_exempts_test_regions() {
-    let diags = lint_scoped(include_str!("fixtures/panic_freedom_test_region.rs"));
+fn test_regions_are_exempt() {
+    let diags = lint_scoped(include_str!("fixtures/test_region.rs"));
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -92,32 +76,15 @@ fn unsafe_gate_fixture() {
 }
 
 #[test]
-fn missing_crate_doc_fixture() {
-    let bad = lint_root(include_str!("fixtures/missing_crate_doc_bad.rs"));
-    assert_eq!(rules_fired(&bad), vec![RuleId::MissingCrateDoc], "{bad:?}");
-    assert_eq!(bad[0].line, 1);
-    assert!(bad[0].message.contains("crate-level docs"), "{bad:?}");
-
-    let clean = lint_root(include_str!("fixtures/missing_crate_doc_clean.rs"));
-    assert!(clean.is_empty(), "{clean:?}");
-
-    // The allow directive must sit on line 1, where the finding lands.
-    let allowed = lint_root(include_str!("fixtures/missing_crate_doc_allowed.rs"));
-    assert!(allowed.is_empty(), "{allowed:?}");
-
-    // Crate roots only: module files need no crate docs.
-    let module = lint_scoped(include_str!("fixtures/missing_crate_doc_bad.rs"));
-    assert!(module.is_empty(), "{module:?}");
-}
-
-#[test]
 fn allow_grammar_fixture() {
     let diags = lint_scoped(include_str!("fixtures/allow_grammar_bad.rs"));
     let fired: Vec<&Diagnostic> =
         diags.iter().filter(|d| d.rule == RuleId::AllowGrammar).collect();
-    // Missing reason, unknown rule, missing parens.
-    assert_eq!(fired.len(), 3, "{fired:?}");
-    assert!(fired.iter().any(|d| d.message.contains("unknown rule")));
+    // Missing reason, unknown rule, missing parens, and a rule that
+    // moved to a compiler lint.
+    assert_eq!(fired.len(), 4, "{fired:?}");
+    assert!(fired.iter().any(|d| d.message.contains("unknown rule `no-such-rule`")));
+    assert!(fired.iter().any(|d| d.message.contains("unknown rule `lossy-cast`")));
     assert!(fired.iter().any(|d| d.message.contains("malformed")));
 }
 
@@ -164,7 +131,7 @@ fn diagnostics_format_as_path_line_rule() {
 
 #[test]
 fn out_of_scope_paths_are_ignored() {
-    let bad = include_str!("fixtures/panic_freedom_bad.rs");
+    let bad = include_str!("fixtures/nondeterminism_bad.rs");
     // bench/testkit are exempt crates; tests and benches are exempt roles.
     for path in [
         "crates/bench/src/lib.rs",
@@ -174,16 +141,10 @@ fn out_of_scope_paths_are_ignored() {
         "tests/fixture.rs",
     ] {
         let diags = lint_source_str(path, bad, &RuleId::ALL);
-        let panic_diags: Vec<&Diagnostic> =
-            diags.iter().filter(|d| d.rule == RuleId::PanicFreedom).collect();
-        assert!(panic_diags.is_empty(), "{path}: {panic_diags:?}");
+        let fired: Vec<&Diagnostic> =
+            diags.iter().filter(|d| d.rule == RuleId::Nondeterminism).collect();
+        assert!(fired.is_empty(), "{path}: {fired:?}");
     }
-}
-
-/// Lints a fixture as if it were simulator source, where the
-/// cast-discipline rule is active.
-fn lint_sim(src: &str) -> Vec<Diagnostic> {
-    lint_source_str("crates/sim/src/fixture.rs", src, &RuleId::ALL)
 }
 
 #[test]
@@ -211,50 +172,6 @@ fn rng_discipline_is_legitimate_in_stats() {
         &RuleId::ALL,
     );
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn lossy_cast_fixture() {
-    let bad = lint_sim(include_str!("fixtures/lossy_cast_bad.rs"));
-    let fired: Vec<&Diagnostic> =
-        bad.iter().filter(|d| d.rule == RuleId::LossyCast).collect();
-    // Opaque local truncation + float-to-int rounding.
-    assert_eq!(fired.len(), 2, "{bad:?}");
-    assert!(fired.iter().any(|d| d.message.contains("as u32")), "{fired:?}");
-    assert!(fired.iter().any(|d| d.message.contains("as u64")), "{fired:?}");
-
-    let clean = lint_sim(include_str!("fixtures/lossy_cast_clean.rs"));
-    assert!(clean.is_empty(), "{clean:?}");
-
-    let allowed = lint_sim(include_str!("fixtures/lossy_cast_allowed.rs"));
-    assert!(allowed.is_empty(), "{allowed:?}");
-}
-
-#[test]
-fn lossy_cast_is_scoped_to_sim_and_ml() {
-    // The same source in a crate outside the hot-path scope is quiet.
-    let diags = lint_scoped(include_str!("fixtures/lossy_cast_bad.rs"));
-    let fired: Vec<&Diagnostic> =
-        diags.iter().filter(|d| d.rule == RuleId::LossyCast).collect();
-    assert!(fired.is_empty(), "{fired:?}");
-}
-
-#[test]
-fn missing_pub_doc_fixture() {
-    let bad = lint_scoped(include_str!("fixtures/missing_pub_doc_bad.rs"));
-    let fired: Vec<&Diagnostic> =
-        bad.iter().filter(|d| d.rule == RuleId::MissingPubDoc).collect();
-    // The undocumented fn and the undocumented struct; the documented
-    // field does not rescue its carrier.
-    assert_eq!(fired.len(), 2, "{bad:?}");
-    assert!(fired.iter().any(|d| d.message.contains("undocumented")), "{fired:?}");
-    assert!(fired.iter().any(|d| d.message.contains("Bare")), "{fired:?}");
-
-    let clean = lint_scoped(include_str!("fixtures/missing_pub_doc_clean.rs"));
-    assert!(clean.is_empty(), "{clean:?}");
-
-    let allowed = lint_scoped(include_str!("fixtures/missing_pub_doc_allowed.rs"));
-    assert!(allowed.is_empty(), "{allowed:?}");
 }
 
 /// Assembles a fixture file set rooted like real workspace paths, so the

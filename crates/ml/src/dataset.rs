@@ -174,23 +174,27 @@ impl Scaler {
                 *var += dlt * dlt;
             }
         }
+        #[expect(
+            clippy::as_conversions,
+            reason = "feature matrix is f32; rounding the scale is the precision contract"
+        )]
         let inv_stds = vars
             .iter()
             .map(|&v| {
                 let sd = (v / f64_from_usize(n)).sqrt();
                 if sd > 1e-12 {
-                    // lint:allow(lossy-cast) -- feature matrix is f32; rounding the scale is the precision contract
                     (1.0 / sd) as f32
                 } else {
                     1.0 // constant feature: leave centred but unscaled
                 }
             })
             .collect();
-        Scaler {
-            // lint:allow(lossy-cast) -- feature matrix is f32; rounding the centre is the precision contract
-            means: means.into_iter().map(|m| m as f32).collect(),
-            inv_stds,
-        }
+        #[expect(
+            clippy::as_conversions,
+            reason = "feature matrix is f32; rounding the centre is the precision contract"
+        )]
+        let means = means.into_iter().map(|m| m as f32).collect();
+        Scaler { means, inv_stds }
     }
 
     /// Standardizes a dataset in place.

@@ -162,7 +162,7 @@ impl<L: Copy> FlatNodes<L> {
             }
             // `!(x <= t)` — not `x > t` — so a NaN feature takes the right
             // child exactly as the pointer trees' if/else does.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must go right
+            #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must go right")]
             let go_right = !(row[usize_from_u32(f)] <= self.threshold[id]);
             id = usize_from_u32(self.payload[id] + u32::from(go_right));
         }
@@ -192,7 +192,7 @@ impl<L: Copy> FlatNodes<L> {
         let x = rows[j * n_features + fi];
         // `!(x <= t)` — not `x > t` — so a NaN feature takes the right
         // child exactly as the pointer trees' if/else does.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must go right
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must go right")]
         let go_right = !(x <= self.threshold[id]);
         let next = usize_from_u32(self.payload[id] + u32::from(go_right));
         if is_leaf {
@@ -202,9 +202,11 @@ impl<L: Copy> FlatNodes<L> {
         }
     }
 
-    // The eight-lane scoring kernel: its arguments and indexed lane loop
-    // are the shape the lockstep walk is tuned for.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[expect(
+        clippy::too_many_arguments,
+        clippy::needless_range_loop,
+        reason = "the eight-lane scoring kernel: its arguments and indexed lane loop are the shape the lockstep walk is tuned for"
+    )]
     #[inline]
     fn fold_group(
         &self,

@@ -83,7 +83,10 @@ impl RandomForest {
         config.validate();
         assert!(data.n_rows() >= 2, "forest needs at least two rows");
         let n = data.n_rows();
-        // lint:allow(lossy-cast) -- fractional bootstrap target rounded to a whole row count; saturates, and the limit below rejects it
+        #[expect(
+            clippy::as_conversions,
+            reason = "fractional bootstrap target rounded to a whole row count; saturates, and the limit below rejects it"
+        )]
         let boot = ((n as f64) * config.bootstrap_fraction).round().max(1.0) as usize;
         assert!(
             boot <= MAX_SAMPLE && n <= MAX_SAMPLE,
@@ -94,8 +97,12 @@ impl RandomForest {
         let mut tree_cfg = config.tree.clone();
         if tree_cfg.max_features.is_none() {
             let d = data.n_features();
-            // lint:allow(lossy-cast) -- ceil(sqrt(d)) feature heuristic is integral by construction
-            tree_cfg.max_features = Some((d as f64).sqrt().ceil() as usize);
+            #[expect(
+                clippy::as_conversions,
+                reason = "ceil(sqrt(d)) feature heuristic is integral by construction"
+            )]
+            let max_features = (d as f64).sqrt().ceil() as usize;
+            tree_cfg.max_features = Some(max_features);
             tree_cfg.validate();
         }
         // Sort every feature column exactly once; each tree filters its

@@ -258,7 +258,10 @@ impl Gbdt {
         let mut trees = Vec::with_capacity(config.n_trees);
         // lint:allow(rng-discipline) -- fit-entry stream root: the caller owns seed derivation, and re-mixing here would break pinned predictions
         let mut rng = SplitMix64::new(seed);
-        // lint:allow(lossy-cast) -- rounding a fractional subsample target down to a whole row count is the point
+        #[expect(
+            clippy::as_conversions,
+            reason = "rounding a fractional subsample target down to a whole row count is the point"
+        )]
         let sample_size = (f64_from_usize(n) * config.subsample).round().max(2.0) as usize;
         let mut pool: Vec<usize> = (0..n).collect();
         // The feature columns never change across rounds: sort them once

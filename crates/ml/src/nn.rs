@@ -178,7 +178,10 @@ impl Mlp {
                 }
                 // Adam update.
                 t_step += 1;
-                // lint:allow(lossy-cast) -- Adam step counter stays far below i32::MAX for any real epoch budget
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "Adam step counter stays far below i32::MAX for any real epoch budget"
+                )]
                 let t = t_step as i32;
                 let (bc1, bc2) = (1.0 - beta1.powi(t), 1.0 - beta2.powi(t));
                 let scale = 1.0 / f64_from_usize(batch.len());

@@ -73,7 +73,10 @@ pub fn downsample_majority(
             neg.push(i);
         }
     }
-    // lint:allow(lossy-cast) -- fractional downsampling target rounded to a whole row count
+    #[expect(
+        clippy::as_conversions,
+        reason = "fractional downsampling target rounded to a whole row count"
+    )]
     let want_neg = ((pos.len() as f64) * ratio).round() as usize;
     if neg.len() <= want_neg || pos.is_empty() {
         return indices.to_vec();

@@ -21,6 +21,9 @@
 //! to the caller when the scope joins.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -71,6 +74,10 @@ where
 /// length only; `work` must produce the same output for a chunk regardless
 /// of what the state was previously used for (scratch buffers, not
 /// accumulators).
+#[expect(
+    clippy::expect_used,
+    reason = "every chunk index is claimed exactly once by the cursor, so each slot is filled before the scope joins"
+)]
 fn execute_init<T, A, INIT, W>(len: usize, init: INIT, work: W) -> Vec<A>
 where
     A: Send,
@@ -107,23 +114,27 @@ where
     });
     slots
         .into_iter()
-        // lint:allow(panic-freedom) -- every chunk index is claimed exactly once by the cursor, so each slot is filled before the scope joins
         .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()).expect("worker completed chunk"))
         .collect()
 }
 
 /// A splittable, indexable source of items — slices, ranges, chunk views.
 pub trait ParSource: Sync + Sized {
+    /// What one index yields.
     type Item: Send;
+    /// Number of items.
     fn len(&self) -> usize;
+    /// True when there are no items.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+    /// The item at `index`, for `index < len()`.
     fn get(&self, index: usize) -> Self::Item;
 }
 
 /// Adapter methods available on every parallel source.
 pub trait ParIterExt: ParSource {
+    /// Lazy order-preserving map; finish with [`ParMap::collect`].
     fn map<U, F>(self, f: F) -> ParMap<Self, F>
     where
         U: Send,
@@ -132,6 +143,7 @@ pub trait ParIterExt: ParSource {
         ParMap { src: self, f }
     }
 
+    /// Lazy order-preserving map that drops the `None` results.
     fn filter_map<U, F>(self, f: F) -> ParFilterMap<Self, F>
     where
         U: Send,
@@ -337,6 +349,7 @@ impl<'a, T: Sync> ParSource for ParChunks<'a, T> {
 
 /// `par_iter` / `par_chunks` on slices (and anything that derefs to one).
 pub trait ParallelSlice<T: Sync> {
+    /// The elements, processed in parallel, yielded in order.
     fn par_iter(&self) -> ParSlice<'_, T>;
     /// Non-overlapping sub-slices of `chunk_size` elements (last may be
     /// shorter), processed in parallel, yielded in order.
@@ -356,7 +369,9 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 /// Owning conversion into a parallel source (`into_par_iter`); implemented
 /// for the integer ranges the workspace iterates over.
 pub trait IntoParallelIterator {
+    /// The parallel source the value converts into.
     type Iter: ParSource;
+    /// Converts `self` into its parallel source.
     fn into_par_iter(self) -> Self::Iter;
 }
 

@@ -43,6 +43,10 @@ pub fn bernoulli(rng: &mut SplitMix64, p: f64) -> bool {
 /// Uses Knuth's product-of-uniforms method for small means and a normal
 /// approximation (rounded, clamped at 0) for large means, where the exact
 /// method would need O(lambda) uniforms.
+#[expect(
+    clippy::as_conversions,
+    reason = "normal-approximation Poisson sample rounded to a count"
+)]
 pub fn poisson(rng: &mut SplitMix64, lambda: f64) -> u64 {
     debug_assert!(lambda >= 0.0);
     // lint:allow(float-determinism) -- exact-zero fast path; any nonzero lambda takes the sampling branches
@@ -62,20 +66,19 @@ pub fn poisson(rng: &mut SplitMix64, lambda: f64) -> u64 {
         }
     } else {
         let x = normal(rng, lambda, lambda.sqrt());
-        // lint:allow(lossy-cast) -- normal-approximation Poisson sample rounded to a count
         x.round().max(0.0) as u64
     }
 }
 
 /// Geometric sample: number of failures before the first success,
 /// support `{0, 1, 2, …}`, success probability `p`.
+#[expect(clippy::as_conversions, reason = "geometric inversion: the floor IS the sample")]
 pub fn geometric(rng: &mut SplitMix64, p: f64) -> u64 {
     debug_assert!(p > 0.0 && p <= 1.0);
     if p >= 1.0 {
         return 0;
     }
     let u = (1.0 - rng.next_f64()).max(1e-300);
-    // lint:allow(lossy-cast) -- geometric inversion: the floor IS the sample
     (u.ln() / (1.0 - p).ln()).floor() as u64
 }
 
@@ -102,12 +105,12 @@ impl Geometric {
     }
 
     /// Draws one sample, consuming exactly one `next_f64` (none if `p = 1`).
+    #[expect(clippy::as_conversions, reason = "geometric inversion: the floor IS the sample")]
     pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
         if !self.ln_q.is_finite() {
             return 0;
         }
         let u = (1.0 - rng.next_f64()).max(1e-300);
-        // lint:allow(lossy-cast) -- geometric inversion: the floor IS the sample
         (u.ln() / self.ln_q).floor() as u64
     }
 }

@@ -423,7 +423,10 @@ fn emit_op_day(
     let mut w = sample_workload(traits, age, rng);
     let decline = activity_decline(plan, age);
     if decline < 1.0 {
-        // lint:allow(lossy-cast) -- deliberate quantization: declining op counts round toward zero
+        #[expect(
+            clippy::as_conversions,
+            reason = "deliberate quantization: declining op counts round toward zero"
+        )]
         let scale_ops = |ops: u64| ((ops as f64) * decline) as u64;
         w.read_ops = scale_ops(w.read_ops);
         // Keep the failure day "active" (≥ 1 op) so the failure-point

@@ -76,7 +76,10 @@ pub fn sample_day(
             );
             bits *= 1.0 + 4.0 * closeness;
         }
-        // lint:allow(lossy-cast) -- clamped log-normal sample quantized to an error count
+        #[expect(
+            clippy::as_conversions,
+            reason = "clamped log-normal sample quantized to an error count"
+        )]
         errors.set(ErrorKind::Correctable, bits.min(1e12) as u64 + 1);
     }
 
@@ -99,22 +102,27 @@ pub fn sample_day(
         }
     };
     if ue_prob > 0.0 && dist::bernoulli(rng, ue_prob) {
+        #[expect(
+            clippy::as_conversions,
+            reason = "clamped log-normal sample quantized to an error count"
+        )]
         let count = match ctx.escalation {
             Some(esc) => escalation_ue_count(esc, rng),
             None if ctx.defect_symptomatic => {
                 // Persistently high counts across the defective drive's
                 // short life (Figure 10's heavy young tail).
-                // lint:allow(lossy-cast) -- clamped log-normal sample quantized to an error count
                 dist::log_normal(rng, (500.0f64).ln(), 2.0).ceil().min(1e12) as u64
             }
-            // lint:allow(lossy-cast) -- clamped log-normal sample quantized to an error count
             None => dist::log_normal(rng, 2.0f64.ln(), 1.0).ceil().max(1.0) as u64,
         };
         errors.set(ErrorKind::Uncorrectable, count);
         // Final read errors are "essentially the same event" (Table 2
         // discussion, Spearman 0.97): a thinned copy of the UE process.
         if dist::bernoulli(rng, 0.45) {
-            // lint:allow(lossy-cast) -- thinning an integer count through a float ratio is lossy on purpose
+            #[expect(
+                clippy::as_conversions,
+                reason = "thinning an integer count through a float ratio is lossy on purpose"
+            )]
             let fr = ((count as f64) * 0.30).ceil().max(1.0) as u64;
             errors.set(ErrorKind::FinalRead, fr);
         }
@@ -228,6 +236,10 @@ fn escalation_ue_prob(esc: Escalation) -> f64 {
 /// Escalating UE counts: grow as the failure approaches; infant (defect)
 /// failures emit roughly two orders of magnitude more (Figure 11 bottom:
 /// the young 95th percentile reaches 10⁶–10⁷).
+#[expect(
+    clippy::as_conversions,
+    reason = "clamped log-normal sample quantized to an error count"
+)]
 fn escalation_ue_count(esc: Escalation, rng: &mut SplitMix64) -> u64 {
     let closeness =
         f64::from(calibration::ESCALATION_WINDOW_DAYS.saturating_sub(esc.days_to_failure));
@@ -235,7 +247,6 @@ fn escalation_ue_count(esc: Escalation, rng: &mut SplitMix64) -> u64 {
     if esc.infant {
         mu += (100.0f64).ln();
     }
-    // lint:allow(lossy-cast) -- clamped log-normal sample quantized to an error count
     dist::log_normal(rng, mu, 1.5).ceil().clamp(1.0, 1e12) as u64
 }
 

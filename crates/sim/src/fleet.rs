@@ -159,7 +159,7 @@ impl<'a> FleetGen<'a> {
             * u64::from(self.config.report_permille.clamp(1, 1000))
             / 1000;
         let mut out = Vec::with_capacity(64 + usize_from_u64(expected_days + expected_days / 4) * 40);
-        // lint:allow(panic-freedom) -- io::Write into a Vec<u8> is infallible
+        #[expect(clippy::expect_used, reason = "io::Write into a Vec<u8> is infallible")]
         self.run(&mut out).expect("Vec sink cannot fail");
         out
     }

@@ -19,8 +19,11 @@ use ssd_types::cast::u32_from_u64;
 
 /// Quantizes a continuous duration sample to a whole day count of at
 /// least one day, matching the paper's day-granular timelines.
+#[expect(
+    clippy::as_conversions,
+    reason = "ceil-clamped sample: fractional days do not exist in the trace"
+)]
 fn days_from_sample(x: f64) -> u32 {
-    // lint:allow(lossy-cast) -- ceil-clamped sample: fractional days do not exist in the trace
     x.ceil().max(1.0) as u32
 }
 
@@ -218,6 +221,10 @@ impl LifecyclePlan {
                 }
                 hit
             };
+            #[expect(
+                clippy::as_conversions,
+                reason = "offset is ceil-clamped to [1, 10*365*6] just above; truncation is exact"
+            )]
             let (fail_day, infant) = if infant_hit {
                 // Manufacturing defect: failure age drawn from the infant
                 // CDF (Figure 6's spike in the first 90 days).
@@ -237,7 +244,6 @@ impl LifecyclePlan {
                 } else {
                     period_start
                 };
-                // lint:allow(lossy-cast) -- offset is ceil-clamped to [1, 10*365*6] just above; truncation is exact
                 (base.saturating_add(offset as u32), false)
             };
             if fail_day >= horizon_age {

@@ -60,8 +60,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
-#![warn(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod calibration;
 pub mod config;

@@ -65,8 +65,8 @@ pub fn sample_day(traits: &DriveTraits, age_days: u32, rng: &mut SplitMix64) -> 
 }
 
 #[inline]
+#[expect(clippy::as_conversions, reason = "clamped float rate quantized to a whole op count")]
 fn to_ops(x: f64) -> u64 {
-    // lint:allow(lossy-cast) -- clamped float rate quantized to a whole op count
     x.min(1e18).round().max(0.0) as u64
 }
 
@@ -105,7 +105,10 @@ impl WearModel {
         let base = calibration::MEDIAN_DAILY_WRITES * traits.write_factor
             / calibration::WRITES_PER_PE_CYCLE;
         let scale = f64::from(1u32 << WEAR_SCALE_BITS);
-        // lint:allow(lossy-cast) -- fixed-point wear rate: rounding to scaled integer cycles is the encoding
+        #[expect(
+            clippy::as_conversions,
+            reason = "fixed-point wear rate: rounding to scaled integer cycles is the encoding"
+        )]
         let rate = |mult: f64| (base * mult * scale).round().clamp(0.0, 1e18) as u64;
         let mut ramp_prefix = [0u64; usize_from_u32(RAMP_DAYS) + 1];
         for i in 0..RAMP_DAYS {

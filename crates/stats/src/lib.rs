@@ -25,8 +25,9 @@
 //!   stream splitting).
 
 #![forbid(unsafe_code)]
-
-#![warn(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod correlation;
 pub mod ecdf;

@@ -11,6 +11,7 @@
 //! case can be replayed directly with [`Gen::from_seed`].
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 

@@ -1,12 +1,12 @@
 //! Checked numeric conversions for the workspace's documented 64-bit
 //! target policy (`usize`/`isize` are 64 bits wide).
 //!
-//! The `lossy-cast` lint (see `crates/lint`) flags every `as` cast in
-//! `crates/sim` and `crates/ml` whose source type is not syntactically
-//! visible, because a bare `x as f64` silently truncates or rounds when
-//! `x` outgrows the destination. These helpers spell the source type in
-//! their signature, so the conversion is auditable at the call site, and
-//! carry `debug_assert!`s for every claim of losslessness.
+//! `crates/sim` and `crates/ml` deny `clippy::as_conversions` outside
+//! tests, because a bare `x as f64` silently truncates or rounds when
+//! `x` outgrows the destination. These helpers hold the one `as` each
+//! conversion needs, spell the source type in their signature, so the
+//! conversion is auditable at the call site, and carry `debug_assert!`s
+//! for every claim of losslessness.
 //!
 //! **Release behavior is bit-identical to the `as` cast each helper
 //! wraps**: the asserts compile out of release builds, and the cast
@@ -15,7 +15,8 @@
 //!
 //! Conversions that are lossy *by design* (quantization, hashing,
 //! sampling) should not use these helpers: keep the `as` cast and
-//! justify it with `// lint:allow(lossy-cast) -- <reason>`.
+//! justify it with `#[expect(clippy::as_conversions, reason = "…")]` on
+//! the enclosing statement or function.
 
 /// Largest integer magnitude an `f64` holds exactly (2^53).
 pub const F64_EXACT_INT: u64 = 1 << 53;

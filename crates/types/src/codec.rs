@@ -822,7 +822,7 @@ impl<W: Write> TraceEncoder<W> {
 pub fn encode_trace(trace: &FleetTrace) -> Vec<u8> {
     // Rough pre-size: ~40 bytes per report avoids repeated reallocation.
     let mut out = Vec::with_capacity(64 + trace.total_drive_days() * 40);
-    // lint:allow(panic-freedom) -- io::Write into a Vec<u8> is infallible
+    #[expect(clippy::expect_used, reason = "io::Write into a Vec<u8> is infallible")]
     encode_trace_to(trace, &mut out).expect("Vec sink cannot fail");
     out
 }

@@ -36,11 +36,13 @@
 //! * [`json`] — minimal JSON writer/parser and conversion traits (the
 //!   workspace builds offline, so this replaces `serde`/`serde_json`).
 //! * [`cast`] — checked numeric conversions with the source type spelled
-//!   out, backing the `lossy-cast` lint's fix-it guidance.
+//!   out, for the `as`-free code `clippy::as_conversions` asks of `sim`
+//!   and `ml`.
 
 #![forbid(unsafe_code)]
-
-#![warn(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod cast;
 pub mod codec;

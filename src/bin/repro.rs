@@ -14,6 +14,7 @@
 //! paper's analyses run against real field data in this tool's schema.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 use ssd_field_study_core::predict::{
     age_analysis, error_pred, importance, models, per_model, sweep,

@@ -21,6 +21,7 @@
 //! `MAX_HORIZON_DAYS` (100 years). Either violation is a usage error (exit 2).
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
 use ssd_sim::{FleetGen, Sampling, SimConfig};

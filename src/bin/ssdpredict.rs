@@ -34,6 +34,7 @@
 //! thread-pool size.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
 use ssd_field_study_core::serve::{train_scorer, ScorerSpec};

@@ -25,6 +25,7 @@
 //! exit (stdio mode) or a closed connection (socket mode).
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
 use ssd_field_study_core::serve::{serve_connection, FleetService, ScorerSpec, ServeConfig};

@@ -17,6 +17,7 @@
 //! resident, since the observation audit is a cross-drive analysis.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
 use ssd_field_study_core::observations::{audit_trace_observations, render_checks};
