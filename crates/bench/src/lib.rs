@@ -10,7 +10,6 @@
 //! module provides the in-tree Criterion-compatible timing shim the bench
 //! targets link against.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod harness;

@@ -84,9 +84,10 @@ pub struct WriteIntensity {
 
 /// Computes Figure 7.
 ///
-/// To bound memory on large traces, daily write counts are reservoir-free
-/// subsampled per month by taking every report (our traces fit), matching
-/// the paper's per-month distribution construction.
+/// Keeps every report's daily write count, bucketed by month of age, so
+/// memory grows with the trace's drive-days; months with fewer than 20
+/// reports get no quartiles. This matches the paper's per-month
+/// distribution construction.
 pub fn write_intensity(trace: &FleetTrace) -> WriteIntensity {
     let n_months = (trace.horizon_days / DAYS_PER_MONTH + 1) as usize;
     let mut by_month: Vec<Vec<f64>> = vec![Vec::new(); n_months];

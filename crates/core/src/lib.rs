@@ -38,10 +38,10 @@
 //! (Figure 2 is the schematic failure timeline; its semantics are the
 //! state machine in [`failure`].)
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod aging;
 pub mod characterize;

@@ -1,35 +1,36 @@
-//! `ssd-lint`: in-tree static analysis for the workspace invariants the
-//! compiler cannot see — determinism, rng discipline, hermeticity.
+//! `ssd-lint`: in-tree static analysis for the workspace invariants no
+//! compiler lint expresses — float ordering and dead public items.
 //!
 //! The reproduction's core claims (byte-identical archives at every pool
-//! size, bit-identical forest predictions, a fully offline build) are
-//! properties of the *code*, not just of today's test inputs. This crate
-//! makes them machine-checked: a zero-dependency, token-level analyzer
-//! (own lexer — see [`lexer`]) walks the workspace and reports rule
-//! violations as `file:line` diagnostics, gated in `scripts/verify.sh`.
+//! size, bit-identical forest predictions) are properties of the *code*,
+//! not just of today's test inputs. This crate makes the ones rustc and
+//! clippy cannot see machine-checked: a zero-dependency, token-level
+//! analyzer (own lexer — see [`lexer`]) walks the workspace and reports
+//! rule violations as `file:line` diagnostics, gated in
+//! `scripts/verify.sh`.
 //!
 //! Rule families (see [`rules::RuleId`]):
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `float-determinism` | library `src/` | no `.partial_cmp()`, no `==`/`!=` vs float literals |
-//! | `nondeterminism` | library `src/` | no `HashMap`/`HashSet`, no `SystemTime::now`/`Instant::now` |
-//! | `hermeticity` | every `Cargo.toml` | all dependencies are `path =`/workspace-inherited |
-//! | `unsafe-gate` | crate roots | `#![forbid(unsafe_code)]` present |
-//! | `rng-discipline` | library `src/` minus `crates/stats` | `SplitMix64` built via `for_stream`, never raw `new` |
 //! | `dead-pub` | whole workspace | every fully-`pub` item referenced outside its file |
 //! | `allow-grammar` | everywhere | `lint:allow` comments parse and name a real rule |
 //!
 //! "Library `src/`" means `crates/{core,lint,ml,parallel,sim,stats,types}/src`
 //! outside `#[test]`/`#[cfg(test)]` items; tests, benches, examples, and
-//! the bench/testkit substrate crates may hash and read clocks freely.
+//! the bench/testkit substrate crates may compare floats freely.
 //!
-//! Panic-freedom, cast discipline and documentation are not rules here:
-//! they are rustc and clippy lints denied at each crate root (DESIGN §9),
-//! which see types where a token scanner only sees names.
+//! Everything else is a rustc or clippy lint (DESIGN §9), which sees
+//! types where a token scanner only sees names: panic-freedom, cast
+//! discipline and docs are denied at each crate root; hash collections,
+//! wall-clock reads and raw `SplitMix64::new` are `clippy.toml`'s
+//! disallowed types and methods, denied outside tests at the same roots;
+//! `unsafe_code` is denied by the root `[workspace.lints]` table; and
+//! `tests/hermetic.rs` checks that every locked package is a path crate.
 //!
-//! The first five rules are per-file token scans over one source at a
-//! time. `dead-pub` is *cross-file*: the engine parses every file's item
+//! `float-determinism` is a per-file token scan. `dead-pub` is
+//! *cross-file*: the engine parses every file's item
 //! tree (see [`parser`]), assembles a workspace-wide
 //! [`graph::SymbolGraph`] mapping each `pub` definition
 //! ([`graph::DefSite`]) to the set of files mentioning its name — code
@@ -49,10 +50,10 @@
 //! disable a gate. This crate is inside the lint's own scope: the
 //! analyzer must pass itself.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod graph;
 pub mod lexer;
@@ -122,41 +123,17 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Crates whose `src/` trees are held to the determinism rules, and whose
+/// Crates whose `src/` trees are held to `float-determinism`, and whose
 /// lib roots carry the compiler gates (DESIGN §9). `bench` and `testkit`
 /// are test substrates and exempt by design (they time things and drive
 /// property tests).
 pub const SCOPED_CRATES: &[&str] = &["core", "lint", "ml", "parallel", "sim", "stats", "types"];
 
-/// How the rules see one file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FileRole {
-    /// Library source of a scoped crate: source rules apply.
-    pub scoped_src: bool,
-    /// Crate root (`lib.rs`, `main.rs`, `src/bin/*.rs`): unsafe-gate applies.
-    pub crate_root: bool,
-}
-
-/// Classifies a workspace-relative `/`-separated path.
-pub fn classify(rel_path: &str) -> FileRole {
-    let mut role = FileRole::default();
-    if !rel_path.ends_with(".rs") {
-        return role;
-    }
+/// True for library source of a scoped crate, given a workspace-relative
+/// `/`-separated path.
+fn is_scoped_src(rel_path: &str) -> bool {
     let parts: Vec<&str> = rel_path.split('/').collect();
-    match parts.as_slice() {
-        ["src", "lib.rs"] | ["src", "main.rs"] | ["src", "bin", _] => role.crate_root = true,
-        ["crates", _, "src", "lib.rs"]
-        | ["crates", _, "src", "main.rs"]
-        | ["crates", _, "src", "bin", _] => role.crate_root = true,
-        _ => {}
-    }
-    if let ["crates", krate, "src", ..] = parts.as_slice() {
-        if SCOPED_CRATES.contains(krate) {
-            role.scoped_src = true;
-        }
-    }
-    role
+    matches!(parts.as_slice(), ["crates", krate, "src", ..] if SCOPED_CRATES.contains(krate))
 }
 
 /// True for binary entry points: `src/main.rs` and anything under a
@@ -180,7 +157,7 @@ fn defines_surface(rel_path: &str) -> bool {
     if is_bin_root(rel_path) {
         return false;
     }
-    classify(rel_path).scoped_src || rel_path.starts_with("src/")
+    is_scoped_src(rel_path) || rel_path.starts_with("src/")
 }
 
 /// Finds the token index of the bracket matching `tokens[open]`.
@@ -265,37 +242,20 @@ fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
     regions.iter().any(|&(lo, hi)| lo <= line && line <= hi)
 }
 
-/// Runs the enabled source rules over one Rust file.
+/// Runs the enabled per-file rules over one Rust file.
 ///
-/// `rel_path` decides which rules apply (see [`classify`]); the engine
-/// then excludes test regions, honors `lint:allow`, and reports broken
-/// allow directives.
+/// `float-determinism` applies to scoped library sources outside test
+/// regions; the engine then honors `lint:allow` and, in every file,
+/// reports broken allow directives.
 pub fn lint_source_str(rel_path: &str, src: &str, enabled: &[RuleId]) -> Vec<Diagnostic> {
-    let role = classify(rel_path);
-    if !role.scoped_src && !role.crate_root {
-        return Vec::new();
-    }
     let lexed = lex(src);
-    let regions = test_region_lines(&lexed.tokens);
     let mut findings = Vec::new();
 
-    if role.scoped_src {
-        if enabled.contains(&RuleId::FloatDeterminism) {
-            rules::check_float_determinism(&lexed.tokens, &mut findings);
-        }
-        if enabled.contains(&RuleId::Nondeterminism) {
-            rules::check_nondeterminism(&lexed.tokens, &mut findings);
-        }
-        // `crates/stats` owns the substream derivation, so the raw
-        // constructor is legitimate there and nowhere else.
-        if enabled.contains(&RuleId::RngDiscipline) && !rel_path.starts_with("crates/stats/") {
-            rules::check_rng_discipline(&lexed.tokens, &mut findings);
-        }
-        // Test-only code may hash and read clocks freely.
+    if is_scoped_src(rel_path) && enabled.contains(&RuleId::FloatDeterminism) {
+        rules::check_float_determinism(&lexed.tokens, &mut findings);
+        // Test-only code may compare floats freely.
+        let regions = test_region_lines(&lexed.tokens);
         findings.retain(|f| !in_regions(f.line, &regions));
-    }
-    if role.crate_root && enabled.contains(&RuleId::UnsafeGate) {
-        rules::check_unsafe_gate(&lexed.tokens, &mut findings);
     }
 
     // Allow-directive suppression: a directive covers its own line and
@@ -328,69 +288,6 @@ pub fn lint_source_str(rel_path: &str, src: &str, enabled: &[RuleId]) -> Vec<Dia
     into_diagnostics(rel_path, findings)
 }
 
-/// Runs the manifest rules over one `Cargo.toml`.
-pub fn lint_manifest_str(rel_path: &str, text: &str, enabled: &[RuleId]) -> Vec<Diagnostic> {
-    let mut findings = Vec::new();
-    if enabled.contains(&RuleId::Hermeticity) {
-        rules::check_hermeticity(text, &mut findings);
-    }
-    // TOML comments carry the same escape hatch, introduced by `#`.
-    let mut allows = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx as u32 + 1;
-        let Some(hash) = line.find('#') else {
-            continue;
-        };
-        let comment = &line[hash..];
-        let Some(at) = comment.find("lint:allow") else {
-            continue;
-        };
-        match lexer_allow(&comment[at..]) {
-            Ok(rule) => {
-                if RuleId::parse(&rule).is_none() && enabled.contains(&RuleId::AllowGrammar) {
-                    findings.push(rules::Finding {
-                        line: lineno,
-                        rule: RuleId::AllowGrammar,
-                        message: format!("lint:allow names unknown rule `{rule}`"),
-                    });
-                }
-                allows.push((lineno, rule));
-            }
-            Err(problem) => {
-                if enabled.contains(&RuleId::AllowGrammar) {
-                    findings.push(rules::Finding {
-                        line: lineno,
-                        rule: RuleId::AllowGrammar,
-                        message: format!("malformed lint:allow comment: {problem}"),
-                    });
-                }
-            }
-        }
-    }
-    findings.retain(|f| {
-        f.rule == RuleId::AllowGrammar
-            || !allows.iter().any(|(line, rule)| {
-                rule == f.rule.name() && (*line == f.line || *line + 1 == f.line)
-            })
-    });
-    into_diagnostics(rel_path, findings)
-}
-
-/// Parses the body of an allow directive (re-exported shape of the
-/// lexer's internal grammar so manifests share it).
-fn lexer_allow(text: &str) -> Result<String, String> {
-    // Reuse the lexer by wrapping the comment as a line comment.
-    let wrapped = format!("// {text}");
-    let lexed = lex(&wrapped);
-    if let Some(a) = lexed.allows.first() {
-        return Ok(a.rule.clone());
-    }
-    match lexed.malformed.first() {
-        Some(m) => Err(m.problem.clone()),
-        None => Err("unrecognized directive".to_string()),
-    }
-}
-
 fn into_diagnostics(rel_path: &str, findings: Vec<rules::Finding>) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = findings
         .into_iter()
@@ -407,28 +304,20 @@ fn into_diagnostics(rel_path: &str, findings: Vec<rules::Finding>) -> Vec<Diagno
 
 /// Lints a set of files as one unit: every per-file rule over each
 /// file, then the cross-file symbol-graph rules over all of them
-/// together. `files` holds `(workspace-relative path, contents)` pairs;
-/// `Cargo.toml` entries get the manifest rules, `.rs` entries the
-/// source rules, and every `.rs` file — whatever its role — contributes
+/// together. `files` holds `(workspace-relative path, contents)` pairs
+/// of `.rs` files; every one — whatever its role — contributes
 /// identifier references to the [`graph::SymbolGraph`] consumed by
 /// dead-pub.
 pub fn lint_file_set(files: &[(String, String)], enabled: &[RuleId]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (path, text) in files {
-        if path.ends_with("Cargo.toml") {
-            diags.extend(lint_manifest_str(path, text, enabled));
-        } else if path.ends_with(".rs") {
-            diags.extend(lint_source_str(path, text, enabled));
-        }
+        diags.extend(lint_source_str(path, text, enabled));
     }
 
     if enabled.contains(&RuleId::DeadPub) {
         let mut symbols = Vec::new();
         let mut allows = Vec::new();
         for (path, text) in files {
-            if !path.ends_with(".rs") {
-                continue;
-            }
             let lexed = lex(text);
             let mut ident_lines: BTreeMap<String, Vec<u32>> = BTreeMap::new();
             for t in lexed.tokens.iter().filter(|t| t.kind == TokenKind::Ident) {
@@ -519,9 +408,9 @@ fn rel_display(root: &Path, path: &Path) -> String {
 }
 
 /// Subdirectories of each crate (and the root) scanned for `.rs` files.
-/// `src/` files get the full rule set; `tests/`, `benches/`, and
-/// `examples/` files carry no per-file rules but count as use sites for
-/// the dead-pub symbol graph.
+/// Every file is checked for allow grammar and counts as a use site for
+/// the dead-pub symbol graph; only scoped `src/` files get
+/// float-determinism.
 const SCAN_DIRS: &[&str] = &["src", "tests", "benches", "examples"];
 
 /// Lint-rule fixture corpus: deliberately violating sources that must
@@ -530,19 +419,18 @@ const FIXTURE_PREFIX: &str = "crates/lint/tests/fixtures/";
 
 /// Lints the whole workspace rooted at `root` with the given rules.
 ///
-/// Scans: the root `Cargo.toml` and every `crates/*/Cargo.toml`
-/// (hermeticity), plus all `.rs` files under `src/`, `tests/`,
-/// `benches/`, and `examples/` of the root and every crate. Per-file
-/// rules apply only where [`classify`] says so; the wider net exists so
-/// the dead-pub graph sees every legitimate use site. The lint's own
-/// fixture corpus (deliberately violating sources) is excluded.
+/// Scans all `.rs` files under `src/`, `tests/`, `benches/`, and
+/// `examples/` of the root and of every `crates/*` package.
+/// `float-determinism` applies only to scoped library sources; the wider
+/// net exists so the dead-pub graph sees every legitimate use site. The
+/// lint's own fixture corpus (deliberately violating sources) is
+/// excluded.
 pub fn lint_workspace(root: &Path, enabled: &[RuleId]) -> Result<Vec<Diagnostic>, LintError> {
     let root_manifest = root.join("Cargo.toml");
     if !root_manifest.is_file() || !read(&root_manifest)?.contains("[workspace]") {
         return Err(LintError::NotAWorkspace(root.to_path_buf()));
     }
 
-    let mut manifests = vec![root_manifest];
     let mut scan_roots = vec![root.to_path_buf()];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -559,13 +447,7 @@ pub fn lint_workspace(root: &Path, enabled: &[RuleId]) -> Result<Vec<Diagnostic>
             crate_dirs.push(entry.path());
         }
         crate_dirs.sort();
-        for dir in crate_dirs {
-            let m = dir.join("Cargo.toml");
-            if m.is_file() {
-                manifests.push(m);
-                scan_roots.push(dir);
-            }
-        }
+        scan_roots.extend(crate_dirs.into_iter().filter(|dir| dir.join("Cargo.toml").is_file()));
     }
 
     let mut sources = Vec::new();
@@ -576,9 +458,6 @@ pub fn lint_workspace(root: &Path, enabled: &[RuleId]) -> Result<Vec<Diagnostic>
     }
 
     let mut files = Vec::new();
-    for manifest in &manifests {
-        files.push((rel_display(root, manifest), read(manifest)?));
-    }
     for source in &sources {
         let rel = rel_display(root, source);
         if rel.starts_with(FIXTURE_PREFIX) {

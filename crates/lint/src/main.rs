@@ -8,10 +8,10 @@
 //! With no `--root`, the workspace root is found by walking up from the
 //! current directory to the first `Cargo.toml` containing `[workspace]`.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 use ssd_lint::{lint_workspace, RuleId};
 use std::path::PathBuf;
@@ -28,8 +28,9 @@ fn usage() -> String {
     let mut s = String::from(
         "usage: ssd-lint [--root DIR] [--rule NAME]... [--list-rules] [--quiet]\n\
          \n\
-         Enforces the workspace's determinism, rng-discipline, and hermeticity\n\
-         invariants (panic-freedom, casts and docs are clippy/rustc lints).\n\
+         Enforces float-ordering determinism and dead-pub hygiene (panic-freedom,\n\
+         casts, docs, hashing, clocks, raw seeds and unsafe are rustc/clippy\n\
+         lints; tests/hermetic.rs checks the lock files).\n\
          Exit codes: 0 clean, 1 violations, 2 usage/io error.\n\
          \n\
          rules:\n",

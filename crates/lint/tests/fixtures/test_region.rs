@@ -1,20 +1,17 @@
-//! Fixture: hash maps and clock reads inside test regions are exempt.
+//! Fixture: float comparisons inside test regions are exempt.
 
-/// Fixture item `double`.
-pub fn double(x: u32) -> u32 {
-    x * 2
+/// Fixture item `half`.
+pub fn half(x: f64) -> f64 {
+    x / 2.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
-    fn doubles() {
-        let start = std::time::Instant::now();
-        let m: HashMap<u32, u32> = [(1, double(1))].into();
-        assert_eq!(m[&1], 2);
-        assert!(start.elapsed().as_secs() < 60);
+    fn halves() {
+        assert!(half(1.0) == 0.5);
+        assert_eq!(half(3.0).partial_cmp(&1.0), Some(std::cmp::Ordering::Greater));
     }
 }

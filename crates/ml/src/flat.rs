@@ -168,17 +168,6 @@ impl<L: Copy> FlatNodes<L> {
         }
     }
 
-    /// Walks one tree for `n ≤ LANES` consecutive rows in lockstep and
-    /// folds each row's leaf value into its accumulator via `fold`.
-    ///
-    /// A single root-to-leaf walk is a chain of dependent loads, so the
-    /// walks advance level-synchronously: exactly `depth` passes with no
-    /// data-dependent branches. A lane that reaches a leaf early
-    /// self-loops there via conditional moves — the leaf's (ignored)
-    /// threshold and payload are still loaded, but the lane's id never
-    /// changes — so every pass is branch-predictable and the eight load
-    /// chains stay in flight. Per-row results are identical to
-    /// [`leaf_for`](Self::leaf_for) — lockstep changes only the schedule.
     /// One level-synchronous step for lane `j`: advance its id one level,
     /// or hold it in place (via conditional moves, no branch) if it
     /// already sits on a leaf.
@@ -202,6 +191,17 @@ impl<L: Copy> FlatNodes<L> {
         }
     }
 
+    /// Walks one tree for `n ≤ LANES` consecutive rows in lockstep and
+    /// folds each row's leaf value into its accumulator via `fold`.
+    ///
+    /// A single root-to-leaf walk is a chain of dependent loads, so the
+    /// walks advance level-synchronously: exactly `depth` passes with no
+    /// data-dependent branches. A lane that reaches a leaf early
+    /// self-loops there via conditional moves — the leaf's (ignored)
+    /// threshold and payload are still loaded, but the lane's id never
+    /// changes — so every pass is branch-predictable and the eight load
+    /// chains stay in flight. Per-row results are identical to
+    /// [`leaf_for`](Self::leaf_for) — lockstep changes only the schedule.
     #[expect(
         clippy::too_many_arguments,
         clippy::needless_range_loop,

@@ -256,7 +256,10 @@ impl Gbdt {
         let mut grad = vec![0.0f64; n];
         let mut hess = vec![0.0f64; n];
         let mut trees = Vec::with_capacity(config.n_trees);
-        // lint:allow(rng-discipline) -- fit-entry stream root: the caller owns seed derivation, and re-mixing here would break pinned predictions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fit-entry stream root: the caller owns seed derivation, and re-mixing here would break pinned predictions"
+        )]
         let mut rng = SplitMix64::new(seed);
         #[expect(
             clippy::as_conversions,

@@ -15,10 +15,10 @@
 //! All training is deterministic given a seed, and the parallel paths
 //! (forest training, batch prediction) are reduction-order stable.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod classifier;

@@ -142,7 +142,10 @@ impl LinearSvm {
         let mut w = vec![0.0f64; d];
         let mut b = 0.0f64;
         let mut order: Vec<usize> = (0..n).collect();
-        // lint:allow(rng-discipline) -- fit-entry stream root: the caller owns seed derivation, and re-mixing here would break pinned predictions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fit-entry stream root: the caller owns seed derivation, and re-mixing here would break pinned predictions"
+        )]
         let mut rng = SplitMix64::new(seed);
         let mut t = 0usize;
         for _ in 0..config.epochs {

@@ -94,7 +94,10 @@ impl Mlp {
         let n = data.n_rows();
         let d = data.n_features();
 
-        // lint:allow(rng-discipline) -- fit-entry stream root: the caller owns seed derivation, and re-mixing here would break pinned predictions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fit-entry stream root: the caller owns seed derivation, and re-mixing here would break pinned predictions"
+        )]
         let mut rng = SplitMix64::new(seed);
         let mut dims = vec![d];
         dims.extend_from_slice(&config.hidden);

@@ -28,7 +28,10 @@ pub fn grouped_kfold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>> {
     );
     // Deterministic shuffle of groups, then round-robin into folds so fold
     // sizes differ by at most one group.
-    // lint:allow(rng-discipline) -- split-entry stream root: the fold seed arrives pre-derived, and re-mixing would change pinned fold assignments
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "split-entry stream root: the fold seed arrives pre-derived, and re-mixing would change pinned fold assignments"
+    )]
     let mut rng = SplitMix64::new(seed);
     for i in (1..groups.len()).rev() {
         let j = usize_from_u64(rng.next_bounded(u64_from_usize(i + 1)));
@@ -82,7 +85,10 @@ pub fn downsample_majority(
         return indices.to_vec();
     }
     // Deterministic partial Fisher–Yates: draw `want_neg` negatives.
-    // lint:allow(rng-discipline) -- sampling-entry stream root: the caller owns seed derivation, and re-mixing would change pinned downsamples
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sampling-entry stream root: the caller owns seed derivation, and re-mixing would change pinned downsamples"
+    )]
     let mut rng = SplitMix64::new(seed);
     for i in 0..want_neg {
         let j = i + usize_from_u64(rng.next_bounded(u64_from_usize(neg.len() - i)));

@@ -243,6 +243,11 @@ impl DecisionTree {
         seed: u64,
     ) -> Self {
         let n_features = pre.n_features();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-tree stream root: the forest derives each tree's seed upstream, and re-mixing would break pinned predictions"
+        )]
+        let rng = SplitMix64::new(seed);
         let mut b = Builder {
             config,
             pre,
@@ -251,8 +256,7 @@ impl DecisionTree {
             nodes: Vec::new(),
             importances: vec![0.0; n_features],
             n_total: f64_from_usize(n),
-            // lint:allow(rng-discipline) -- per-tree stream root: the forest derives each tree's seed upstream, and re-mixing would break pinned predictions
-            rng: SplitMix64::new(seed),
+            rng,
             feature_pool: Vec::with_capacity(n_features),
         };
         let rows = b.scratch.n_distinct();

@@ -370,14 +370,10 @@ fn forest_predictions_identical_across_pool_sizes() {
         ..Default::default()
     };
     let fit_and_score = |threads: usize| {
-        ssd_parallel::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(|| {
-                let m = RandomForest::fit(&cfg, &d, 11);
-                (m.predict_batch(&d), m.feature_importances().to_vec())
-            })
+        ssd_parallel::with_threads(threads, || {
+            let m = RandomForest::fit(&cfg, &d, 11);
+            (m.predict_batch(&d), m.feature_importances().to_vec())
+        })
     };
     let (scores_1, imp_1) = fit_and_score(1);
     for threads in [2, 5] {
@@ -409,14 +405,10 @@ fn forest_with_both_column_kinds_identical_across_pool_sizes() {
         ..Default::default()
     };
     let fit_and_score = |threads: usize| {
-        ssd_parallel::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(|| {
-                let m = RandomForest::fit(&cfg, &d, 11);
-                (m.predict_batch(&d), m.feature_importances().to_vec())
-            })
+        ssd_parallel::with_threads(threads, || {
+            let m = RandomForest::fit(&cfg, &d, 11);
+            (m.predict_batch(&d), m.feature_importances().to_vec())
+        })
     };
     let (scores_1, imp_1) = fit_and_score(1);
     assert!(imp_1.iter().all(|&v| v > 0.0), "every column should win splits: {imp_1:?}");

@@ -3,7 +3,7 @@
 //! In-tree substrate for the subset of `rayon` this workspace uses:
 //! `par_iter()` over slices, `into_par_iter()` over integer ranges, the
 //! `map`/`filter_map`/`fold`/`reduce`/`collect` adapters, `par_chunks`,
-//! and `ThreadPoolBuilder::num_threads(n).build().unwrap().install(f)`.
+//! and a scoped worker count, [`with_threads`]`(n, f)`.
 //!
 //! # Determinism contract
 //!
@@ -20,10 +20,10 @@
 //! no global pool to configure or leak. A panic inside a worker propagates
 //! to the caller when the scope joins.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -36,8 +36,8 @@ use std::sync::Mutex;
 const MAX_CHUNKS: usize = 32;
 
 thread_local! {
-    /// Pool-size override installed by [`ThreadPool::install`] for the
-    /// duration of a closure on the installing thread.
+    /// Pool-size override set by [`with_threads`] for the duration of a
+    /// closure on the calling thread.
     static POOL_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -400,72 +400,23 @@ macro_rules! impl_par_range {
 
 impl_par_range!(u32, u64, usize);
 
-/// Error building a [`ThreadPool`]; this pool cannot actually fail to
-/// build, the `Result` mirrors the rayon signature call sites expect.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("failed to build thread pool")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
-}
-
-impl ThreadPoolBuilder {
-    /// A builder with no explicit worker count (defaults to all cores).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `0` means "use the default" (all available cores), as in rayon.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = if n == 0 { None } else { Some(n) };
-        self
-    }
-
-    /// Finalizes the builder into a [`ThreadPool`]. Never fails in this
-    /// implementation; the `Result` mirrors rayon's signature.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            threads: self.num_threads.unwrap_or_else(default_threads),
-        })
-    }
-}
-
-/// A sized pool. Unlike rayon there are no persistent threads; the pool is
-/// just a worker-count that [`ThreadPool::install`] scopes onto the calling
-/// thread, and each parallel call spawns scoped workers.
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// The worker count parallel calls use while this pool is installed.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run `f` with this pool's size governing every parallel call `f`
-    /// makes on this thread. Restores the previous size on exit, including
-    /// on panic.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<usize>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                POOL_OVERRIDE.with(|o| o.set(self.0));
-            }
+/// Runs `f` with `n` worker threads governing every parallel call `f`
+/// makes on the calling thread; `0` means the default (all available
+/// cores). Restores the previous size on exit, including on panic.
+///
+/// The size is a thread-local setting of the calling thread only: the
+/// scoped workers a parallel call spawns start at the default, so a
+/// parallel call nested inside a worker uses every core again.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            POOL_OVERRIDE.with(|o| o.set(self.0));
         }
-        let _restore = Restore(POOL_OVERRIDE.with(|o| o.replace(Some(self.threads))));
-        f()
     }
+    let size = if n == 0 { None } else { Some(n) };
+    let _restore = Restore(POOL_OVERRIDE.with(|o| o.replace(size)));
+    f()
 }
 
 pub mod prelude {
@@ -477,10 +428,6 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::*;
-
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
-    }
 
     #[test]
     fn map_collect_preserves_order() {

@@ -330,11 +330,7 @@ mod tests {
         let gen = FleetGen::new(&cfg);
         let oracle = encode_trace(&oracle_trace(&gen));
         for n_threads in [1, 2, 5] {
-            let pool = ssd_parallel::ThreadPoolBuilder::new()
-                .num_threads(n_threads)
-                .build()
-                .unwrap();
-            let archived = pool.install(|| gen.run_vec());
+            let archived = ssd_parallel::with_threads(n_threads, || gen.run_vec());
             assert!(
                 archived == oracle,
                 "pool size {n_threads}: span-walker archive diverged from the day-by-day oracle"
@@ -383,11 +379,7 @@ mod tests {
     fn parallel_equals_sequential() {
         let cfg = tiny();
         let gen = FleetGen::new(&cfg);
-        let pool = ssd_parallel::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        assert_eq!(gen.trace(), pool.install(|| gen.trace()));
+        assert_eq!(gen.trace(), ssd_parallel::with_threads(1, || gen.trace()));
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! ## Determinism
 //!
 //! Every drive's randomness derives from `SplitMix64::for_stream(seed,
-//! drive_id)`; fleet generation is embarrassingly parallel (rayon) and
-//! bit-identical across thread counts.
+//! drive_id)`; fleet generation runs in parallel on `ssd-parallel`'s
+//! scoped workers and is bit-identical across thread counts.
 //!
 //! ## Hot path
 //!
@@ -59,10 +59,10 @@
 //! trace.validate().unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod calibration;

@@ -24,10 +24,10 @@
 //!   a consumer needs deterministic randomness (sampling, shuffling,
 //!   stream splitting).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod correlation;
 pub mod ecdf;

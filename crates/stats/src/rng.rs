@@ -24,6 +24,10 @@ impl SplitMix64 {
     ///
     /// The pair is mixed through two SplitMix64 steps so that nearby stream
     /// ids (0, 1, 2, …) do not produce correlated initial states.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the substream derivation itself: the raw constructor is its mixing step"
+    )]
     pub fn for_stream(seed: u64, stream: u64) -> Self {
         let mut base = SplitMix64::new(seed);
         let a = base.next_u64();

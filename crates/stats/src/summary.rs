@@ -51,7 +51,8 @@ impl Summary {
     }
 
     /// Merges another summary into this one (Chan et al. parallel merge),
-    /// enabling rayon fold/reduce aggregation.
+    /// so summaries of disjoint sample sets combine into the summary of
+    /// their union.
     pub fn merge(&mut self, other: &Summary) {
         if other.n == 0 {
             return;

@@ -10,7 +10,6 @@
 //! so every run — local or CI — exercises the identical inputs. A failing
 //! case can be replayed directly with [`Gen::from_seed`].
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

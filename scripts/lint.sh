@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Runs the in-tree static analyzer over the workspace: determinism, rng
-# discipline, hermeticity, unsafe gate and dead pub items. Panic-freedom,
-# cast discipline and docs are compiler lints that `cargo clippy
-# --workspace --all-targets -- -D warnings` enforces. Exit codes:
+# Runs the in-tree static analyzer over the workspace: float determinism,
+# dead pub items and allow-comment grammar. Everything else is a compiler
+# lint: panic-freedom, cast discipline, docs, hash collections, wall
+# clocks, raw seeds and unsafe fail `cargo clippy --workspace
+# --all-targets -- -D warnings`, and `tests/hermetic.rs` checks that every
+# locked package is a path crate. Exit codes:
 #   0  clean
 #   1  violations (printed as file:line: [rule] message)
 #   2  usage or I/O error
 #
-#   scripts/lint.sh                    # all rules
-#   scripts/lint.sh --rule hermeticity # one rule family
-#   scripts/lint.sh --list-rules      # what is enforced
+#   scripts/lint.sh                     # all rules
+#   scripts/lint.sh --rule dead-pub     # one rule family
+#   scripts/lint.sh --list-rules        # what is enforced
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

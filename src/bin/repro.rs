@@ -13,7 +13,6 @@
 //! directory (`--horizon` required for CSV) instead of simulated, so the
 //! paper's analyses run against real field data in this tool's schema.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use ssd_field_study_core::predict::{

@@ -20,7 +20,6 @@
 //! the `u32` drive-id space, and the horizon may not exceed
 //! `MAX_HORIZON_DAYS` (100 years). Either violation is a usage error (exit 2).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};

@@ -33,7 +33,6 @@
 //! Output is deterministic for fixed inputs and flags, for every
 //! thread-pool size.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};

@@ -24,7 +24,6 @@
 //! interleaving. Malformed frames get a typed error frame and a nonzero
 //! exit (stdio mode) or a closed connection (socket mode).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};

@@ -16,7 +16,6 @@
 //! summarizes at constant memory. `--audit` additionally loads the trace
 //! resident, since the observation audit is a cross-drive analysis.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};

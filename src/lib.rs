@@ -1,6 +1,5 @@
 //! Umbrella crate re-exporting the whole `ssd-field-study` workspace.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cli;

@@ -4,6 +4,7 @@
 
 use ssd_field_study::core::{build_dataset, ExtractOptions};
 use ssd_field_study::ml::{cross_validate, CvOptions, ForestConfig, Trainer};
+use ssd_field_study::parallel::with_threads;
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::codec::encode_trace;
 use ssd_field_study::types::FleetTrace;
@@ -19,11 +20,7 @@ fn cfg() -> SimConfig {
 
 /// `FleetGen::trace` run on a one-thread pool: the sequential reference.
 fn trace_on_one_thread(cfg: &SimConfig) -> FleetTrace {
-    let pool = ssd_field_study::parallel::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    pool.install(|| FleetGen::new(cfg).trace())
+    with_threads(1, || FleetGen::new(cfg).trace())
 }
 
 #[test]
@@ -43,11 +40,7 @@ fn fleet_generation_is_repeatable_within_and_across_thread_pools() {
     let a_bytes = encode_trace(&a);
     // Runs on differently-sized pools must agree byte-for-byte.
     for n_threads in [1, 2, 5] {
-        let pool = ssd_field_study::parallel::ThreadPoolBuilder::new()
-            .num_threads(n_threads)
-            .build()
-            .unwrap();
-        let b = pool.install(|| FleetGen::new(&cfg).trace());
+        let b = with_threads(n_threads, || FleetGen::new(&cfg).trace());
         assert_eq!(a, b, "pool size {n_threads} changed the fleet");
         assert_eq!(a_bytes, encode_trace(&b));
     }
@@ -71,11 +64,7 @@ fn archive_is_byte_identical_to_encoded_trace_at_every_pool_size() {
         "archive path diverged from the encoded trace"
     );
     for n_threads in [1, 2, 5] {
-        let pool = ssd_field_study::parallel::ThreadPoolBuilder::new()
-            .num_threads(n_threads)
-            .build()
-            .unwrap();
-        let archived = pool.install(|| FleetGen::new(&cfg).run_vec());
+        let archived = with_threads(n_threads, || FleetGen::new(&cfg).run_vec());
         assert_eq!(
             archived, baseline,
             "pool size {n_threads} changed the archive"
@@ -96,14 +85,8 @@ fn streamed_archive_is_byte_identical_to_in_memory_at_every_pool_size() {
     };
     let baseline = FleetGen::new(&cfg).run_vec();
     for n_threads in [1, 2, 5] {
-        let pool = ssd_field_study::parallel::ThreadPoolBuilder::new()
-            .num_threads(n_threads)
-            .build()
-            .unwrap();
         let mut streamed = Vec::new();
-        let stats = pool
-            .install(|| FleetGen::new(&cfg).run(&mut streamed))
-            .unwrap();
+        let stats = with_threads(n_threads, || FleetGen::new(&cfg).run(&mut streamed)).unwrap();
         assert_eq!(
             streamed, baseline,
             "pool size {n_threads} changed the streamed archive"

@@ -154,23 +154,19 @@ fn fleet_day_scores_are_identical_across_pool_sizes() {
         ..Default::default()
     };
     let run_with_pool = |threads: usize| -> Vec<u64> {
-        ssd_parallel::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(|| {
-                let forest = RandomForest::fit(&cfg, &data, 3);
-                let flat = FlatForest::from_forest(&forest);
-                let mut fleet = OnlineFleet::new();
-                for log in &trace.drives {
-                    fleet.observe_drive(log);
-                }
-                fleet
-                    .predict_fleet_day(&flat)
-                    .into_iter()
-                    .map(|(_, p)| p.to_bits())
-                    .collect()
-            })
+        ssd_parallel::with_threads(threads, || {
+            let forest = RandomForest::fit(&cfg, &data, 3);
+            let flat = FlatForest::from_forest(&forest);
+            let mut fleet = OnlineFleet::new();
+            for log in &trace.drives {
+                fleet.observe_drive(log);
+            }
+            fleet
+                .predict_fleet_day(&flat)
+                .into_iter()
+                .map(|(_, p)| p.to_bits())
+                .collect()
+        })
     };
     let single = run_with_pool(1);
     for threads in [2, 5] {

@@ -6,6 +6,11 @@
 //! Measured with a counting global allocator; this file holds exactly one
 //! test so no concurrent test pollutes the peak counter.
 
+#![expect(
+    unsafe_code,
+    reason = "a counting #[global_allocator] implements the unsafe GlobalAlloc trait"
+)]
+
 use ssd_field_study::core::streaming::SummaryAccumulator;
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::codec::{decode_trace, TraceDecoder};
