@@ -51,9 +51,9 @@ fn bench_forest_size(c: &mut Criterion) {
         };
         g.bench_function(format!("n_trees_{n_trees}"), |b| {
             let data = dataset();
-            let auc = cross_validate(&forest, data, &cfg.cv).mean();
+            let auc = cross_validate(&forest, data, &cfg.cv).unwrap().mean();
             eprintln!("[ablation] n_trees={n_trees}: AUC {auc:.3}");
-            b.iter(|| cross_validate(&forest, data, &cfg.cv))
+            b.iter(|| cross_validate(&forest, data, &cfg.cv).unwrap())
         });
     }
     g.finish();
@@ -68,9 +68,9 @@ fn bench_tree_depth(c: &mut Criterion) {
         forest.tree.max_depth = depth;
         g.bench_function(format!("max_depth_{depth}"), |b| {
             let data = dataset();
-            let auc = cross_validate(&forest, data, &cfg.cv).mean();
+            let auc = cross_validate(&forest, data, &cfg.cv).unwrap().mean();
             eprintln!("[ablation] max_depth={depth}: AUC {auc:.3}");
-            b.iter(|| cross_validate(&forest, data, &cfg.cv))
+            b.iter(|| cross_validate(&forest, data, &cfg.cv).unwrap())
         });
     }
     g.finish();
@@ -89,9 +89,9 @@ fn bench_downsampling_ratio(c: &mut Criterion) {
         };
         g.bench_function(format!("neg_per_pos_{ratio}"), |b| {
             let data = dataset();
-            let auc = cross_validate(&cfg.forest, data, &opts).mean();
+            let auc = cross_validate(&cfg.forest, data, &opts).unwrap().mean();
             eprintln!("[ablation] ratio=1:{ratio}: AUC {auc:.3}");
-            b.iter(|| cross_validate(&cfg.forest, data, &opts))
+            b.iter(|| cross_validate(&cfg.forest, data, &opts).unwrap())
         });
     }
     g.finish();
@@ -126,9 +126,9 @@ fn bench_feature_sets(c: &mut Criterion) {
     for (name, cols) in [("daily_only", daily), ("cumulative_only", cumulative)] {
         g.bench_function(name, |b| {
             let proj = project(&cols);
-            let auc = cross_validate(&cfg.forest, &proj, &cfg.cv).mean();
+            let auc = cross_validate(&cfg.forest, &proj, &cfg.cv).unwrap().mean();
             eprintln!("[ablation] features={name}: AUC {auc:.3}");
-            b.iter(|| cross_validate(&cfg.forest, &proj, &cfg.cv))
+            b.iter(|| cross_validate(&cfg.forest, &proj, &cfg.cv).unwrap())
         });
     }
     g.finish();

@@ -10,6 +10,7 @@
 //! expensive).
 
 use crate::predict::{age_analysis, importance, PredictConfig};
+use ssd_ml::CvError;
 use crate::streaming::summarize;
 use crate::{aging, characterize, errors_analysis};
 use ssd_types::FleetTrace;
@@ -190,16 +191,18 @@ pub fn audit_trace_observations(trace: &FleetTrace) -> Vec<ObservationCheck> {
     out
 }
 
-/// Audits Observations 12–13 (require model training).
+/// Audits Observations 12–13 (require model training). Fails when the
+/// trace is too small to train the models.
 pub fn audit_model_observations(
     trace: &FleetTrace,
     config: &PredictConfig,
-) -> Vec<ObservationCheck> {
+) -> Result<Vec<ObservationCheck>, CvError> {
     let mut out = Vec::new();
 
     // Obs 12: feature importances differ fundamentally between young and
     // old failure models; age dominates the young model.
     let (young, old) = importance::feature_importance(trace, config);
+    let (young, old) = (young?, old?);
     let top_young: Vec<&str> = young.ranked[..5].iter().map(|(n, _)| n.as_str()).collect();
     let top_old: Vec<&str> = old.ranked[..5].iter().map(|(n, _)| n.as_str()).collect();
     let differ = top_young != top_old;
@@ -220,7 +223,7 @@ pub fn audit_model_observations(
     // partition's variance on small fleets — the audit allows the
     // difference to sit within that noise band rather than demanding the
     // paper's clean 0.08 gap.
-    let r = age_analysis::young_old_roc(trace, config);
+    let r = age_analysis::young_old_roc(trace, config)?;
     out.push(check(
         13,
         "infant failures are more predictable than mature ones (separately trained models)",
@@ -231,7 +234,7 @@ pub fn audit_model_observations(
         r.young_trained_auc.0 > r.old_trained_auc.0 - 0.05,
     ));
 
-    out
+    Ok(out)
 }
 
 /// Renders checks as a report table.
@@ -280,7 +283,7 @@ mod tests {
     #[test]
     fn model_observations_hold_on_simulated_fleet() {
         let cfg = PredictConfig::fast(21);
-        let checks = audit_model_observations(shared_trace(), &cfg);
+        let checks = audit_model_observations(shared_trace(), &cfg).unwrap();
         assert_eq!(checks.len(), 2);
         for c in &checks {
             assert!(c.holds, "obs {} failed: {}", c.id, c.measured);

@@ -11,7 +11,7 @@ use crate::features::{build_dataset, AgeFilter, ExtractOptions, AGE_COLUMN};
 use crate::report::Series;
 use ssd_ml::split::complement;
 use ssd_ml::{
-    cross_validate, downsample_majority, grouped_kfold, RocCurve, Trainer,
+    cross_validate, downsample_majority, grouped_kfold, CvError, RocCurve, Trainer,
 };
 use ssd_types::{FleetTrace, DAYS_PER_MONTH};
 
@@ -23,8 +23,8 @@ struct HeldOut {
 }
 
 /// Fits the forest on the complement of fold 0 and scores fold 0.
-fn held_out_scores(data: &ssd_ml::Dataset, config: &PredictConfig) -> HeldOut {
-    let folds = grouped_kfold(data, config.cv.k, config.cv.seed);
+fn held_out_scores(data: &ssd_ml::Dataset, config: &PredictConfig) -> Result<HeldOut, CvError> {
+    let folds = grouped_kfold(data, config.cv.k, config.cv.seed)?;
     let train_idx = downsample_majority(
         data,
         &complement(data, &folds[0]),
@@ -34,11 +34,11 @@ fn held_out_scores(data: &ssd_ml::Dataset, config: &PredictConfig) -> HeldOut {
     let model = config.forest.fit(&data.select(&train_idx), config.seed);
     let test = data.select(&folds[0]);
     let scores = model.predict_batch(&test);
-    HeldOut {
+    Ok(HeldOut {
         labels: test.labels().to_vec(),
         ages_days: (0..test.n_rows()).map(|i| test.row(i)[AGE_COLUMN]).collect(),
         scores,
-    }
+    })
 }
 
 /// Figure 14: true positive rate per age month at several probability
@@ -50,14 +50,15 @@ pub struct TprByAge {
     pub series: Vec<Series>,
 }
 
-/// Runs Figure 14 (thresholds as in the paper's figure legend).
+/// Runs Figure 14 (thresholds as in the paper's figure legend). Fails
+/// when the dataset has fewer drives than folds.
 pub fn tpr_by_age(
     trace: &FleetTrace,
     config: &PredictConfig,
     thresholds: &[f64],
-) -> TprByAge {
+) -> Result<TprByAge, CvError> {
     let data = config.dataset(trace, 1);
-    let held = held_out_scores(&data, config);
+    let held = held_out_scores(&data, config)?;
     let n_months = 30usize; // the figure spans 0..30 months
     let series = thresholds
         .iter()
@@ -89,7 +90,7 @@ pub fn tpr_by_age(
             Series::new(format!("threshold {thr:.2}"), pts)
         })
         .collect();
-    TprByAge { series }
+    Ok(TprByAge { series })
 }
 
 /// Figure 15 plus the separately-trained AUCs of Section 5.3.
@@ -111,10 +112,12 @@ pub struct YoungOldRoc {
     pub old_trained_auc: (f64, f64),
 }
 
-/// Runs Figure 15 and the partitioned-training comparison.
-pub fn young_old_roc(trace: &FleetTrace, config: &PredictConfig) -> YoungOldRoc {
+/// Runs Figure 15 and the partitioned-training comparison. Fails when a
+/// dataset cannot be cross-validated or a held-out age partition lacks a
+/// class.
+pub fn young_old_roc(trace: &FleetTrace, config: &PredictConfig) -> Result<YoungOldRoc, CvError> {
     let data = config.dataset(trace, 1);
-    let held = held_out_scores(&data, config);
+    let held = held_out_scores(&data, config)?;
     let boundary = 90.0f32;
     let mut split: [(Vec<f64>, Vec<bool>); 2] =
         [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
@@ -124,18 +127,23 @@ pub fn young_old_roc(trace: &FleetTrace, config: &PredictConfig) -> YoungOldRoc 
         split[slot].1.push(l);
     }
     let curve_of = |scores: &[f64], labels: &[bool], name: &str| {
+        let positives = labels.iter().filter(|&&l| l).count();
+        let negatives = labels.len() - positives;
+        if positives == 0 || negatives == 0 {
+            return Err(CvError::MissingClass { positives, negatives });
+        }
         let c = RocCurve::compute(scores, labels);
         let auc = c.auc();
-        (
+        Ok((
             Series::new(
                 format!("{name} (AUC={auc:.3})"),
                 c.points.iter().map(|p| (p.fpr, p.tpr)).collect(),
             ),
             auc,
-        )
+        ))
     };
-    let (young_curve, young_auc) = curve_of(&split[0].0, &split[0].1, "Young");
-    let (old_curve, old_auc) = curve_of(&split[1].0, &split[1].1, "Old");
+    let (young_curve, young_auc) = curve_of(&split[0].0, &split[0].1, "Young")?;
+    let (old_curve, old_auc) = curve_of(&split[1].0, &split[1].1, "Old")?;
 
     // Separately trained models on age-partitioned datasets.
     let young_data = build_dataset(
@@ -158,16 +166,16 @@ pub fn young_old_roc(trace: &FleetTrace, config: &PredictConfig) -> YoungOldRoc 
             ..Default::default()
         },
     );
-    let yr = cross_validate(&config.forest, &young_data, &config.cv);
-    let or = cross_validate(&config.forest, &old_data, &config.cv);
-    YoungOldRoc {
+    let yr = cross_validate(&config.forest, &young_data, &config.cv)?;
+    let or = cross_validate(&config.forest, &old_data, &config.cv)?;
+    Ok(YoungOldRoc {
         young_curve,
         old_curve,
         young_auc,
         old_auc,
         young_trained_auc: (yr.mean(), yr.std_dev()),
         old_trained_auc: (or.mean(), or.std_dev()),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -179,7 +187,7 @@ mod tests {
     fn young_failures_are_more_predictable() {
         let trace = shared_trace();
         let cfg = PredictConfig::fast(11);
-        let r = young_old_roc(trace, &cfg);
+        let r = young_old_roc(trace, &cfg).unwrap();
         // Section 5.3: young-trained 0.970 vs old-trained 0.890. Assert the
         // ordering with a margin for small-fleet noise.
         assert!(
@@ -198,7 +206,7 @@ mod tests {
     fn tpr_series_exist_and_decline_with_threshold() {
         let trace = shared_trace();
         let cfg = PredictConfig::fast(12);
-        let t = tpr_by_age(trace, &cfg, &[0.85, 0.95]);
+        let t = tpr_by_age(trace, &cfg, &[0.85, 0.95]).unwrap();
         assert_eq!(t.series.len(), 2);
         // A stricter threshold can only lower each month's TPR.
         for (lo, hi) in t.series[0].points.iter().zip(&t.series[1].points) {
@@ -206,6 +214,21 @@ mod tests {
                 assert!(hi.1 <= lo.1 + 1e-12, "month {}: {} > {}", lo.0, hi.1, lo.1);
             }
         }
+    }
+
+    #[test]
+    fn a_held_out_partition_without_failures_is_a_typed_error() {
+        // In this small fleet one age partition of held-out fold 0 holds
+        // no failure, so its ROC curve is undefined.
+        let trace = ssd_sim::FleetGen::new(&ssd_sim::SimConfig {
+            drives_per_model: 60,
+            horizon_days: 2190,
+            seed: 2,
+            ..ssd_sim::SimConfig::default()
+        })
+        .trace();
+        let err = young_old_roc(&trace, &PredictConfig::fast(7)).unwrap_err();
+        assert!(matches!(err, CvError::MissingClass { positives: 0, .. }), "{err}");
     }
 }
 

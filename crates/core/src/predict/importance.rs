@@ -4,7 +4,7 @@
 use super::PredictConfig;
 use crate::features::{build_dataset, AgeFilter, ExtractOptions};
 use crate::report::TextTable;
-use ssd_ml::{downsample_majority, RandomForest};
+use ssd_ml::{downsample_majority, CvError, RandomForest};
 use ssd_types::FleetTrace;
 
 /// Ranked feature importances for one age partition.
@@ -35,11 +35,17 @@ impl ImportanceRanking {
     }
 }
 
-/// Trains age-partitioned forests and extracts their MDI rankings.
+/// Trains age-partitioned forests and extracts their MDI rankings, young
+/// then old. Each partition fails on its own when its downsampled
+/// training rows lack a class (a short trace has no old drives, a tiny
+/// fleet no failures).
 pub fn feature_importance(
     trace: &FleetTrace,
     config: &PredictConfig,
-) -> (ImportanceRanking, ImportanceRanking) {
+) -> (
+    Result<ImportanceRanking, CvError>,
+    Result<ImportanceRanking, CvError>,
+) {
     let rank_for = |filter: AgeFilter, label: &str| {
         let data = build_dataset(
             trace,
@@ -54,11 +60,15 @@ pub fn feature_importance(
         let all: Vec<usize> = (0..data.n_rows()).collect();
         let idx = downsample_majority(&data, &all, config.cv.downsample_ratio, config.seed);
         let train = data.select(&idx);
+        let (positives, negatives) = train.class_counts();
+        if positives == 0 || negatives == 0 {
+            return Err(CvError::MissingClass { positives, negatives });
+        }
         let forest = RandomForest::fit(&config.forest, &train, config.seed);
-        ImportanceRanking {
+        Ok(ImportanceRanking {
             partition: label.to_string(),
             ranked: forest.ranked_importances(data.feature_names()),
-        }
+        })
     };
     (
         rank_for(AgeFilter::Young, "Young Drives"),
@@ -76,6 +86,7 @@ mod tests {
         let trace = shared_trace();
         let cfg = PredictConfig::fast(13);
         let (young, old) = feature_importance(trace, &cfg);
+        let (young, old) = (young.unwrap(), old.unwrap());
         assert_eq!(young.ranked.len(), crate::features::N_FEATURES);
         // Normalized.
         let sum: f64 = young.ranked.iter().map(|(_, v)| v).sum();
@@ -95,6 +106,21 @@ mod tests {
         assert_ne!(top_young, top_old, "rankings should differ");
         let _ = young.table(10).render();
         let _ = old.table(10).render();
+    }
+
+    #[test]
+    fn a_fleet_without_failures_is_a_typed_error_per_partition() {
+        use ssd_sim::{FleetGen, SimConfig};
+        let trace = FleetGen::new(&SimConfig {
+            drives_per_model: 3,
+            horizon_days: 60,
+            seed: 1,
+            ..SimConfig::default()
+        })
+        .trace();
+        let (young, old) = feature_importance(&trace, &PredictConfig::fast(1));
+        assert!(matches!(young, Err(CvError::MissingClass { positives: 0, .. })), "{young:?}");
+        assert!(matches!(old, Err(CvError::MissingClass { positives: 0, .. })), "{old:?}");
     }
 }
 

@@ -3,7 +3,7 @@
 
 use super::PredictConfig;
 use crate::report::TextTable;
-use ssd_ml::cross_validate;
+use ssd_ml::{cross_validate, CvError};
 use ssd_types::FleetTrace;
 
 /// Result of the Table 6 experiment.
@@ -15,12 +15,13 @@ pub struct ModelComparison {
     pub rows: Vec<(String, Vec<(f64, f64)>)>,
 }
 
-/// Runs Table 6.
+/// Runs Table 6. Fails when a dataset cannot be cross-validated (a fleet
+/// with too few drives or failures).
 pub fn model_comparison(
     trace: &FleetTrace,
     config: &PredictConfig,
     lookaheads: &[u32],
-) -> ModelComparison {
+) -> Result<ModelComparison, CvError> {
     let mut rows: Vec<(String, Vec<(f64, f64)>)> = super::six_model_trainers()
         .iter()
         .map(|t| (t.name(), Vec::new()))
@@ -28,14 +29,14 @@ pub fn model_comparison(
     for &n in lookaheads {
         let data = config.dataset(trace, n);
         for (trainer, row) in super::six_model_trainers().iter().zip(rows.iter_mut()) {
-            let r = cross_validate(trainer.as_ref(), &data, &config.cv);
+            let r = cross_validate(trainer.as_ref(), &data, &config.cv)?;
             row.1.push((r.mean(), r.std_dev()));
         }
     }
-    ModelComparison {
+    Ok(ModelComparison {
         lookaheads: lookaheads.to_vec(),
         rows,
-    }
+    })
 }
 
 impl ModelComparison {
@@ -77,7 +78,7 @@ mod tests {
     fn forest_wins_and_short_lookahead_is_easier() {
         let trace = shared_trace();
         let cfg = PredictConfig::fast(3);
-        let cmp = model_comparison(trace, &cfg, &[1, 7]);
+        let cmp = model_comparison(trace, &cfg, &[1, 7]).unwrap();
         assert_eq!(cmp.rows.len(), 6);
 
         let rf_1 = cmp.auc("Random Forest", 1).unwrap();

@@ -4,7 +4,7 @@ use super::PredictConfig;
 use crate::features::{build_dataset, ExtractOptions};
 use crate::report::{Series, TextTable};
 use ssd_ml::{
-    cross_validate, downsample_majority, grouped_kfold, roc_auc, train_test_auc,
+    cross_validate, downsample_majority, grouped_kfold, roc_auc, train_test_auc, CvError,
     RocCurve, Trainer,
 };
 use ssd_ml::split::complement;
@@ -39,17 +39,21 @@ pub struct ModelRoc {
     pub curve: Series,
 }
 
-/// Runs Figure 13: random forest, N = 1, evaluated per drive model.
-pub fn per_model_roc(trace: &FleetTrace, config: &PredictConfig) -> Vec<ModelRoc> {
+/// Runs Figure 13: random forest, N = 1, evaluated per drive model. Fails
+/// when a model's dataset cannot be cross-validated.
+pub fn per_model_roc(
+    trace: &FleetTrace,
+    config: &PredictConfig,
+) -> Result<Vec<ModelRoc>, CvError> {
     DriveModel::ALL
         .iter()
         .map(|&m| {
             let data = model_dataset(trace, config, Some(m), 1);
-            let cv = cross_validate(&config.forest, &data, &config.cv);
+            let cv = cross_validate(&config.forest, &data, &config.cv)?;
             // Representative curve from the first grouped fold whose test
             // split contains both classes (small fleets can leave folds
             // without a single failure day).
-            let folds = grouped_kfold(&data, config.cv.k, config.cv.seed);
+            let folds = grouped_kfold(&data, config.cv.k, config.cv.seed)?;
             let fold = folds
                 .iter()
                 .find(|f| {
@@ -68,14 +72,14 @@ pub fn per_model_roc(trace: &FleetTrace, config: &PredictConfig) -> Vec<ModelRoc
             let model_fit = config.forest.fit(&data.select(&train_idx), config.seed);
             let scores = model_fit.predict_batch(&test);
             let curve = RocCurve::compute(&scores, test.labels());
-            ModelRoc {
+            Ok(ModelRoc {
                 model: m.name().to_string(),
                 auc: cv.mean(),
                 curve: Series::new(
                     format!("{} (AUC={:.3})", m.name(), cv.mean()),
                     curve.points.iter().map(|p| (p.fpr, p.tpr)).collect(),
                 ),
-            }
+            })
         })
         .collect()
 }
@@ -89,18 +93,27 @@ pub struct TransferMatrix {
     pub auc: Vec<Vec<f64>>,
 }
 
-/// Runs Table 7.
-pub fn transfer_matrix(trace: &FleetTrace, config: &PredictConfig) -> TransferMatrix {
+/// Runs Table 7. Fails when a model's dataset cannot be cross-validated;
+/// the diagonal runs first, so every dataset a transfer cell trains or
+/// tests on is known to hold both classes.
+pub fn transfer_matrix(
+    trace: &FleetTrace,
+    config: &PredictConfig,
+) -> Result<TransferMatrix, CvError> {
     let datasets: Vec<ssd_ml::Dataset> = DriveModel::ALL
         .iter()
         .map(|&m| model_dataset(trace, config, Some(m), 1))
         .collect();
+    let diagonal = datasets
+        .iter()
+        .map(|d| cross_validate(&config.forest, d, &config.cv).map(|r| r.mean()))
+        .collect::<Result<Vec<f64>, CvError>>()?;
     let all = model_dataset(trace, config, None, 1);
     let mut auc = vec![vec![0.0; 4]; 3];
     for (ti, test) in datasets.iter().enumerate() {
         for (si, train) in datasets.iter().enumerate() {
             auc[ti][si] = if ti == si {
-                cross_validate(&config.forest, train, &config.cv).mean()
+                diagonal[ti]
             } else {
                 train_test_auc(
                     &config.forest,
@@ -124,7 +137,7 @@ pub fn transfer_matrix(trace: &FleetTrace, config: &PredictConfig) -> TransferMa
             transfer_all_to(&all, test, config)
         };
     }
-    TransferMatrix { auc }
+    Ok(TransferMatrix { auc })
 }
 
 /// Trains on the union dataset with the test model's drives removed, then
@@ -178,7 +191,7 @@ mod tests {
     fn per_model_rocs_are_comparable() {
         let trace = shared_trace();
         let cfg = PredictConfig::fast(7);
-        let rocs = per_model_roc(trace, &cfg);
+        let rocs = per_model_roc(trace, &cfg).unwrap();
         assert_eq!(rocs.len(), 3);
         for r in &rocs {
             // Figure 13: all three models predict nearly identically well
@@ -195,7 +208,7 @@ mod tests {
     fn transfer_works_and_diagonal_is_strong() {
         let trace = shared_trace();
         let cfg = PredictConfig::fast(8);
-        let t = transfer_matrix(trace, &cfg);
+        let t = transfer_matrix(trace, &cfg).unwrap();
         for ti in 0..3 {
             for si in 0..4 {
                 let v = t.auc[ti][si];

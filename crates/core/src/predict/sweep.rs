@@ -2,7 +2,7 @@
 
 use super::PredictConfig;
 use crate::report::Series;
-use ssd_ml::cross_validate;
+use ssd_ml::{cross_validate, CvError};
 use ssd_types::FleetTrace;
 
 /// Result of the Figure 12 sweep.
@@ -15,24 +15,25 @@ pub struct LookaheadSweep {
 }
 
 /// Runs Figure 12 over the given lookahead values (the paper sweeps
-/// 1..=30; pass a thinner grid for quick runs).
+/// 1..=30; pass a thinner grid for quick runs). Fails when a dataset
+/// cannot be cross-validated.
 pub fn lookahead_sweep(
     trace: &FleetTrace,
     config: &PredictConfig,
     lookaheads: &[u32],
-) -> LookaheadSweep {
+) -> Result<LookaheadSweep, CvError> {
     let mut pts = Vec::with_capacity(lookaheads.len());
     let mut std = Vec::with_capacity(lookaheads.len());
     for &n in lookaheads {
         let data = config.dataset(trace, n);
-        let r = cross_validate(&config.forest, &data, &config.cv);
+        let r = cross_validate(&config.forest, &data, &config.cv)?;
         pts.push((f64::from(n), r.mean()));
         std.push((n, r.std_dev()));
     }
-    LookaheadSweep {
+    Ok(LookaheadSweep {
         auc: Series::new("Random forest AUC vs lookahead N", pts),
         std,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -44,7 +45,7 @@ mod tests {
     fn auc_declines_with_window_size() {
         let trace = shared_trace();
         let cfg = PredictConfig::fast(5);
-        let sweep = lookahead_sweep(trace, &cfg, &[1, 14]);
+        let sweep = lookahead_sweep(trace, &cfg, &[1, 14]).unwrap();
         let a1 = sweep.auc.points[0].1;
         let a14 = sweep.auc.points[1].1;
         // Figure 12: 0.90 at N=1 falling toward 0.77 at N=30. We assert

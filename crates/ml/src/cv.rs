@@ -5,12 +5,70 @@
 //! 2. downsample the majority class *of the training fold only* to 1:1;
 //! 3. train, score the untouched (imbalanced) test fold, compute ROC AUC;
 //! 4. report the mean ± standard deviation across folds.
+//!
+//! The folds are independent and seeded by their index, so
+//! [`cross_validate`] fits them concurrently on the worker pool; the
+//! result is the same for every pool size.
 
 use crate::classifier::Trainer;
 use crate::dataset::Dataset;
 use crate::metrics::roc_auc;
 use crate::split::{complement, downsample_majority, grouped_kfold};
+use ssd_parallel::prelude::*;
 use ssd_types::cast::{f64_from_usize, u64_from_usize};
+
+/// Why a dataset cannot be put through the evaluation protocol.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CvError {
+    /// Fewer than two folds were asked for.
+    TooFewFolds {
+        /// The requested fold count.
+        k: usize,
+    },
+    /// The dataset has fewer distinct groups (drives) than folds.
+    TooFewGroups {
+        /// Distinct groups in the dataset.
+        groups: usize,
+        /// The requested fold count.
+        k: usize,
+    },
+    /// No fold had both classes in its training and test splits.
+    NoEvaluableFold {
+        /// The fold count.
+        k: usize,
+    },
+    /// Rows that must hold both classes (to train on, or to draw a ROC
+    /// curve over) lack one.
+    MissingClass {
+        /// Positive rows.
+        positives: usize,
+        /// Negative rows.
+        negatives: usize,
+    },
+}
+
+impl std::fmt::Display for CvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CvError::TooFewFolds { k } => {
+                write!(f, "cross-validation needs at least two folds (k = {k})")
+            }
+            CvError::TooFewGroups { groups, k } => write!(
+                f,
+                "{k}-fold cross-validation needs at least {k} distinct drives, the dataset has {groups}"
+            ),
+            CvError::NoEvaluableFold { k } => {
+                write!(f, "none of the {k} folds has both classes in its training and test rows")
+            }
+            CvError::MissingClass { positives, negatives } => write!(
+                f,
+                "rows need both classes, found {positives} positive / {negatives} negative"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CvError {}
 
 /// Result of a cross-validation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,40 +127,47 @@ impl Default for CvOptions {
     }
 }
 
-/// Runs grouped k-fold cross-validation of `trainer` on `data`.
+/// Runs grouped k-fold cross-validation of `trainer` on `data`, one fold
+/// per pool worker; fold AUCs come back in fold order.
 ///
 /// Folds whose test split lacks one of the two classes are skipped (this
 /// can happen on tiny datasets); at least one fold must be evaluable.
-pub fn cross_validate(trainer: &dyn Trainer, data: &Dataset, opts: &CvOptions) -> CvResult {
-    let folds = grouped_kfold(data, opts.k, opts.seed);
-    let mut fold_aucs = Vec::with_capacity(opts.k);
-    for (fi, fold) in folds.iter().enumerate() {
-        let test = data.select(fold);
-        let (pos, neg) = test.class_counts();
-        if pos == 0 || neg == 0 {
-            continue;
-        }
-        let train_idx = complement(data, fold);
-        let train_idx = downsample_majority(
-            data,
-            &train_idx,
-            opts.downsample_ratio,
-            opts.seed ^ u64_from_usize(fi).wrapping_mul(0x9E37_79B9),
-        );
-        let train = data.select(&train_idx);
-        let (tpos, tneg) = train.class_counts();
-        if tpos == 0 || tneg == 0 {
-            continue;
-        }
-        let model = trainer.fit(&train, opts.seed.wrapping_add(u64_from_usize(fi)));
-        let scores = model.predict_batch(&test);
-        fold_aucs.push(roc_auc(&scores, test.labels()));
+pub fn cross_validate(
+    trainer: &dyn Trainer,
+    data: &Dataset,
+    opts: &CvOptions,
+) -> Result<CvResult, CvError> {
+    let folds = grouped_kfold(data, opts.k, opts.seed)?;
+    let fold_aucs: Vec<f64> = (0..folds.len())
+        .into_par_iter()
+        .filter_map(|fi| {
+            let fold = &folds[fi];
+            let test = data.select(fold);
+            let (pos, neg) = test.class_counts();
+            if pos == 0 || neg == 0 {
+                return None;
+            }
+            let train_idx = complement(data, fold);
+            let train_idx = downsample_majority(
+                data,
+                &train_idx,
+                opts.downsample_ratio,
+                opts.seed ^ u64_from_usize(fi).wrapping_mul(0x9E37_79B9),
+            );
+            let train = data.select(&train_idx);
+            let (tpos, tneg) = train.class_counts();
+            if tpos == 0 || tneg == 0 {
+                return None;
+            }
+            let model = trainer.fit(&train, opts.seed.wrapping_add(u64_from_usize(fi)));
+            let scores = model.predict_batch(&test);
+            Some(roc_auc(&scores, test.labels()))
+        })
+        .collect();
+    if fold_aucs.is_empty() {
+        return Err(CvError::NoEvaluableFold { k: opts.k });
     }
-    assert!(
-        !fold_aucs.is_empty(),
-        "no fold had both classes in train and test"
-    );
-    CvResult { fold_aucs }
+    Ok(CvResult { fold_aucs })
 }
 
 /// Trains on one dataset and evaluates AUC on another (the cross-model
@@ -147,7 +212,8 @@ mod tests {
             &LogisticRegressionConfig::default(),
             &data,
             &CvOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(r.fold_aucs.len(), 5);
         assert!(r.mean() > 0.95, "mean AUC {}", r.mean());
         assert!(r.std_dev() < 0.1);
@@ -157,8 +223,8 @@ mod tests {
     fn cv_is_deterministic() {
         let data = imbalanced(800, 2);
         let o = CvOptions::default();
-        let a = cross_validate(&LogisticRegressionConfig::default(), &data, &o);
-        let b = cross_validate(&LogisticRegressionConfig::default(), &data, &o);
+        let a = cross_validate(&LogisticRegressionConfig::default(), &data, &o).unwrap();
+        let b = cross_validate(&LogisticRegressionConfig::default(), &data, &o).unwrap();
         assert_eq!(a, b);
     }
 
@@ -215,7 +281,8 @@ mod tests {
                 downsample_ratio: 1.0,
                 seed: 3,
             },
-        );
+        )
+        .unwrap();
         assert!(r.fold_aucs.len() < 5, "some folds must be skipped");
         assert!(!r.fold_aucs.is_empty());
     }
@@ -230,7 +297,8 @@ mod tests {
                 downsample_ratio: 1.0,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let b = cross_validate(
             &LogisticRegressionConfig::default(),
             &data,
@@ -238,10 +306,36 @@ mod tests {
                 downsample_ratio: 10.0,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // Both protocols must evaluate on the same (imbalanced) folds and
         // reach comparable AUC on separable data.
         assert_eq!(a.fold_aucs.len(), b.fold_aucs.len());
         assert!((a.mean() - b.mean()).abs() < 0.05);
+    }
+
+    #[test]
+    fn unusable_datasets_are_typed_errors() {
+        let lr = LogisticRegressionConfig::default();
+        // 3 drives cannot fill 5 grouped folds.
+        let mut few = Dataset::with_dims(1);
+        for g in 0..3u32 {
+            few.push_row(&[g as f32], g == 0, g);
+        }
+        assert_eq!(
+            cross_validate(&lr, &few, &CvOptions::default()),
+            Err(CvError::TooFewGroups { groups: 3, k: 5 })
+        );
+        let one_fold = CvOptions { k: 1, ..Default::default() };
+        assert_eq!(cross_validate(&lr, &few, &one_fold), Err(CvError::TooFewFolds { k: 1 }));
+        // Enough drives, but no positive row anywhere.
+        let negatives = imbalanced(400, 5);
+        let mut none = Dataset::with_dims(2);
+        for i in 0..negatives.n_rows() {
+            none.push_row(negatives.row(i), false, negatives.group(i));
+        }
+        let err = cross_validate(&lr, &none, &CvOptions::default()).unwrap_err();
+        assert_eq!(err, CvError::NoEvaluableFold { k: 5 });
+        assert!(err.to_string().contains("both classes"), "{err}");
     }
 }

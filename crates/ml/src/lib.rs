@@ -13,7 +13,8 @@
 //!   downsampling ([`cv`], [`split`]).
 //!
 //! All training is deterministic given a seed, and the parallel paths
-//! (forest training, batch prediction) are reduction-order stable.
+//! (cross-validation folds, forest training, batch prediction) are
+//! reduction-order stable.
 
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
@@ -36,7 +37,7 @@ pub mod split_kernel;
 pub mod tree;
 
 pub use classifier::{Classifier, Trainer};
-pub use cv::{cross_validate, train_test_auc, CvOptions, CvResult};
+pub use cv::{cross_validate, train_test_auc, CvError, CvOptions, CvResult};
 pub use dataset::{Dataset, Scaler};
 pub use flat::{BatchScorer, FlatForest, FlatGbdt};
 pub use forest::{ForestConfig, RandomForest};

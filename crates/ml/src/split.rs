@@ -1,5 +1,6 @@
 //! Grouped k-fold splitting and majority-class downsampling.
 
+use crate::cv::CvError;
 use crate::dataset::Dataset;
 use ssd_stats::SplitMix64;
 use ssd_types::cast::{u64_from_usize, usize_from_u64};
@@ -11,8 +12,13 @@ use ssd_types::cast::{u64_from_usize, usize_from_u64};
 /// leakage: "we avoid splitting observations for a given drive across the
 /// training and testing sets … by partitioning the folds based on drive
 /// ID" (Section 5.1).
-pub fn grouped_kfold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>> {
-    assert!(k >= 2, "need at least two folds");
+///
+/// Fails when `k < 2` or when the dataset has fewer than `k` distinct
+/// groups.
+pub fn grouped_kfold(data: &Dataset, k: usize, seed: u64) -> Result<Vec<Vec<usize>>, CvError> {
+    if k < 2 {
+        return Err(CvError::TooFewFolds { k });
+    }
     // Collect distinct groups in first-appearance order (deterministic).
     let mut groups: Vec<u32> = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
@@ -21,11 +27,9 @@ pub fn grouped_kfold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>> {
             groups.push(g);
         }
     }
-    assert!(
-        groups.len() >= k,
-        "need at least k distinct groups ({} < {k})",
-        groups.len()
-    );
+    if groups.len() < k {
+        return Err(CvError::TooFewGroups { groups: groups.len(), k });
+    }
     // Deterministic shuffle of groups, then round-robin into folds so fold
     // sizes differ by at most one group.
     #[expect(
@@ -45,7 +49,7 @@ pub fn grouped_kfold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>> {
     for i in 0..data.n_rows() {
         folds[fold_of[&data.group(i)]].push(i);
     }
-    folds
+    Ok(folds)
 }
 
 /// Complement of a fold: all row indices not in `fold`.
@@ -118,7 +122,7 @@ mod tests {
     #[test]
     fn folds_partition_all_rows() {
         let d = grouped_data(23, 5);
-        let folds = grouped_kfold(&d, 5, 42);
+        let folds = grouped_kfold(&d, 5, 42).unwrap();
         let total: usize = folds.iter().map(Vec::len).sum();
         assert_eq!(total, d.n_rows());
         let mut seen = std::collections::BTreeSet::new();
@@ -132,7 +136,7 @@ mod tests {
     #[test]
     fn groups_never_straddle_folds() {
         let d = grouped_data(23, 5);
-        let folds = grouped_kfold(&d, 5, 42);
+        let folds = grouped_kfold(&d, 5, 42).unwrap();
         for (fi, f) in folds.iter().enumerate() {
             for &i in f {
                 let g = d.group(i);
@@ -152,7 +156,7 @@ mod tests {
     #[test]
     fn fold_sizes_are_balanced_in_groups() {
         let d = grouped_data(25, 4);
-        let folds = grouped_kfold(&d, 5, 1);
+        let folds = grouped_kfold(&d, 5, 1).unwrap();
         for f in &folds {
             let groups: std::collections::HashSet<u32> =
                 f.iter().map(|&i| d.group(i)).collect();
@@ -163,14 +167,14 @@ mod tests {
     #[test]
     fn kfold_is_deterministic_and_seed_sensitive() {
         let d = grouped_data(20, 3);
-        assert_eq!(grouped_kfold(&d, 4, 9), grouped_kfold(&d, 4, 9));
-        assert_ne!(grouped_kfold(&d, 4, 9), grouped_kfold(&d, 4, 10));
+        assert_eq!(grouped_kfold(&d, 4, 9).unwrap(), grouped_kfold(&d, 4, 9).unwrap());
+        assert_ne!(grouped_kfold(&d, 4, 9).unwrap(), grouped_kfold(&d, 4, 10).unwrap());
     }
 
     #[test]
     fn complement_is_exact() {
         let d = grouped_data(10, 2);
-        let folds = grouped_kfold(&d, 2, 0);
+        let folds = grouped_kfold(&d, 2, 0).unwrap();
         let c = complement(&d, &folds[0]);
         assert_eq!(c.len() + folds[0].len(), d.n_rows());
         for &i in &c {

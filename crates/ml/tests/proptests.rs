@@ -125,7 +125,7 @@ fn kfold_partitions_rows_and_respects_groups() {
                 d.push_row(&[r as f32], r % 2 == 0, grp);
             }
         }
-        let folds = grouped_kfold(&d, k, seed);
+        let folds = grouped_kfold(&d, k, seed).unwrap();
         let total: usize = folds.iter().map(Vec::len).sum();
         assert_eq!(total, d.n_rows());
         // Each group appears in exactly one fold.

@@ -18,7 +18,11 @@
 //!
 //! Worker threads are spawned per call via [`std::thread::scope`]; there is
 //! no global pool to configure or leak. A panic inside a worker propagates
-//! to the caller when the scope joins.
+//! to the caller when the scope joins. A parallel call nested inside a
+//! worker (a forest fit inside a cross-validation fold, say) runs on
+//! `max(1, threads / workers)` threads, that worker's share of the
+//! caller's pool, so nesting never oversubscribes the cores. Since results
+//! do not depend on the pool size, the share changes timing only.
 
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(not(test), deny(unreachable_pub, clippy::unwrap_used, clippy::expect_used))]
@@ -90,16 +94,22 @@ where
     let size = chunk_size(len);
     let n_chunks = len.div_ceil(size);
     let range = |i: usize| i * size..((i + 1) * size).min(len);
-    let workers = current_num_threads().min(n_chunks);
+    let threads = current_num_threads();
+    let workers = threads.min(n_chunks);
     if workers <= 1 {
         let mut state = init();
         return (0..n_chunks).map(|i| work(&mut state, range(i))).collect();
     }
+    // A parallel call made inside a worker gets that worker's share of
+    // the pool (at least one thread, as `workers <= threads`) instead of
+    // starting a full pool of its own.
+    let share = threads / workers;
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<A>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
+                POOL_OVERRIDE.with(|o| o.set(Some(share)));
                 let mut state: Option<T> = None;
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -404,9 +414,10 @@ impl_par_range!(u32, u64, usize);
 /// makes on the calling thread; `0` means the default (all available
 /// cores). Restores the previous size on exit, including on panic.
 ///
-/// The size is a thread-local setting of the calling thread only: the
-/// scoped workers a parallel call spawns start at the default, so a
-/// parallel call nested inside a worker uses every core again.
+/// The size is a thread-local setting of the calling thread. Each scoped
+/// worker a parallel call spawns sets its own size to its share of the
+/// caller's, `max(1, n / workers)`, so a parallel call nested inside a
+/// worker divides the `n` threads instead of starting `n` more.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -530,6 +541,22 @@ mod tests {
         assert!(v.is_empty());
         let s: Vec<&u32> = [].par_iter().map(|x| x).collect();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn nested_calls_get_their_workers_share_of_the_pool() {
+        // (outer pool, items) -> workers = min(outer, items), each of
+        // which sees max(1, outer / workers) threads.
+        for (outer, items, share) in [(4, 2usize, 2), (3, 100, 1), (8, 3, 2), (2, 5, 1), (1, 5, 1)] {
+            let seen = with_threads(outer, || {
+                let seen: Vec<usize> =
+                    (0..items).into_par_iter().map(|_| current_num_threads()).collect();
+                // The caller's own setting is untouched.
+                assert_eq!(current_num_threads(), outer);
+                seen
+            });
+            assert_eq!(seen, vec![share; items], "outer {outer}, {items} items");
+        }
     }
 
     #[test]

@@ -634,6 +634,17 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
+/// `Ok` renders as its value and `Err` as `{"error": "<message>"}`, so a
+/// fallible analysis renders exactly like its result when it succeeds.
+impl<T: ToJson, E: std::fmt::Display> ToJson for Result<T, E> {
+    fn to_json(&self) -> Value {
+        match self {
+            Ok(t) => t.to_json(),
+            Err(e) => Value::Obj(vec![("error".to_string(), Value::Str(e.to_string()))]),
+        }
+    }
+}
+
 impl<T: FromJson> FromJson for Option<T> {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v {
@@ -802,6 +813,14 @@ mod tests {
         assert_eq!(to_string(&Color::Green), "\"Green\"");
         assert_eq!(from_str::<Color>("\"Red\"").unwrap(), Color::Red);
         assert!(from_str::<Color>("\"Blue\"").is_err());
+    }
+
+    #[test]
+    fn result_renders_its_value_or_an_error_object() {
+        let ok: Result<Color, String> = Ok(Color::Red);
+        assert_eq!(to_string(&ok), to_string(&Color::Red));
+        let err: Result<Color, String> = Err("no \"folds\"".to_string());
+        assert_eq!(to_string(&err), "{\"error\":\"no \\\"folds\\\"\"}");
     }
 
     #[test]

@@ -13,12 +13,12 @@
 use ssd_field_study::core::predict::six_model_trainers;
 use ssd_field_study::core::{build_dataset, ExtractOptions};
 use ssd_field_study::ml::{
-    cross_validate, downsample_majority, grouped_kfold, Confusion, CvOptions, ForestConfig,
-    GbdtConfig, RocCurve, Trainer,
+    cross_validate, downsample_majority, grouped_kfold, Confusion, CvError, CvOptions,
+    ForestConfig, GbdtConfig, RocCurve, Trainer,
 };
 use ssd_field_study::sim::{FleetGen, SimConfig};
 
-fn main() {
+fn main() -> Result<(), CvError> {
     let trace = FleetGen::new(&SimConfig {
         drives_per_model: 700,
         horizon_days: 6 * 365,
@@ -49,12 +49,12 @@ fn main() {
     trainers.push(Box::new(GbdtConfig::default()));
     println!("cross-validated ROC AUC (N = 3 days):");
     for t in &trainers {
-        let r = cross_validate(t.as_ref(), &data, &cv);
+        let r = cross_validate(t.as_ref(), &data, &cv)?;
         println!("  {:<16} {}", t.name(), r.display());
     }
 
     // -- Pick an operating point on a held-out fold -----------------------
-    let folds = grouped_kfold(&data, 5, 9);
+    let folds = grouped_kfold(&data, 5, 9)?;
     let in_test: std::collections::HashSet<usize> = folds[0].iter().copied().collect();
     let train_idx: Vec<usize> = (0..data.n_rows()).filter(|i| !in_test.contains(i)).collect();
     let train_idx = downsample_majority(&data, &train_idx, 1.0, 9);
@@ -91,4 +91,5 @@ fn main() {
         "\nAt a strict FPR budget the model still catches a sizable share of\n\
          failures days in advance - enough to migrate data off sick drives."
     );
+    Ok(())
 }

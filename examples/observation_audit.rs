@@ -13,9 +13,10 @@ use ssd_field_study::core::observations::{
     audit_model_observations, audit_trace_observations, render_checks,
 };
 use ssd_field_study::core::PredictConfig;
+use ssd_field_study::ml::CvError;
 use ssd_field_study::sim::{FleetGen, SimConfig};
 
-fn main() {
+fn main() -> Result<(), CvError> {
     let trace = FleetGen::new(&SimConfig {
         drives_per_model: 700,
         horizon_days: 6 * 365,
@@ -33,7 +34,7 @@ fn main() {
     let mut checks = audit_trace_observations(&trace);
 
     // Observations 12–13 need trained models (takes a little longer).
-    checks.extend(audit_model_observations(&trace, &PredictConfig::fast(13)));
+    checks.extend(audit_model_observations(&trace, &PredictConfig::fast(13))?);
 
     println!("{}", render_checks(&checks));
 
@@ -43,4 +44,5 @@ fn main() {
         println!("(a real fleet diverging here is exactly the interesting signal)");
         std::process::exit(1);
     }
+    Ok(())
 }

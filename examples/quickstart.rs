@@ -6,10 +6,10 @@
 //! ```
 
 use ssd_field_study::core::{build_dataset, ExtractOptions};
-use ssd_field_study::ml::{cross_validate, CvOptions, ForestConfig};
+use ssd_field_study::ml::{cross_validate, CvError, CvOptions, ForestConfig};
 use ssd_field_study::sim::{FleetGen, SimConfig};
 
-fn main() {
+fn main() -> Result<(), CvError> {
     // 1. Simulate a fleet: 300 drives of each MLC model over six years.
     let trace = FleetGen::new(&SimConfig {
         drives_per_model: 300,
@@ -49,7 +49,8 @@ fn main() {
             downsample_ratio: 1.0,
             seed: 42,
         },
-    );
+    )?;
     println!("random forest ROC AUC (N=1): {}", result.display());
     println!("(the paper reports 0.905 ± 0.008 on the full 30k-drive trace)");
+    Ok(())
 }

@@ -222,33 +222,33 @@ fn run_experiment(
             save_json(json, id, &r)?;
         }
         "tab6" => {
-            let r = models::model_comparison(trace, cfg, &[1, 2, 3, 7]);
+            let r = models::model_comparison(trace, cfg, &[1, 2, 3, 7])?;
             println!("{}", r.table());
             save_json(json, id, &r)?;
         }
         "fig12" => {
-            let r = sweep::lookahead_sweep(trace, cfg, &[1, 2, 3, 5, 7, 10, 14, 21, 30]);
+            let r = sweep::lookahead_sweep(trace, cfg, &[1, 2, 3, 5, 7, 10, 14, 21, 30])?;
             print_series("Figure 12: RF AUC vs lookahead N", std::slice::from_ref(&r.auc));
             save_json(json, id, &r)?;
         }
         "fig13" => {
-            let r = per_model::per_model_roc(trace, cfg);
+            let r = per_model::per_model_roc(trace, cfg)?;
             let curves: Vec<Series> = r.iter().map(|m| m.curve.clone()).collect();
             print_series("Figure 13: per-model ROC curves (RF, N=1)", &curves);
             save_json(json, id, &r)?;
         }
         "tab7" => {
-            let r = per_model::transfer_matrix(trace, cfg);
+            let r = per_model::transfer_matrix(trace, cfg)?;
             println!("{}", r.table());
             save_json(json, id, &r)?;
         }
         "fig14" => {
-            let r = age_analysis::tpr_by_age(trace, cfg, &[0.85, 0.90, 0.95]);
+            let r = age_analysis::tpr_by_age(trace, cfg, &[0.85, 0.90, 0.95])?;
             print_series("Figure 14: TPR by drive age (months)", &r.series);
             save_json(json, id, &r)?;
         }
         "fig15" => {
-            let r = age_analysis::young_old_roc(trace, cfg);
+            let r = age_analysis::young_old_roc(trace, cfg)?;
             print_series(
                 "Figure 15: young vs old ROC (jointly trained)",
                 &[r.young_curve.clone(), r.old_curve.clone()],
@@ -264,6 +264,7 @@ fn run_experiment(
         }
         "fig16" => {
             let (young, old) = importance::feature_importance(trace, cfg);
+            let (young, old) = (young?, old?);
             println!("{}", young.table(10));
             println!("{}", old.table(10));
             save_json(json, "fig16_young", &young)?;
@@ -276,7 +277,7 @@ fn run_experiment(
         }
         "obs" => {
             let mut checks = ssd_field_study_core::audit_trace_observations(trace);
-            checks.extend(ssd_field_study_core::audit_model_observations(trace, cfg));
+            checks.extend(ssd_field_study_core::audit_model_observations(trace, cfg)?);
             println!(
                 "{}",
                 ssd_field_study_core::observations::render_checks(&checks)
@@ -352,7 +353,8 @@ fn run(args: &Args) -> Result<(), BinError> {
     };
     for id in ids {
         let t = std::time::Instant::now();
-        run_experiment(id, &trace, &predict_cfg, &args.json_dir)?;
+        run_experiment(id, &trace, &predict_cfg, &args.json_dir)
+            .map_err(|e| format!("{id}: {e}"))?;
         eprintln!("  [{id} took {:.1}s]", t.elapsed().as_secs_f64());
     }
     Ok(())

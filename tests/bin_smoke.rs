@@ -323,6 +323,33 @@ fn repro_rejects_truncated_archive_with_nonzero_exit() {
 }
 
 #[test]
+fn repro_reports_fleets_too_small_to_cross_validate_with_typed_errors() {
+    // 3 drives per model over 60 days: too few drives report to fill five
+    // grouped folds, and no partition holds a failure.
+    let dir = scratch("repro_too_small");
+    run(
+        env!("CARGO_BIN_EXE_ssdgen"),
+        &["--out", dir.to_str().unwrap(), "--drives", "3", "--days", "60", "--seed", "1"],
+    );
+    let trace = dir.join("trace.ssdfs");
+    for id in ["tab6", "fig12", "fig13", "tab7", "fig14", "fig15", "fig16", "obs"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--trace", trace.to_str().unwrap(), id])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{id} must be a runtime error:\n{stderr}");
+        let last = stderr.lines().last().unwrap_or("");
+        assert!(
+            last.starts_with(&format!("repro: {id}: "))
+                && (last.contains("distinct drives") || last.contains("both classes")),
+            "{id} should name the experiment and the cause:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn every_reading_bin_rejects_a_declared_horizon_past_the_maximum() {
     let dir = scratch("huge_horizon");
     // Magic, varint horizon 4,000,000,000, varint 0 drives.

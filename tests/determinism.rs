@@ -2,7 +2,8 @@
 //! (configuration, seed) — independent of thread count and repeatable
 //! across runs.
 
-use ssd_field_study::core::{build_dataset, ExtractOptions};
+use ssd_field_study::core::predict::six_model_trainers;
+use ssd_field_study::core::{build_dataset, ExtractOptions, PredictConfig};
 use ssd_field_study::ml::{cross_validate, CvOptions, ForestConfig, Trainer};
 use ssd_field_study::parallel::with_threads;
 use ssd_field_study::sim::{FleetGen, SimConfig};
@@ -137,9 +138,32 @@ fn cross_validation_is_reproducible() {
         downsample_ratio: 1.0,
         seed: 77,
     };
-    let a = cross_validate(&forest, &data, &opts);
-    let b = cross_validate(&forest, &data, &opts);
+    let a = cross_validate(&forest, &data, &opts).unwrap();
+    let b = cross_validate(&forest, &data, &opts).unwrap();
     assert_eq!(a, b);
+}
+
+/// Folds run concurrently on the pool (and nested fits on a share of it):
+/// every trainer's fold AUCs must be bit-identical for every pool size.
+#[test]
+fn cross_validation_is_thread_count_independent_for_every_trainer() {
+    let cfg = PredictConfig::fast(1);
+    let data = cfg.dataset(&FleetGen::new(&SimConfig::test_scale(1)).trace(), 1);
+    for trainer in six_model_trainers() {
+        let fold_bits = |threads: usize| {
+            with_threads(threads, || cross_validate(trainer.as_ref(), &data, &cfg.cv))
+                .unwrap()
+                .fold_aucs
+                .iter()
+                .map(|auc| auc.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let sequential = fold_bits(1);
+        assert_eq!(sequential.len(), cfg.cv.k, "{}", trainer.name());
+        for threads in [2, 5] {
+            assert_eq!(fold_bits(threads), sequential, "{} on {threads} threads", trainer.name());
+        }
+    }
 }
 
 #[test]

@@ -38,7 +38,8 @@ fn gbdt_is_competitive_with_the_forest() {
         },
         &data,
         &opts,
-    );
+    )
+    .unwrap();
     let gb = cross_validate(
         &GbdtConfig {
             n_trees: 80,
@@ -46,7 +47,8 @@ fn gbdt_is_competitive_with_the_forest() {
         },
         &data,
         &opts,
-    );
+    )
+    .unwrap();
     // At 900 drives the downsampled training folds hold only ~60 positive
     // rows — far below boosting's comfort zone — so GBDT trails the forest
     // here; the assertion bounds the gap rather than demanding parity.

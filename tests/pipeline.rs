@@ -36,7 +36,8 @@ fn full_pipeline_reaches_paper_band_auc() {
         },
         &data,
         &CvOptions::default(),
-    );
+    )
+    .unwrap();
     // Paper Table 6: RF at N=1 is 0.905 ± 0.008 on 30k drives. At 1.2k
     // drives we accept a generous band around it.
     assert!(
@@ -65,8 +66,9 @@ fn forest_beats_linear_model_end_to_end() {
         },
         &data,
         &opts,
-    );
-    let lr = cross_validate(&LogisticRegressionConfig::default(), &data, &opts);
+    )
+    .unwrap();
+    let lr = cross_validate(&LogisticRegressionConfig::default(), &data, &opts).unwrap();
     // Table 6 ordering: Random Forest > Logistic Regression (0.905 vs
     // 0.796). Allow for CV noise with a small slack.
     assert!(
@@ -97,7 +99,8 @@ fn longer_lookahead_is_harder_end_to_end() {
             },
             &data,
             &CvOptions::default(),
-        );
+        )
+        .unwrap();
         aucs.push(r.mean());
     }
     // Figure 12's downward trend: N=1 must beat N=21 clearly.
@@ -128,6 +131,7 @@ fn young_partition_is_more_predictable_end_to_end() {
             &data,
             &CvOptions::default(),
         )
+        .unwrap()
         .mean()
     };
     let young = mk(AgeFilter::Young);
@@ -160,7 +164,8 @@ fn error_prediction_pipeline_works() {
         },
         &data,
         &CvOptions::default(),
-    );
+    )
+    .unwrap();
     // Paper Table 8: UE prediction at 0.933; drive history makes this an
     // easier task than swap prediction.
     assert!(r.mean() > 0.75, "UE-prediction AUC {}", r.mean());
