@@ -11,6 +11,7 @@
 
 use crate::failure::failure_records;
 use ssd_ml::Dataset;
+use ssd_parallel::prelude::*;
 use ssd_stats::SplitMix64;
 use ssd_types::source::{TraceReadError, TraceReader};
 use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel, ErrorKind, FleetTrace, INFANCY_DAYS};
@@ -252,13 +253,28 @@ fn extract_drive(log: &DriveLog, opts: &ExtractOptions, row: &mut [f32], data: &
 /// Builds a labeled dataset from a fleet trace.
 ///
 /// Rows are emitted in (drive, day) order; groups carry the drive ID for
-/// grouped cross-validation. Deterministic for fixed options.
+/// grouped cross-validation. Deterministic for fixed options. Runs of
+/// drives are extracted concurrently and appended in drive order into
+/// one allocation of the final size; a drive's rows depend on that drive
+/// alone, so the rows do not depend on the pool size.
 pub fn build_dataset(trace: &FleetTrace, opts: &ExtractOptions) -> Dataset {
     validate_options(opts);
+    let runs: Vec<Dataset> = trace
+        .drives
+        .par_chunks(trace.drives.len().div_ceil(32).max(1))
+        .map(|logs| {
+            let mut data = Dataset::new(feature_names());
+            let mut row = vec![0f32; N_FEATURES];
+            for log in logs {
+                extract_drive(log, opts, &mut row, &mut data);
+            }
+            data
+        })
+        .collect();
     let mut data = Dataset::new(feature_names());
-    let mut row = vec![0f32; N_FEATURES];
-    for log in &trace.drives {
-        extract_drive(log, opts, &mut row, &mut data);
+    data.reserve(runs.iter().map(Dataset::n_rows).sum());
+    for run in &runs {
+        data.append(run);
     }
     data
 }

@@ -12,8 +12,8 @@ pub mod sweep;
 
 use crate::features::{build_dataset, ExtractOptions};
 use ssd_ml::{
-    CvOptions, ForestConfig, KnnConfig, LinearSvmConfig, LogisticRegressionConfig, MlpConfig,
-    Trainer, TreeConfig,
+    cross_validate_batch, CvError, CvOptions, CvResult, Dataset, ForestConfig, KnnConfig,
+    LinearSvmConfig, LogisticRegressionConfig, MlpConfig, Trainer, TreeConfig,
 };
 use ssd_types::FleetTrace;
 
@@ -72,10 +72,23 @@ impl PredictConfig {
     }
 
     /// Builds the swap-prediction dataset for lookahead `n` days.
-    pub fn dataset(&self, trace: &FleetTrace, lookahead_days: u32) -> ssd_ml::Dataset {
+    pub fn dataset(&self, trace: &FleetTrace, lookahead_days: u32) -> Dataset {
         build_dataset(trace, &self.extract_opts(lookahead_days))
     }
+
+    /// Cross-validates the configured forest on each dataset as one
+    /// batch; results in dataset order.
+    pub(crate) fn forest_cvs(&self, datasets: &[Dataset]) -> Vec<Result<CvResult, CvError>> {
+        let cvs: Vec<(&dyn Trainer, &Dataset)> =
+            datasets.iter().map(|d| (&self.forest as &dyn Trainer, d)).collect();
+        cross_validate_batch(&cvs, &self.cv)
+    }
 }
+
+/// Full-fleet datasets a cross-validation batch keeps resident, which
+/// bounds the stage's peak memory. The three per-model datasets of
+/// Figure 13 and Table 7 partition one fleet and count as one.
+pub(crate) const RESIDENT_DATASETS: usize = 2;
 
 /// The paper's six classifier families (Table 6 row order), each at its
 /// fixed default hyperparameters (`bench_ablations` in `crates/bench`

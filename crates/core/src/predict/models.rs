@@ -3,7 +3,7 @@
 
 use super::PredictConfig;
 use crate::report::TextTable;
-use ssd_ml::{cross_validate, CvError};
+use ssd_ml::{cross_validate_batch, CvError, Dataset, Trainer};
 use ssd_types::FleetTrace;
 
 /// Result of the Table 6 experiment.
@@ -22,14 +22,17 @@ pub fn model_comparison(
     config: &PredictConfig,
     lookaheads: &[u32],
 ) -> Result<ModelComparison, CvError> {
-    let mut rows: Vec<(String, Vec<(f64, f64)>)> = super::six_model_trainers()
-        .iter()
-        .map(|t| (t.name(), Vec::new()))
-        .collect();
+    let trainers = super::six_model_trainers();
+    let mut rows: Vec<(String, Vec<(f64, f64)>)> =
+        trainers.iter().map(|t| (t.name(), Vec::new())).collect();
     for &n in lookaheads {
+        // One batch per lookahead: 6 trainers × k folds on one dataset.
         let data = config.dataset(trace, n);
-        for (trainer, row) in super::six_model_trainers().iter().zip(rows.iter_mut()) {
-            let r = cross_validate(trainer.as_ref(), &data, &config.cv)?;
+        let cvs: Vec<(&dyn Trainer, &Dataset)> =
+            trainers.iter().map(|t| (t.as_ref(), &data)).collect();
+        let results = cross_validate_batch(&cvs, &config.cv);
+        for (r, row) in results.into_iter().zip(rows.iter_mut()) {
+            let r = r?;
             row.1.push((r.mean(), r.std_dev()));
         }
     }

@@ -1,8 +1,8 @@
 //! Figure 12: random-forest AUC as a function of the lookahead window N.
 
-use super::PredictConfig;
+use super::{PredictConfig, RESIDENT_DATASETS};
 use crate::report::Series;
-use ssd_ml::{cross_validate, CvError};
+use ssd_ml::{CvError, Dataset};
 use ssd_types::FleetTrace;
 
 /// Result of the Figure 12 sweep.
@@ -24,11 +24,15 @@ pub fn lookahead_sweep(
 ) -> Result<LookaheadSweep, CvError> {
     let mut pts = Vec::with_capacity(lookaheads.len());
     let mut std = Vec::with_capacity(lookaheads.len());
-    for &n in lookaheads {
-        let data = config.dataset(trace, n);
-        let r = cross_validate(&config.forest, &data, &config.cv)?;
-        pts.push((f64::from(n), r.mean()));
-        std.push((n, r.std_dev()));
+    // Each build already runs on the whole pool; building a chunk's
+    // datasets one after another keeps a single build's buffers live.
+    for chunk in lookaheads.chunks(RESIDENT_DATASETS) {
+        let datasets: Vec<Dataset> = chunk.iter().map(|&n| config.dataset(trace, n)).collect();
+        for (&n, r) in chunk.iter().zip(config.forest_cvs(&datasets)) {
+            let r = r?;
+            pts.push((f64::from(n), r.mean()));
+            std.push((n, r.std_dev()));
+        }
     }
     Ok(LookaheadSweep {
         auc: Series::new("Random forest AUC vs lookahead N", pts),

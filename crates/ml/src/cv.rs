@@ -6,9 +6,27 @@
 //! 3. train, score the untouched (imbalanced) test fold, compute ROC AUC;
 //! 4. report the mean ± standard deviation across folds.
 //!
-//! The folds are independent and seeded by their index, so
-//! [`cross_validate`] fits them concurrently on the worker pool; the
-//! result is the same for every pool size.
+//! # One fold pass per batch
+//!
+//! [`cross_validate_batch`] runs several `(trainer, dataset)`
+//! cross-validations together, in two parallel passes on the worker pool:
+//!
+//! - *prepare*: each distinct dataset (compared by address) is split once,
+//!   and each of its folds is prepared once — the complement, the
+//!   downsampled training indices, and the check that the test and
+//!   training rows both hold both classes. Every trainer on that dataset
+//!   reuses them;
+//! - *fit*: every `(trainer, fold)` job runs in one parallel map, so the
+//!   pool stays busy until the last job of the whole batch rather than
+//!   idling at the end of each cross-validation. A job copies its fold's
+//!   training and test rows out of the dataset, fits, scores and drops
+//!   them, so only the jobs in flight hold row copies.
+//!
+//! [`cross_validate`] is the one-CV call of the same entry point. The
+//! folds are independent and seeded by their index — the downsample by
+//! `seed ^ fold·0x9E3779B9`, the fit by `seed + fold`, neither by the
+//! trainer — so the fold AUCs are the same for every pool size and every
+//! batch a cross-validation runs in, and they come back in fold order.
 
 use crate::classifier::Trainer;
 use crate::dataset::Dataset;
@@ -127,8 +145,8 @@ impl Default for CvOptions {
     }
 }
 
-/// Runs grouped k-fold cross-validation of `trainer` on `data`, one fold
-/// per pool worker; fold AUCs come back in fold order.
+/// Runs grouped k-fold cross-validation of `trainer` on `data`; fold
+/// AUCs come back in fold order.
 ///
 /// Folds whose test split lacks one of the two classes are skipped (this
 /// can happen on tiny datasets); at least one fold must be evaluable.
@@ -137,37 +155,118 @@ pub fn cross_validate(
     data: &Dataset,
     opts: &CvOptions,
 ) -> Result<CvResult, CvError> {
-    let folds = grouped_kfold(data, opts.k, opts.seed)?;
-    let fold_aucs: Vec<f64> = (0..folds.len())
-        .into_par_iter()
-        .filter_map(|fi| {
-            let fold = &folds[fi];
-            let test = data.select(fold);
-            let (pos, neg) = test.class_counts();
-            if pos == 0 || neg == 0 {
-                return None;
-            }
-            let train_idx = complement(data, fold);
-            let train_idx = downsample_majority(
-                data,
-                &train_idx,
-                opts.downsample_ratio,
-                opts.seed ^ u64_from_usize(fi).wrapping_mul(0x9E37_79B9),
-            );
-            let train = data.select(&train_idx);
-            let (tpos, tneg) = train.class_counts();
-            if tpos == 0 || tneg == 0 {
-                return None;
-            }
+    cross_validate_batch(&[(trainer, data)], opts)
+        .into_iter()
+        .next()
+        .unwrap_or(Err(CvError::NoEvaluableFold { k: opts.k }))
+}
+
+/// Whether the rows at `indices` hold both classes.
+fn both_classes(data: &Dataset, indices: &[usize]) -> bool {
+    let pos = indices.iter().filter(|&&i| data.label(i)).count();
+    pos > 0 && pos < indices.len()
+}
+
+/// The downsampled training rows of fold `fi`, or `None` when the fold's
+/// test rows or those training rows lack a class.
+fn prepare_fold(data: &Dataset, fold: &[usize], fi: usize, opts: &CvOptions) -> Option<Vec<usize>> {
+    if !both_classes(data, fold) {
+        return None;
+    }
+    let train = downsample_majority(
+        data,
+        &complement(data, fold),
+        opts.downsample_ratio,
+        opts.seed ^ u64_from_usize(fi).wrapping_mul(0x9E37_79B9),
+    );
+    both_classes(data, &train).then_some(train)
+}
+
+/// Runs several cross-validations as one fold pass (see the module docs)
+/// and returns their results in `cvs` order. Each result equals what
+/// [`cross_validate`] returns for that pair alone.
+///
+/// Every dataset in the batch stays resident until it returns; callers
+/// bound the batch's memory by how many datasets they put in it.
+pub fn cross_validate_batch(
+    cvs: &[(&dyn Trainer, &Dataset)],
+    opts: &CvOptions,
+) -> Vec<Result<CvResult, CvError>> {
+    // Distinct datasets, and which one each CV runs on.
+    let mut sets: Vec<&Dataset> = Vec::new();
+    let set_of: Vec<usize> = cvs
+        .iter()
+        .map(|&(_, data)| {
+            sets.iter()
+                .position(|&s| std::ptr::eq(s, data))
+                .unwrap_or_else(|| {
+                    sets.push(data);
+                    sets.len() - 1
+                })
+        })
+        .collect();
+    let splits: Vec<Result<Vec<Vec<usize>>, CvError>> = sets
+        .iter()
+        .map(|data| grouped_kfold(data, opts.k, opts.seed))
+        .collect();
+
+    let fold_counts: Vec<usize> = splits
+        .iter()
+        .map(|s| s.as_ref().map_or(0, Vec::len))
+        .collect();
+    let fold_ids: Vec<(usize, usize)> = fold_counts
+        .iter()
+        .enumerate()
+        .flat_map(|(si, &n)| (0..n).map(move |fi| (si, fi)))
+        .collect();
+    let mut prepared = fold_ids
+        .par_iter()
+        .map(|&(si, fi)| {
+            let folds = splits[si].as_ref().ok()?;
+            prepare_fold(sets[si], &folds[fi], fi, opts)
+        })
+        .collect::<Vec<Option<Vec<usize>>>>()
+        .into_iter();
+    let prepared: Vec<Vec<Option<Vec<usize>>>> = fold_counts
+        .iter()
+        .map(|&n| prepared.by_ref().take(n).collect())
+        .collect();
+
+    let jobs: Vec<(usize, usize)> = set_of
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, &si)| {
+            let evaluable = prepared[si].iter().enumerate().filter(|(_, f)| f.is_some());
+            evaluable.map(move |(fi, _)| (ci, fi))
+        })
+        .collect();
+    let aucs: Vec<f64> = jobs
+        .par_iter()
+        .filter_map(|&(ci, fi)| {
+            let ((trainer, data), si) = (cvs[ci], set_of[ci]);
+            let train = data.select(prepared[si][fi].as_ref()?);
+            let test = data.select(&splits[si].as_ref().ok()?[fi]);
             let model = trainer.fit(&train, opts.seed.wrapping_add(u64_from_usize(fi)));
             let scores = model.predict_batch(&test);
             Some(roc_auc(&scores, test.labels()))
         })
         .collect();
-    if fold_aucs.is_empty() {
-        return Err(CvError::NoEvaluableFold { k: opts.k });
+
+    let mut fold_aucs: Vec<Vec<f64>> = vec![Vec::new(); cvs.len()];
+    for (&(ci, _), auc) in jobs.iter().zip(aucs) {
+        fold_aucs[ci].push(auc);
     }
-    Ok(CvResult { fold_aucs })
+    fold_aucs
+        .into_iter()
+        .zip(&set_of)
+        .map(|(fold_aucs, &si)| {
+            splits[si].as_ref().map_err(Clone::clone)?;
+            if fold_aucs.is_empty() {
+                return Err(CvError::NoEvaluableFold { k: opts.k });
+            }
+            Ok(CvResult { fold_aucs })
+        })
+        .collect()
 }
 
 /// Trains on one dataset and evaluates AUC on another (the cross-model

@@ -126,13 +126,26 @@ impl Dataset {
     }
 
     /// Materializes the subset of rows at `indices` (in the given order).
+    /// The rows were checked when they were pushed, so they are copied
+    /// as they are.
     pub fn select(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset::new(self.feature_names.clone());
         out.reserve(indices.len());
         for &i in indices {
-            out.push_row(self.row(i), self.labels[i], self.groups[i]);
+            out.features.extend_from_slice(self.row(i));
+            out.labels.push(self.labels[i]);
+            out.groups.push(self.groups[i]);
         }
         out
+    }
+
+    /// Appends every row of `other`, which must share this schema's
+    /// width. The rows were checked when they were pushed.
+    pub fn append(&mut self, other: &Dataset) {
+        assert_eq!(other.n_features, self.n_features, "row width mismatch");
+        self.features.extend_from_slice(&other.features);
+        self.labels.extend_from_slice(&other.labels);
+        self.groups.extend_from_slice(&other.groups);
     }
 
     /// Applies `f` to every feature value in place (used by the scaler).

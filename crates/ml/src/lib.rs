@@ -37,7 +37,7 @@ pub mod split_kernel;
 pub mod tree;
 
 pub use classifier::{Classifier, Trainer};
-pub use cv::{cross_validate, train_test_auc, CvError, CvOptions, CvResult};
+pub use cv::{cross_validate, cross_validate_batch, train_test_auc, CvError, CvOptions, CvResult};
 pub use dataset::{Dataset, Scaler};
 pub use flat::{BatchScorer, FlatForest, FlatGbdt};
 pub use forest::{ForestConfig, RandomForest};

@@ -52,10 +52,15 @@ pub fn grouped_kfold(data: &Dataset, k: usize, seed: u64) -> Result<Vec<Vec<usiz
     Ok(folds)
 }
 
-/// Complement of a fold: all row indices not in `fold`.
+/// Complement of a fold: all row indices not in `fold`, ascending.
 pub fn complement(data: &Dataset, fold: &[usize]) -> Vec<usize> {
-    let in_fold: std::collections::BTreeSet<usize> = fold.iter().copied().collect();
-    (0..data.n_rows()).filter(|i| !in_fold.contains(i)).collect()
+    let mut in_fold = vec![false; data.n_rows()];
+    for &i in fold {
+        if let Some(m) = in_fold.get_mut(i) {
+            *m = true;
+        }
+    }
+    (0..data.n_rows()).filter(|&i| !in_fold[i]).collect()
 }
 
 /// Randomly downsamples the majority class among `indices` to achieve

@@ -4,7 +4,9 @@
 
 use ssd_field_study::core::predict::six_model_trainers;
 use ssd_field_study::core::{build_dataset, ExtractOptions, PredictConfig};
-use ssd_field_study::ml::{cross_validate, CvOptions, ForestConfig, Trainer};
+use ssd_field_study::ml::{
+    cross_validate, cross_validate_batch, CvOptions, CvResult, Dataset, ForestConfig, Trainer,
+};
 use ssd_field_study::parallel::with_threads;
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::codec::encode_trace;
@@ -162,6 +164,42 @@ fn cross_validation_is_thread_count_independent_for_every_trainer() {
         assert_eq!(sequential.len(), cfg.cv.k, "{}", trainer.name());
         for threads in [2, 5] {
             assert_eq!(fold_bits(threads), sequential, "{} on {threads} threads", trainer.name());
+        }
+    }
+}
+
+#[test]
+fn batched_cross_validation_matches_one_at_a_time_for_every_trainer() {
+    let cfg = PredictConfig::fast(1);
+    let trace = FleetGen::new(&SimConfig::test_scale(1)).trace();
+    let datasets = [cfg.dataset(&trace, 1), cfg.dataset(&trace, 7)];
+    let trainers = six_model_trainers();
+    // Every trainer on both datasets, interleaved in one batch.
+    let cvs: Vec<(&dyn Trainer, &Dataset)> = datasets
+        .iter()
+        .flat_map(|d| trainers.iter().map(move |t| (t.as_ref(), d)))
+        .collect();
+    let bits = |r: &CvResult| {
+        r.fold_aucs
+            .iter()
+            .map(|a| a.to_bits())
+            .collect::<Vec<u64>>()
+    };
+    let alone: Vec<Vec<u64>> = cvs
+        .iter()
+        .map(|&(t, d)| bits(&cross_validate(t, d, &cfg.cv).unwrap()))
+        .collect();
+    for threads in [1, 2, 5] {
+        let batch = with_threads(threads, || cross_validate_batch(&cvs, &cfg.cv));
+        assert_eq!(batch.len(), cvs.len());
+        for (i, (r, want)) in batch.iter().zip(&alone).enumerate() {
+            let name = cvs[i].0.name();
+            assert_eq!(
+                &bits(r.as_ref().unwrap()),
+                want,
+                "{name}, dataset {}, {threads} threads",
+                i / 6
+            );
         }
     }
 }
