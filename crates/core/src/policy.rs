@@ -154,7 +154,7 @@ mod tests {
         let cfg = PredictConfig::fast(30);
         let data = cfg.dataset(shared_trace(), 3);
         let all: Vec<usize> = (0..data.n_rows()).collect();
-        let idx = downsample_majority(&data, &all, 1.0, 0);
+        let idx = downsample_majority(&data, &all, 1.0, 0).unwrap();
         cfg.forest.fit(&data.select(&idx), 0)
     }
 

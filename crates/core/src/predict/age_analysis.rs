@@ -10,7 +10,7 @@ use super::PredictConfig;
 use crate::features::{build_dataset, AgeFilter, ExtractOptions, AGE_COLUMN};
 use crate::report::Series;
 use ssd_ml::split::complement;
-use ssd_ml::{downsample_majority, grouped_kfold, CvError, Dataset, RocCurve, Trainer};
+use ssd_ml::{grouped_kfold, Classifier, CvError, Dataset, RocCurve};
 use ssd_types::{FleetTrace, DAYS_PER_MONTH};
 
 /// Held-out scores from one grouped train/test split.
@@ -24,18 +24,7 @@ struct HeldOut {
 /// when those training rows lack a class (a fleet without failures).
 fn held_out_scores(data: &Dataset, config: &PredictConfig) -> Result<HeldOut, CvError> {
     let folds = grouped_kfold(data, config.cv.k, config.cv.seed)?;
-    let train_idx = downsample_majority(
-        data,
-        &complement(data, &folds[0]),
-        config.cv.downsample_ratio,
-        config.seed,
-    );
-    let positives = train_idx.iter().filter(|&&i| data.label(i)).count();
-    let negatives = train_idx.len() - positives;
-    if positives == 0 || negatives == 0 {
-        return Err(CvError::MissingClass { positives, negatives });
-    }
-    let model = config.forest.fit(&data.select(&train_idx), config.seed);
+    let model = config.fit_forest(data, &complement(data, &folds[0]))?;
     let test = data.select(&folds[0]);
     let scores = model.predict_batch(&test);
     Ok(HeldOut {
@@ -155,16 +144,7 @@ pub fn young_old_roc(trace: &FleetTrace, config: &PredictConfig) -> Result<Young
     let partitions: Vec<Dataset> = [AgeFilter::Young, AgeFilter::Old]
         .iter()
         .map(|&age_filter| {
-            build_dataset(
-                trace,
-                &ExtractOptions {
-                    lookahead_days: 1,
-                    negative_sample_rate: config.negative_sample_rate,
-                    seed: config.seed,
-                    age_filter,
-                    ..Default::default()
-                },
-            )
+            build_dataset(trace, &ExtractOptions { age_filter, ..config.extract_opts(1) })
         })
         .collect();
     let trained = config

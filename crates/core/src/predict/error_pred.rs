@@ -53,14 +53,7 @@ fn try_cv(
 ) -> Option<f64> {
     let data = build_dataset(
         trace,
-        &ExtractOptions {
-            lookahead_days: 2,
-            label,
-            negative_sample_rate: config.negative_sample_rate,
-            seed: config.seed,
-            age_filter: filter,
-            ..Default::default()
-        },
+        &ExtractOptions { label, age_filter: filter, ..config.extract_opts(2) },
     );
     let (pos, neg) = data.class_counts();
     // Too-rare targets cannot be cross-validated meaningfully.

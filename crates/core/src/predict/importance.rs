@@ -4,7 +4,7 @@
 use super::PredictConfig;
 use crate::features::{build_dataset, AgeFilter, ExtractOptions};
 use crate::report::TextTable;
-use ssd_ml::{downsample_majority, CvError, RandomForest};
+use ssd_ml::CvError;
 use ssd_types::FleetTrace;
 
 /// Ranked feature importances for one age partition.
@@ -46,25 +46,10 @@ pub fn feature_importance(
     Result<ImportanceRanking, CvError>,
     Result<ImportanceRanking, CvError>,
 ) {
-    let rank_for = |filter: AgeFilter, label: &str| {
-        let data = build_dataset(
-            trace,
-            &ExtractOptions {
-                lookahead_days: 1,
-                negative_sample_rate: config.negative_sample_rate,
-                seed: config.seed,
-                age_filter: filter,
-                ..Default::default()
-            },
-        );
+    let rank_for = |age_filter: AgeFilter, label: &str| {
+        let data = build_dataset(trace, &ExtractOptions { age_filter, ..config.extract_opts(1) });
         let all: Vec<usize> = (0..data.n_rows()).collect();
-        let idx = downsample_majority(&data, &all, config.cv.downsample_ratio, config.seed);
-        let train = data.select(&idx);
-        let (positives, negatives) = train.class_counts();
-        if positives == 0 || negatives == 0 {
-            return Err(CvError::MissingClass { positives, negatives });
-        }
-        let forest = RandomForest::fit(&config.forest, &train, config.seed);
+        let forest = config.fit_forest(&data, &all)?;
         Ok(ImportanceRanking {
             partition: label.to_string(),
             ranked: forest.ranked_importances(data.feature_names()),

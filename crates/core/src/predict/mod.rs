@@ -12,8 +12,9 @@ pub mod sweep;
 
 use crate::features::{build_dataset, ExtractOptions};
 use ssd_ml::{
-    cross_validate_batch, CvError, CvOptions, CvResult, Dataset, ForestConfig, KnnConfig,
-    LinearSvmConfig, LogisticRegressionConfig, MlpConfig, Trainer, TreeConfig,
+    cross_validate_batch, downsample_majority, CvError, CvOptions, CvResult, Dataset,
+    ForestConfig, KnnConfig, LinearSvmConfig, LogisticRegressionConfig, MlpConfig, RandomForest,
+    Trainer, TreeConfig,
 };
 use ssd_types::FleetTrace;
 
@@ -61,7 +62,9 @@ impl PredictConfig {
         }
     }
 
-    /// Extraction options for a swap-prediction dataset with lookahead `n`.
+    /// Extraction options for a swap-prediction dataset with lookahead `n`:
+    /// the one dataset recipe, whose model, age or label variants override
+    /// a field (`ExtractOptions { model, ..config.extract_opts(1) }`).
     pub fn extract_opts(&self, lookahead_days: u32) -> ExtractOptions {
         ExtractOptions {
             lookahead_days,
@@ -74,6 +77,15 @@ impl PredictConfig {
     /// Builds the swap-prediction dataset for lookahead `n` days.
     pub fn dataset(&self, trace: &FleetTrace, lookahead_days: u32) -> Dataset {
         build_dataset(trace, &self.extract_opts(lookahead_days))
+    }
+
+    /// Fits the configured forest on `rows` of `data` under the paper's
+    /// training protocol outside cross-validation: the rows are
+    /// downsampled with `cv.downsample_ratio`, and both the downsample and
+    /// the fit are seeded by `seed`. Fails when the kept rows lack a class.
+    pub fn fit_forest(&self, data: &Dataset, rows: &[usize]) -> Result<RandomForest, CvError> {
+        let idx = downsample_majority(data, rows, self.cv.downsample_ratio, self.seed)?;
+        Ok(RandomForest::fit(&self.forest, &data.select(&idx), self.seed))
     }
 
     /// Cross-validates the configured forest on each dataset as one

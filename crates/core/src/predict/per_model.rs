@@ -3,30 +3,10 @@
 use super::PredictConfig;
 use crate::features::{build_dataset, ExtractOptions};
 use crate::report::{Series, TextTable};
-use ssd_ml::{
-    downsample_majority, grouped_kfold, roc_auc, train_test_auc, CvError, Dataset, RocCurve,
-    Trainer,
-};
 use ssd_ml::split::complement;
+use ssd_ml::{grouped_kfold, roc_auc, Classifier, CvError, Dataset, RandomForest, RocCurve};
 use ssd_types::{DriveModel, FleetTrace};
-
-fn model_dataset(
-    trace: &FleetTrace,
-    config: &PredictConfig,
-    model: Option<DriveModel>,
-    lookahead: u32,
-) -> Dataset {
-    build_dataset(
-        trace,
-        &ExtractOptions {
-            lookahead_days: lookahead,
-            negative_sample_rate: config.negative_sample_rate,
-            seed: config.seed,
-            model,
-            ..Default::default()
-        },
-    )
-}
+use std::collections::BTreeSet;
 
 /// A ROC curve labeled with its AUC, for one drive model (Figure 13).
 #[derive(Debug, Clone)]
@@ -35,7 +15,8 @@ pub struct ModelRoc {
     pub model: String,
     /// Cross-validated mean AUC.
     pub auc: f64,
-    /// A representative ROC curve (held-out fold 0).
+    /// A representative ROC curve (the first held-out fold whose test
+    /// rows hold both classes).
     pub curve: Series,
 }
 
@@ -43,7 +24,9 @@ pub struct ModelRoc {
 fn per_model_datasets(trace: &FleetTrace, config: &PredictConfig) -> Vec<Dataset> {
     DriveModel::ALL
         .iter()
-        .map(|&m| model_dataset(trace, config, Some(m), 1))
+        .map(|&m| {
+            build_dataset(trace, &ExtractOptions { model: Some(m), ..config.extract_opts(1) })
+        })
         .collect()
 }
 
@@ -67,21 +50,13 @@ pub fn per_model_roc(
             let fold = folds
                 .iter()
                 .find(|f| {
-                    let t = data.select(f);
-                    let (pos, neg) = t.class_counts();
-                    pos > 0 && neg > 0
+                    let pos = f.iter().filter(|&&i| data.label(i)).count();
+                    pos > 0 && pos < f.len()
                 })
                 .unwrap_or(&folds[0]);
+            let model = config.fit_forest(data, &complement(data, fold))?;
             let test = data.select(fold);
-            let train_idx = downsample_majority(
-                data,
-                &complement(data, fold),
-                config.cv.downsample_ratio,
-                config.seed,
-            );
-            let model_fit = config.forest.fit(&data.select(&train_idx), config.seed);
-            let scores = model_fit.predict_batch(&test);
-            let curve = RocCurve::compute(&scores, test.labels());
+            let curve = RocCurve::compute(&model.predict_batch(&test), test.labels());
             Ok(ModelRoc {
                 model: m.name().to_string(),
                 auc: cv.mean(),
@@ -103,9 +78,8 @@ pub struct TransferMatrix {
     pub auc: Vec<Vec<f64>>,
 }
 
-/// Runs Table 7. Fails when a model's dataset cannot be cross-validated;
-/// the diagonal runs first, so every dataset a transfer cell trains or
-/// tests on is known to hold both classes.
+/// Runs Table 7. Fails when a model's dataset cannot be cross-validated
+/// or a transfer cell's training rows lack a class.
 pub fn transfer_matrix(
     trace: &FleetTrace,
     config: &PredictConfig,
@@ -116,54 +90,26 @@ pub fn transfer_matrix(
         .into_iter()
         .map(|r| r.map(|r| r.mean()))
         .collect::<Result<Vec<f64>, CvError>>()?;
-    let all = model_dataset(trace, config, None, 1);
+    let all = config.dataset(trace, 1);
     let mut auc = vec![vec![0.0; 4]; 3];
     for (ti, test) in datasets.iter().enumerate() {
+        let score = |model: RandomForest| roc_auc(&model.predict_batch(test), test.labels());
         for (si, train) in datasets.iter().enumerate() {
             auc[ti][si] = if ti == si {
                 diagonal[ti]
             } else {
-                train_test_auc(
-                    &config.forest,
-                    train,
-                    test,
-                    config.cv.downsample_ratio,
-                    config.seed,
-                )
+                let rows: Vec<usize> = (0..train.n_rows()).collect();
+                score(config.fit_forest(train, &rows)?)
             };
         }
-        // "All" column: train on everything except this model's drives
-        // would break the paper's protocol — the paper trains on all data
-        // and cross-validates, so the test drives are held out by fold.
-        // We approximate with a train/test split where training drives of
-        // the test model are excluded by grouped folding inside
-        // `train_test_auc` being replaced by CV on the union:
-        auc[ti][3] = {
-            // Train on all three models; the grouped CV inside keeps the
-            // test drives out of training. Evaluate only rows of the test
-            // model by training on `all` minus this model's drives.
-            transfer_all_to(&all, test, config)
-        };
+        // "All" trains on the union of models minus the test model's
+        // drives, then scores that model's rows.
+        let test_drives: BTreeSet<u32> = test.groups().iter().copied().collect();
+        let rows: Vec<usize> =
+            (0..all.n_rows()).filter(|&i| !test_drives.contains(&all.group(i))).collect();
+        auc[ti][3] = score(config.fit_forest(&all, &rows)?);
     }
     Ok(TransferMatrix { auc })
-}
-
-/// Trains on the union dataset with the test model's drives removed, then
-/// scores the test model's rows.
-fn transfer_all_to(
-    all: &Dataset,
-    test: &Dataset,
-    config: &PredictConfig,
-) -> f64 {
-    use std::collections::BTreeSet;
-    let test_drives: BTreeSet<u32> = test.groups().iter().copied().collect();
-    let train_idx: Vec<usize> = (0..all.n_rows())
-        .filter(|&i| !test_drives.contains(&all.group(i)))
-        .collect();
-    let train_idx = downsample_majority(all, &train_idx, config.cv.downsample_ratio, config.seed);
-    let model = config.forest.fit(&all.select(&train_idx), config.seed);
-    let scores = model.predict_batch(test);
-    roc_auc(&scores, test.labels())
 }
 
 impl TransferMatrix {

@@ -2,7 +2,9 @@
 //! the paper's exact evaluation protocol (Section 5.1):
 //!
 //! 1. split drive IDs into k groups (no drive straddles train/test);
-//! 2. downsample the majority class *of the training fold only* to 1:1;
+//! 2. downsample the majority class *of the training fold only* to 1:1
+//!    ([`downsample_majority`], which fails with
+//!    [`CvError::MissingClass`] when the kept rows lack a class);
 //! 3. train, score the untouched (imbalanced) test fold, compute ROC AUC;
 //! 4. report the mean ± standard deviation across folds.
 //!
@@ -13,9 +15,9 @@
 //!
 //! - *prepare*: each distinct dataset (compared by address) is split once,
 //!   and each of its folds is prepared once — the complement, the
-//!   downsampled training indices, and the check that the test and
-//!   training rows both hold both classes. Every trainer on that dataset
-//!   reuses them;
+//!   downsampled training indices, and the check that the test rows hold
+//!   both classes (the training rows' check is `downsample_majority`'s).
+//!   Every trainer on that dataset reuses them;
 //! - *fit*: every `(trainer, fold)` job runs in one parallel map, so the
 //!   pool stays busy until the last job of the whole batch rather than
 //!   idling at the end of each cross-validation. A job copies its fold's
@@ -173,13 +175,13 @@ fn prepare_fold(data: &Dataset, fold: &[usize], fi: usize, opts: &CvOptions) -> 
     if !both_classes(data, fold) {
         return None;
     }
-    let train = downsample_majority(
+    downsample_majority(
         data,
         &complement(data, fold),
         opts.downsample_ratio,
         opts.seed ^ u64_from_usize(fi).wrapping_mul(0x9E37_79B9),
-    );
-    both_classes(data, &train).then_some(train)
+    )
+    .ok()
 }
 
 /// Runs several cross-validations as one fold pass (see the module docs)
@@ -269,23 +271,6 @@ pub fn cross_validate_batch(
         .collect()
 }
 
-/// Trains on one dataset and evaluates AUC on another (the cross-model
-/// transfer protocol of Table 7). The training set is downsampled to
-/// `ratio`; the test set is left imbalanced.
-pub fn train_test_auc(
-    trainer: &dyn Trainer,
-    train: &Dataset,
-    test: &Dataset,
-    ratio: f64,
-    seed: u64,
-) -> f64 {
-    let all: Vec<usize> = (0..train.n_rows()).collect();
-    let idx = downsample_majority(train, &all, ratio, seed);
-    let model = trainer.fit(&train.select(&idx), seed);
-    let scores = model.predict_batch(test);
-    roc_auc(&scores, test.labels())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,20 +320,6 @@ mod tests {
         assert!((r.mean() - 0.85).abs() < 1e-12);
         let s = r.display();
         assert!(s.starts_with("0.850 ±"), "{s}");
-    }
-
-    #[test]
-    fn transfer_auc_works() {
-        let train = imbalanced(1500, 3);
-        let test = imbalanced(800, 4);
-        let auc = train_test_auc(
-            &LogisticRegressionConfig::default(),
-            &train,
-            &test,
-            1.0,
-            0,
-        );
-        assert!(auc > 0.95, "{auc}");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   [`tree::DecisionTree`], and [`forest::RandomForest`] (with MDI feature
 //!   importances for Figure 16);
 //! * the evaluation protocol of Section 5.1 — ROC curves and AUC
-//!   ([`metrics`]), drive-grouped k-fold CV with training-side 1:1
-//!   downsampling ([`cv`], [`split`]).
+//!   ([`metrics`]), and drive-grouped k-fold CV ([`cv`]) whose step 2,
+//!   training-side 1:1 downsampling, is [`downsample_majority`]: every
+//!   fit trains on the rows it keeps, and it fails with a typed
+//!   [`CvError::MissingClass`] when they lack a class.
 //!
 //! All training is deterministic given a seed, and the parallel paths
 //! (cross-validation folds, forest training, batch prediction) are
@@ -37,7 +39,7 @@ pub mod split_kernel;
 pub mod tree;
 
 pub use classifier::{Classifier, Trainer};
-pub use cv::{cross_validate, cross_validate_batch, train_test_auc, CvError, CvOptions, CvResult};
+pub use cv::{cross_validate, cross_validate_batch, CvError, CvOptions, CvResult};
 pub use dataset::{Dataset, Scaler};
 pub use flat::{BatchScorer, FlatForest, FlatGbdt};
 pub use forest::{ForestConfig, RandomForest};

@@ -1,4 +1,8 @@
-//! Grouped k-fold splitting and majority-class downsampling.
+//! Grouped k-fold splitting (step 1 of the evaluation protocol in
+//! [`crate::cv`]) and majority-class downsampling of the training rows
+//! (step 2): [`downsample_majority`] is the one place that decides which
+//! rows a model trains on, and it fails with a typed
+//! [`CvError::MissingClass`] when those rows lack a class.
 
 use crate::cv::CvError;
 use crate::dataset::Dataset;
@@ -63,18 +67,22 @@ pub fn complement(data: &Dataset, fold: &[usize]) -> Vec<usize> {
     (0..data.n_rows()).filter(|&i| !in_fold[i]).collect()
 }
 
-/// Randomly downsamples the majority class among `indices` to achieve
-/// `ratio` negatives per positive (ratio 1.0 = the paper's 1:1 balance,
-/// Section 5.1). Minority rows are always kept. Returns a new index list.
+/// Step 2 of the evaluation protocol (Section 5.1): randomly downsamples
+/// the majority class among `indices` to `ratio` negatives per positive
+/// (ratio 1.0 = the paper's 1:1 balance). Minority rows are always kept,
+/// and downsampled rows come back ascending.
 ///
 /// If negatives are already at or below the requested ratio the indices
-/// are returned unchanged (no upsampling is performed).
+/// are returned unchanged (no upsampling is performed). Fails with
+/// [`CvError::MissingClass`], counting the rows it would keep, when those
+/// rows lack a class: no positive or no negative among `indices`, or a
+/// `ratio` that rounds the negative target to zero.
 pub fn downsample_majority(
     data: &Dataset,
     indices: &[usize],
     ratio: f64,
     seed: u64,
-) -> Vec<usize> {
+) -> Result<Vec<usize>, CvError> {
     assert!(ratio > 0.0);
     let mut pos: Vec<usize> = Vec::new();
     let mut neg: Vec<usize> = Vec::new();
@@ -90,24 +98,28 @@ pub fn downsample_majority(
         reason = "fractional downsampling target rounded to a whole row count"
     )]
     let want_neg = ((pos.len() as f64) * ratio).round() as usize;
-    if neg.len() <= want_neg || pos.is_empty() {
-        return indices.to_vec();
+    let keep_neg = if pos.is_empty() { neg.len() } else { want_neg.min(neg.len()) };
+    if pos.is_empty() || keep_neg == 0 {
+        return Err(CvError::MissingClass { positives: pos.len(), negatives: keep_neg });
     }
-    // Deterministic partial Fisher–Yates: draw `want_neg` negatives.
+    if keep_neg == neg.len() {
+        return Ok(indices.to_vec());
+    }
+    // Deterministic partial Fisher–Yates: draw `keep_neg` negatives.
     #[expect(
         clippy::disallowed_methods,
         reason = "sampling-entry stream root: the caller owns seed derivation, and re-mixing would change pinned downsamples"
     )]
     let mut rng = SplitMix64::new(seed);
-    for i in 0..want_neg {
+    for i in 0..keep_neg {
         let j = i + usize_from_u64(rng.next_bounded(u64_from_usize(neg.len() - i)));
         neg.swap(i, j);
     }
-    neg.truncate(want_neg);
+    neg.truncate(keep_neg);
     let mut out = pos;
     out.append(&mut neg);
     out.sort_unstable(); // stable downstream iteration order
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -194,7 +206,7 @@ mod tests {
             d.push_row(&[i as f32], i < 10, i);
         }
         let all: Vec<usize> = (0..100).collect();
-        let ds = downsample_majority(&d, &all, 1.0, 5);
+        let ds = downsample_majority(&d, &all, 1.0, 5).unwrap();
         let pos = ds.iter().filter(|&&i| d.label(i)).count();
         let neg = ds.len() - pos;
         assert_eq!(pos, 10, "all positives kept");
@@ -208,7 +220,7 @@ mod tests {
             d.push_row(&[i as f32], i < 10, i);
         }
         let all: Vec<usize> = (0..110).collect();
-        let ds = downsample_majority(&d, &all, 3.0, 5);
+        let ds = downsample_majority(&d, &all, 3.0, 5).unwrap();
         let neg = ds.iter().filter(|&&i| !d.label(i)).count();
         assert_eq!(neg, 30);
     }
@@ -220,7 +232,65 @@ mod tests {
             d.push_row(&[i as f32], i % 2 == 0, i);
         }
         let all: Vec<usize> = (0..20).collect();
-        let ds = downsample_majority(&d, &all, 1.0, 5);
+        let ds = downsample_majority(&d, &all, 1.0, 5).unwrap();
         assert_eq!(ds, all);
+    }
+
+    /// `n` rows, the first `n_pos` positive, one group each.
+    fn labelled(n: u32, n_pos: u32) -> Dataset {
+        let mut d = Dataset::with_dims(1);
+        for i in 0..n {
+            d.push_row(&[i as f32], i < n_pos, i);
+        }
+        d
+    }
+
+    #[test]
+    fn downsample_of_one_class_is_a_typed_error() {
+        let negatives = labelled(12, 0);
+        let all: Vec<usize> = (0..12).collect();
+        assert_eq!(
+            downsample_majority(&negatives, &all, 1.0, 5),
+            Err(CvError::MissingClass { positives: 0, negatives: 12 })
+        );
+        let positives = labelled(7, 7);
+        let all: Vec<usize> = (0..7).collect();
+        assert_eq!(
+            downsample_majority(&positives, &all, 1.0, 5),
+            Err(CvError::MissingClass { positives: 7, negatives: 0 })
+        );
+        assert_eq!(
+            downsample_majority(&positives, &[], 1.0, 5),
+            Err(CvError::MissingClass { positives: 0, negatives: 0 })
+        );
+    }
+
+    #[test]
+    fn a_ratio_that_rounds_the_negatives_to_zero_is_a_typed_error() {
+        // 2 positives × 0.2 = 0.4 negatives, which rounds to none.
+        let d = labelled(50, 2);
+        let all: Vec<usize> = (0..50).collect();
+        assert_eq!(
+            downsample_majority(&d, &all, 0.2, 5),
+            Err(CvError::MissingClass { positives: 2, negatives: 0 })
+        );
+        // 0.3 rounds 0.6 up to one negative.
+        let one = downsample_majority(&d, &all, 0.3, 5).unwrap();
+        assert_eq!(one.len(), 3);
+    }
+
+    #[test]
+    fn downsample_keeps_pinned_rows_in_a_stable_order() {
+        // Pinned rows: a shuffled, strided index list with 2 positives
+        // (rows 3 and 0) keeps both and the two negatives this seed
+        // draws, ascending...
+        let d = labelled(40, 4);
+        let indices: Vec<usize> = (0..40).rev().step_by(3).collect();
+        let kept = downsample_majority(&d, &indices, 1.0, 11).unwrap();
+        assert_eq!(kept, vec![0, 3, 30, 39]);
+        // ...while rows already within the ratio come back untouched, in
+        // the caller's order.
+        let d = labelled(40, 30);
+        assert_eq!(downsample_majority(&d, &indices, 1.0, 11).unwrap(), indices);
     }
 }

@@ -152,7 +152,7 @@ fn downsampling_keeps_all_positives_and_ratio() {
             d.push_row(&[i as f32], i < n_pos, i as u32);
         }
         let all: Vec<usize> = (0..d.n_rows()).collect();
-        let kept = downsample_majority(&d, &all, ratio, seed);
+        let kept = downsample_majority(&d, &all, ratio, seed).unwrap();
         let kept_pos = kept.iter().filter(|&&i| d.label(i)).count();
         let kept_neg = kept.len() - kept_pos;
         assert_eq!(kept_pos, n_pos, "positives must all be kept");

@@ -57,7 +57,7 @@ fn main() -> Result<(), CvError> {
     let folds = grouped_kfold(&data, 5, 9)?;
     let in_test: std::collections::HashSet<usize> = folds[0].iter().copied().collect();
     let train_idx: Vec<usize> = (0..data.n_rows()).filter(|i| !in_test.contains(i)).collect();
-    let train_idx = downsample_majority(&data, &train_idx, 1.0, 9);
+    let train_idx = downsample_majority(&data, &train_idx, 1.0, 9)?;
     let model = ForestConfig::default().fit(&data.select(&train_idx), 9);
     let test = data.select(&folds[0]);
     let scores = model.predict_batch(&test);

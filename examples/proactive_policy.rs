@@ -15,10 +15,10 @@
 //! ```
 
 use ssd_field_study::core::{build_dataset, evaluate_policy, ExtractOptions, PolicyCosts};
-use ssd_field_study::ml::{downsample_majority, ForestConfig, Trainer};
+use ssd_field_study::ml::{downsample_majority, CvError, ForestConfig, Trainer};
 use ssd_field_study::sim::{FleetGen, SimConfig};
 
-fn main() {
+fn main() -> Result<(), CvError> {
     // Train on one fleet, deploy on another (no shared drives).
     let train_trace = FleetGen::new(&SimConfig {
         drives_per_model: 600,
@@ -42,7 +42,7 @@ fn main() {
     };
     let train_data = build_dataset(&train_trace, &opts);
     let all: Vec<usize> = (0..train_data.n_rows()).collect();
-    let idx = downsample_majority(&train_data, &all, 1.0, 0);
+    let idx = downsample_majority(&train_data, &all, 1.0, 0)?;
     let model = ForestConfig::default().fit(&train_data.select(&idx), 0);
     println!("predictor trained on {} balanced rows", idx.len());
 
@@ -83,4 +83,5 @@ fn main() {
          into planned migrations; the optimum balances catch rate against\n\
          false-alert volume exactly as the ROC analysis suggests."
     );
+    Ok(())
 }

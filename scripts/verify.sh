@@ -97,11 +97,13 @@ target/release/ssdgen --out "$smoke_dir/imp" --drives 7 --days 800 --seed 99 \
 pin "$smoke_dir/imp/trace.ssdfs" "549773521 122529"
 target/release/ssdstat --trace "$smoke_dir/imp/trace.ssdfs" > /dev/null
 
-echo "== prediction pin smoke: test-scale tab6, tab7, fig12-fig16 JSON pinned by cksum =="
+echo "== prediction pin smoke: test-scale tab6, tab7, fig12-fig16, tab8 JSON pinned by cksum =="
 # Every cross-validated AUC, ROC curve and importance of the prediction
-# experiments lands in these files; a change means a kernel or the fold
-# scheduling moved a result.
+# experiments lands in these files; a change means a kernel, the fold
+# scheduling or the training protocol moved a result. The default id list
+# skips tab8 at test scale, so it runs on its own.
 target/release/repro --scale test --json "$smoke_dir/repro" > /dev/null
+target/release/repro --scale test --json "$smoke_dir/repro" tab8 > /dev/null
 pin "$smoke_dir/repro/tab6.json" "1674766258 2302"
 pin "$smoke_dir/repro/tab7.json" "268017444 363"
 pin "$smoke_dir/repro/fig12.json" "1822555806 1055"
@@ -110,6 +112,7 @@ pin "$smoke_dir/repro/fig14.json" "371239996 2357"
 pin "$smoke_dir/repro/fig15.json" "2057510009 386415"
 pin "$smoke_dir/repro/fig16_young.json" "804316766 1748"
 pin "$smoke_dir/repro/fig16_old.json" "4134573443 1833"
+pin "$smoke_dir/repro/tab8.json" "3109856621 969"
 
 echo "== online prediction smoke: train + rank streamed fleet, bad archives rejected =="
 # A larger fleet so the training pass sees both classes (swaps are rare).
