@@ -1,8 +1,8 @@
 //! Flat-vs-pointer batch scoring benchmarks, plus the online fleet hot
 //! path.
 //!
-//! The `flat_predict` group pits the flattened node-array scorers
-//! (`ssd_ml::flat`) against the pointer ensembles they were built from,
+//! The `flat_predict` group pits the flattened node-array forest
+//! (`ssd_ml::flat`) against the pointer forest it was built from,
 //! on the same `forest_50`-scale batch the `score_2k_rows` baseline uses
 //! (2k rows × 31 features). `predict_fleet_day` times one whole-fleet
 //! scoring call through `OnlineFleet` — the online service hot path.
@@ -12,10 +12,7 @@
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
 use ssd_field_study_core::{build_dataset, ExtractOptions, OnlineFleet};
-use ssd_ml::{
-    BatchScorer, Classifier, Dataset, FlatForest, FlatGbdt, ForestConfig, Gbdt, GbdtConfig,
-    RandomForest,
-};
+use ssd_ml::{BatchScorer, Classifier, Dataset, FlatForest, ForestConfig, RandomForest};
 use ssd_sim::{FleetGen, SimConfig};
 use ssd_stats::SplitMix64;
 
@@ -35,8 +32,8 @@ fn score_set() -> Dataset {
     d
 }
 
-/// Scores a pointer ensemble row by row through the trait's default
-/// parallel `predict_batch`. The ensembles' own `predict_batch` flattens
+/// Scores a pointer forest row by row through the trait's default
+/// parallel `predict_batch`. The forest's own `predict_batch` flattens
 /// first and scores through `ssd_ml::flat`, so this wrapper is what keeps
 /// the pointer-tree walk measurable.
 struct PointerWalk<'a>(&'a dyn Classifier);
@@ -62,15 +59,6 @@ fn bench_flat_vs_pointer(c: &mut Criterion) {
         0,
     );
     let flat_forest = FlatForest::from_forest(&forest);
-    let gbdt = Gbdt::fit(
-        &GbdtConfig {
-            n_trees: 50,
-            ..Default::default()
-        },
-        &data,
-        0,
-    );
-    let flat_gbdt = FlatGbdt::from_gbdt(&gbdt);
 
     let mut g = c.benchmark_group("flat_predict");
     g.sample_size(20);
@@ -79,12 +67,6 @@ fn bench_flat_vs_pointer(c: &mut Criterion) {
     });
     g.bench_function("flat_forest", |b| {
         b.iter(|| flat_forest.predict_rows(data.raw_features(), data.n_features()))
-    });
-    g.bench_function("pointer_gbdt_50", |b| {
-        b.iter(|| PointerWalk(&gbdt).predict_batch(&data))
-    });
-    g.bench_function("flat_gbdt", |b| {
-        b.iter(|| flat_gbdt.predict_rows(data.raw_features(), data.n_features()))
     });
     g.finish();
 }

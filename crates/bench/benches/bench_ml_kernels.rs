@@ -5,7 +5,7 @@
 
 use ssd_bench::{criterion_group, criterion_main, Criterion};
 use ssd_ml::{
-    roc_auc, Dataset, ForestConfig, GbdtConfig, KnnConfig, LinearSvmConfig,
+    roc_auc, Dataset, ForestConfig, KnnConfig, LinearSvmConfig,
     LogisticRegressionConfig, MlpConfig, Trainer, TreeConfig,
 };
 use ssd_stats::SplitMix64;
@@ -66,13 +66,6 @@ fn bench_training(c: &mut Criterion) {
         (
             "forest_50",
             Box::new(ForestConfig {
-                n_trees: 50,
-                ..Default::default()
-            }),
-        ),
-        (
-            "gbdt_50",
-            Box::new(GbdtConfig {
                 n_trees: 50,
                 ..Default::default()
             }),

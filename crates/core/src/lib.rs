@@ -50,7 +50,6 @@ pub mod failure;
 pub mod features;
 pub mod lifecycle;
 pub mod observations;
-pub mod policy;
 pub mod predict;
 mod reentry;
 pub mod report;
@@ -64,7 +63,6 @@ pub use features::{
 };
 pub use predict::online::OnlineFleet;
 pub use observations::{audit_model_observations, audit_trace_observations, ObservationCheck};
-pub use policy::{evaluate_policy, PolicyCosts, PolicyOutcome};
 pub use predict::PredictConfig;
 pub use reentry::{reentry_analysis, ReentryAnalysis};
 pub use report::{Series, TextTable};

@@ -9,8 +9,8 @@
 //! [`RollingFeatures`] accumulator and one materialized 31-column feature
 //! row per drive, in a single contiguous buffer — and
 //! [`predict_fleet_day`](OnlineFleet::predict_fleet_day) hands that
-//! buffer to a flattened scorer ([`BatchScorer`]: `FlatForest` /
-//! `FlatGbdt`) in one cache-friendly call.
+//! buffer to a flattened scorer ([`BatchScorer`], the `FlatForest`) in
+//! one cache-friendly call.
 //!
 //! Because the per-drive state is folded with the same
 //! [`RollingFeatures`] the offline path uses, the online feature vector

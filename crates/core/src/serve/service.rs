@@ -20,9 +20,7 @@ use super::protocol::{error_body, fit_response, render, ProtocolError, Request};
 use super::shard::{PassPlan, ShardPartial, ShardState};
 use crate::features::{build_dataset_streaming, ExtractOptions};
 use crate::streaming::StreamSummary;
-use ssd_ml::{
-    BatchScorer, FlatForest, FlatGbdt, ForestConfig, Gbdt, GbdtConfig, RandomForest,
-};
+use ssd_ml::{BatchScorer, FlatForest, ForestConfig, RandomForest};
 use ssd_stats::KaplanMeier;
 use ssd_types::json::Value;
 use ssd_types::source::{TraceReadError, TraceSource};
@@ -40,25 +38,16 @@ pub enum ScorerSpec {
         /// Number of trees.
         trees: usize,
     },
-    /// Gradient-boosted trees, flattened for batch scoring.
-    Gbdt {
-        /// Number of boosting rounds.
-        trees: usize,
-    },
 }
 
 impl ScorerSpec {
-    /// Parses a `--model` name with its `--trees` count: `forest`, `gbdt`
-    /// and, when `allow_none`, `none`.
-    pub fn parse(name: &str, trees: usize, allow_none: bool) -> Result<ScorerSpec, String> {
+    /// Parses `ssdserve`'s `--model` name with its `--trees` count:
+    /// `forest` or `none`.
+    pub fn parse(name: &str, trees: usize) -> Result<ScorerSpec, String> {
         match name {
             "forest" => Ok(ScorerSpec::Forest { trees }),
-            "gbdt" => Ok(ScorerSpec::Gbdt { trees }),
-            "none" if allow_none => Ok(ScorerSpec::None),
-            other => Err(format!(
-                "unknown model '{other}' (use forest|gbdt{})",
-                if allow_none { "|none" } else { "" }
-            )),
+            "none" => Ok(ScorerSpec::None),
+            other => Err(format!("unknown model '{other}' (use forest|none)")),
         }
     }
 
@@ -68,7 +57,7 @@ impl ScorerSpec {
     /// checked for [`ScorerSpec::None`] too, so whether a flag is valid
     /// does not depend on `--model`.
     pub fn check(self, lookahead_days: u32, sample_rate: f64) -> Result<(), String> {
-        if let ScorerSpec::Forest { trees: 0 } | ScorerSpec::Gbdt { trees: 0 } = self {
+        if let ScorerSpec::Forest { trees: 0 } = self {
             return Err("--trees must be at least 1".into());
         }
         if lookahead_days == 0 {
@@ -184,7 +173,7 @@ pub struct FleetService {
 
 /// Trains the flat risk scorer on a source's history, in one streaming
 /// pass: labels every drive-day "swap within `lookahead_days`", keeps
-/// negative rows at `sample_rate`, fits the forest or GBDT with `seed`,
+/// negative rows at `sample_rate`, fits the forest with `seed`,
 /// and flattens it. `Ok(None)` for [`ScorerSpec::None`]. `ssdpredict`
 /// and [`FleetService::load`] both train through it.
 pub fn train_scorer(
@@ -197,10 +186,9 @@ pub fn train_scorer(
     scorer
         .check(lookahead_days, sample_rate)
         .map_err(ServeError::Train)?;
-    let (gbdt, trees) = match scorer {
+    let trees = match scorer {
         ScorerSpec::None => return Ok(None),
-        ScorerSpec::Forest { trees } => (false, trees),
-        ScorerSpec::Gbdt { trees } => (true, trees),
+        ScorerSpec::Forest { trees } => trees,
     };
     let opts = ExtractOptions {
         lookahead_days,
@@ -216,19 +204,12 @@ pub fn train_scorer(
              (try a longer trace or a larger lookahead)"
         )));
     }
-    Ok(Some(if gbdt {
-        let gc = GbdtConfig {
-            n_trees: trees,
-            ..Default::default()
-        };
-        Arc::new(FlatGbdt::from_gbdt(&Gbdt::fit(&gc, &data, seed)))
-    } else {
-        let fc = ForestConfig {
-            n_trees: trees,
-            ..Default::default()
-        };
-        Arc::new(FlatForest::from_forest(&RandomForest::fit(&fc, &data, seed)))
-    }))
+    let fc = ForestConfig {
+        n_trees: trees,
+        ..Default::default()
+    };
+    let forest = RandomForest::fit(&fc, &data, seed);
+    Ok(Some(Arc::new(FlatForest::from_forest(&forest))))
 }
 
 impl FleetService {

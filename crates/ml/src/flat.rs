@@ -1,24 +1,24 @@
-//! Flattened tree ensembles for cache-friendly batch scoring.
+//! A flattened random forest for cache-friendly batch scoring.
 //!
-//! The pointer ensembles in [`crate::forest`] and [`crate::gbdt`] are the
-//! right shape for training but a poor fit for fleet-wide scoring: each
-//! prediction chases `Vec<Node>` enums across 50+ independently grown
-//! trees, so the working set per *row* is the entire ensemble. This module
-//! flattens a fitted ensemble into structure-of-arrays node tables —
+//! The pointer forest in [`crate::forest`] is the right shape for
+//! training but a poor fit for fleet-wide scoring: each prediction chases
+//! `Vec<Node>` enums across 50+ independently grown trees, so the working
+//! set per *row* is the entire ensemble. This module flattens a fitted
+//! forest into structure-of-arrays node tables —
 //! feature index, threshold, child offset, leaf payload — laid out in
 //! breadth-first order with sibling children adjacent, and evaluates rows
 //! in blocks with a tree-outer / row-inner loop: one tree's hot upper
 //! levels stay resident in cache across a whole block of rows instead of
 //! the whole forest competing for cache on every row. It is the only
-//! batch path: `RandomForest::predict_batch` and `Gbdt::predict_batch`
-//! flatten once and score here, and the pointer trees keep just their
-//! per-row `predict_proba` walk as the reference.
+//! batch path: `RandomForest::predict_batch` flattens once and scores
+//! here, and the pointer trees keep just their per-row `predict_proba`
+//! walk as the reference.
 //!
-//! Equivalence contract: for every row, [`FlatForest`] and [`FlatGbdt`]
-//! return probabilities *bit-identical* to the pointer models they were
-//! flattened from — same traversal predicate (`row[f] <= t`, with NaN
-//! routed to the right child), same left-to-right tree accumulation
-//! order, same final transform. `tests/flat_equivalence.rs` pins this
+//! Equivalence contract: for every row, [`FlatForest`] returns
+//! probabilities *bit-identical* to the pointer forest it was flattened
+//! from — same traversal predicate (`row[f] <= t`, with NaN routed to the
+//! right child), same left-to-right tree accumulation order, same final
+//! division by the tree count. `tests/flat_equivalence.rs` pins this
 //! with a property battery; `ssd-bench`'s `bench_flat_predict` pins the
 //! speedup.
 //!
@@ -43,10 +43,9 @@
 //! }
 //! ```
 
-use crate::classifier::{sigmoid, Classifier};
+use crate::classifier::Classifier;
 use crate::dataset::Dataset;
 use crate::forest::RandomForest;
-use crate::gbdt::{Gbdt, RegNode};
 use crate::tree::Node;
 use ssd_parallel::prelude::*;
 use ssd_types::cast::{f64_from_usize, u32_from_usize, usize_from_u32};
@@ -66,24 +65,13 @@ const BLOCK_ROWS: usize = 256;
 /// walks in flight let those chains overlap.
 const LANES: usize = 8;
 
-/// A pointer-model node as seen by the flattening pass.
-enum SrcNode<L> {
-    Split {
-        feature: u32,
-        threshold: f32,
-        left: u32,
-        right: u32,
-    },
-    Leaf(L),
-}
-
-/// Structure-of-arrays node storage shared by both flat ensembles.
+/// Structure-of-arrays node storage of a flat forest.
 ///
 /// Per node: `feature[i]` (or [`LEAF`]), `threshold[i]`, and `payload[i]`
 /// — the id of the *first* child for splits (the second child is always
 /// `payload[i] + 1`; flattening renumbers siblings adjacently), or an
 /// index into `leaf_values` for leaves. `roots[t]` is tree `t`'s root id.
-struct FlatNodes<L> {
+struct FlatNodes {
     feature: Vec<u32>,
     threshold: Vec<f32>,
     payload: Vec<u32>,
@@ -91,10 +79,11 @@ struct FlatNodes<L> {
     /// Max root-to-leaf edge count per tree, parallel to `roots` — the
     /// iteration bound for the branchless lockstep walk.
     depths: Vec<u32>,
-    leaf_values: Vec<L>,
+    /// Leaf positive-class probabilities.
+    leaf_values: Vec<f32>,
 }
 
-impl<L: Copy> FlatNodes<L> {
+impl FlatNodes {
     fn new() -> Self {
         FlatNodes {
             feature: Vec::new(),
@@ -117,9 +106,9 @@ impl<L: Copy> FlatNodes<L> {
         base
     }
 
-    /// Flattens one pointer tree (rooted at source node 0) breadth-first,
+    /// Flattens one pointer tree (rooted at `src[0]`) breadth-first,
     /// renumbering so every split's children land in adjacent slots.
-    fn push_tree(&mut self, src: impl Fn(u32) -> SrcNode<L>) {
+    fn push_tree(&mut self, src: &[Node]) {
         let root = self.alloc(1);
         self.roots.push(root);
         let mut max_depth = 0u32;
@@ -127,20 +116,20 @@ impl<L: Copy> FlatNodes<L> {
         queue.push_back((0, root, 0));
         while let Some((s, dst, depth)) = queue.pop_front() {
             max_depth = max_depth.max(depth);
-            match src(s) {
-                SrcNode::Leaf(v) => {
+            match src[usize_from_u32(s)] {
+                Node::Leaf { prob } => {
                     self.feature[usize_from_u32(dst)] = LEAF;
                     self.payload[usize_from_u32(dst)] = u32_from_usize(self.leaf_values.len());
-                    self.leaf_values.push(v);
+                    self.leaf_values.push(prob);
                 }
-                SrcNode::Split {
+                Node::Split {
                     feature,
                     threshold,
                     left,
                     right,
                 } => {
                     let first = self.alloc(2);
-                    self.feature[usize_from_u32(dst)] = feature;
+                    self.feature[usize_from_u32(dst)] = u32::from(feature);
                     self.threshold[usize_from_u32(dst)] = threshold;
                     self.payload[usize_from_u32(dst)] = first;
                     queue.push_back((left, first, depth + 1));
@@ -151,9 +140,9 @@ impl<L: Copy> FlatNodes<L> {
         self.depths.push(max_depth);
     }
 
-    /// Walks one tree for one row and returns its leaf payload.
+    /// Walks one tree for one row and returns its leaf probability.
     #[inline]
-    fn leaf_for(&self, root: u32, row: &[f32]) -> L {
+    fn leaf_for(&self, root: u32, row: &[f32]) -> f32 {
         let mut id = usize_from_u32(root);
         loop {
             let f = self.feature[id];
@@ -192,7 +181,7 @@ impl<L: Copy> FlatNodes<L> {
     }
 
     /// Walks one tree for `n ≤ LANES` consecutive rows in lockstep and
-    /// folds each row's leaf value into its accumulator via `fold`.
+    /// adds each row's leaf probability to its accumulator.
     ///
     /// A single root-to-leaf walk is a chain of dependent loads, so the
     /// walks advance level-synchronously: exactly `depth` passes with no
@@ -203,9 +192,8 @@ impl<L: Copy> FlatNodes<L> {
     /// chains stay in flight. Per-row results are identical to
     /// [`leaf_for`](Self::leaf_for) — lockstep changes only the schedule.
     #[expect(
-        clippy::too_many_arguments,
         clippy::needless_range_loop,
-        reason = "the eight-lane scoring kernel: its arguments and indexed lane loop are the shape the lockstep walk is tuned for"
+        reason = "the eight-lane scoring kernel: its indexed lane loop is the shape the lockstep walk is tuned for"
     )]
     #[inline]
     fn fold_group(
@@ -216,7 +204,6 @@ impl<L: Copy> FlatNodes<L> {
         n_features: usize,
         n: usize,
         acc: &mut [f64],
-        fold: &impl Fn(&mut f64, L),
     ) {
         let mut ids = [usize_from_u32(root); LANES];
         if n == LANES {
@@ -235,19 +222,13 @@ impl<L: Copy> FlatNodes<L> {
             }
         }
         for (j, a) in acc.iter_mut().enumerate().take(n) {
-            fold(a, self.leaf_values[usize_from_u32(self.payload[ids[j]])]);
+            *a += f64::from(self.leaf_values[usize_from_u32(self.payload[ids[j]])]);
         }
     }
 
     /// Runs [`fold_group`](Self::fold_group) across a whole block of rows
     /// for every tree, tree-outer so one tree stays cache-hot per pass.
-    fn fold_block(
-        &self,
-        chunk: &[f32],
-        n_features: usize,
-        acc: &mut [f64],
-        fold: impl Fn(&mut f64, L),
-    ) {
+    fn fold_block(&self, chunk: &[f32], n_features: usize, acc: &mut [f64]) {
         let n_rows = acc.len();
         for (t, &root) in self.roots.iter().enumerate() {
             let depth = self.depths[t];
@@ -261,7 +242,6 @@ impl<L: Copy> FlatNodes<L> {
                     n_features,
                     n,
                     &mut acc[r..r + n],
-                    &fold,
                 );
                 r += n;
             }
@@ -319,7 +299,7 @@ pub trait BatchScorer: Send + Sync {
 
 /// A [`RandomForest`] flattened into contiguous node arrays.
 pub struct FlatForest {
-    nodes: FlatNodes<f32>,
+    nodes: FlatNodes,
 }
 
 impl FlatForest {
@@ -327,21 +307,7 @@ impl FlatForest {
     pub fn from_forest(forest: &RandomForest) -> Self {
         let mut nodes = FlatNodes::new();
         for tree in forest.trees() {
-            let src = tree.nodes();
-            nodes.push_tree(|id| match src[usize_from_u32(id)] {
-                Node::Leaf { prob } => SrcNode::Leaf(prob),
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => SrcNode::Split {
-                    feature: u32::from(feature),
-                    threshold,
-                    left,
-                    right,
-                },
-            });
+            nodes.push_tree(tree.nodes());
         }
         FlatForest { nodes }
     }
@@ -357,8 +323,7 @@ impl FlatForest {
     }
 
     fn eval_block(&self, chunk: &[f32], n_features: usize, acc: &mut [f64]) {
-        self.nodes
-            .fold_block(chunk, n_features, acc, |a, leaf| *a += f64::from(leaf));
+        self.nodes.fold_block(chunk, n_features, acc);
         let n = f64_from_usize(self.nodes.roots.len());
         for a in acc {
             *a /= n;
@@ -398,101 +363,10 @@ impl Classifier for FlatForest {
     }
 }
 
-/// A [`Gbdt`] flattened into contiguous node arrays.
-pub struct FlatGbdt {
-    nodes: FlatNodes<f64>,
-    base_score: f64,
-    learning_rate: f64,
-}
-
-impl FlatGbdt {
-    /// Flattens a fitted boosted model in O(total nodes).
-    pub fn from_gbdt(model: &Gbdt) -> Self {
-        let mut nodes = FlatNodes::new();
-        for tree in model.reg_trees() {
-            let src = tree.nodes();
-            nodes.push_tree(|id| match src[usize_from_u32(id)] {
-                RegNode::Leaf { value } => SrcNode::Leaf(value),
-                RegNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => SrcNode::Split {
-                    feature: u32::from(feature),
-                    threshold,
-                    left,
-                    right,
-                },
-            });
-        }
-        FlatGbdt {
-            nodes,
-            base_score: model.base_score(),
-            learning_rate: model.shrinkage(),
-        }
-    }
-
-    /// Number of boosting rounds.
-    pub fn n_trees(&self) -> usize {
-        self.nodes.roots.len()
-    }
-
-    /// Total node count across all flattened trees.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.n_nodes()
-    }
-
-    fn eval_block(&self, chunk: &[f32], n_features: usize, acc: &mut [f64]) {
-        for a in acc.iter_mut() {
-            *a = self.base_score;
-        }
-        let lr = self.learning_rate;
-        self.nodes
-            .fold_block(chunk, n_features, acc, |a, leaf| *a += lr * leaf);
-        for a in acc {
-            *a = sigmoid(*a);
-        }
-    }
-}
-
-impl BatchScorer for FlatGbdt {
-    fn predict_rows(&self, features: &[f32], n_features: usize) -> Vec<f64> {
-        batch_eval(features, n_features, |chunk, acc| {
-            self.eval_block(chunk, n_features, acc)
-        })
-    }
-
-    fn scorer_name(&self) -> &'static str {
-        "Flat GBDT"
-    }
-}
-
-impl Classifier for FlatGbdt {
-    /// Bit-identical to [`Gbdt::predict_proba`]: base score, then each
-    /// round's shrunken leaf value in fit order, then the sigmoid.
-    fn predict_proba(&self, row: &[f32]) -> f64 {
-        let mut score = self.base_score;
-        for &root in &self.nodes.roots {
-            score += self.learning_rate * self.nodes.leaf_for(root, row);
-        }
-        sigmoid(score)
-    }
-
-    fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
-        self.predict_rows(data.raw_features(), data.n_features())
-    }
-
-    fn name(&self) -> &'static str {
-        "Flat GBDT"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forest::ForestConfig;
-    use crate::gbdt::GbdtConfig;
     use ssd_stats::SplitMix64;
 
     fn ring_data(n: usize, seed: u64) -> Dataset {
@@ -547,31 +421,6 @@ mod tests {
             .collect();
         assert_eq!(flat.predict_batch(&data), per_row);
         assert_eq!(forest.predict_batch(&data), per_row);
-    }
-
-    #[test]
-    fn flat_gbdt_matches_pointer_gbdt_bitwise() {
-        let data = ring_data(400, 4);
-        let model = Gbdt::fit(
-            &GbdtConfig {
-                n_trees: 25,
-                ..Default::default()
-            },
-            &data,
-            5,
-        );
-        let flat = FlatGbdt::from_gbdt(&model);
-        assert_eq!(flat.n_trees(), 25);
-        for i in 0..data.n_rows() {
-            let p = model.predict_proba(data.row(i));
-            let q = flat.predict_proba(data.row(i));
-            assert_eq!(p.to_bits(), q.to_bits(), "row {i}: {p} vs {q}");
-        }
-        let per_row: Vec<f64> = (0..data.n_rows())
-            .map(|i| model.predict_proba(data.row(i)))
-            .collect();
-        assert_eq!(flat.predict_batch(&data), per_row);
-        assert_eq!(model.predict_batch(&data), per_row);
     }
 
     #[test]

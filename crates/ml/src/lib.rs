@@ -8,6 +8,8 @@
 //!   [`knn::Knn`], [`linear::LinearSvm`], [`Mlp`],
 //!   [`tree::DecisionTree`], and [`forest::RandomForest`] (with MDI feature
 //!   importances for Figure 16);
+//! * [`FlatForest`], a fitted forest flattened into node arrays for batch
+//!   scoring ([`flat`]): the risk scorer of the online pipeline;
 //! * the evaluation protocol of Section 5.1 — ROC curves and AUC
 //!   ([`metrics`]), and drive-grouped k-fold CV ([`cv`]) whose step 2,
 //!   training-side 1:1 downsampling, is [`downsample_majority`]: every
@@ -29,7 +31,6 @@ pub mod cv;
 pub mod dataset;
 pub mod flat;
 pub mod forest;
-pub mod gbdt;
 pub mod knn;
 pub mod linear;
 pub mod metrics;
@@ -41,9 +42,8 @@ pub mod tree;
 pub use classifier::{Classifier, Trainer};
 pub use cv::{cross_validate, cross_validate_batch, CvError, CvOptions, CvResult};
 pub use dataset::{Dataset, Scaler};
-pub use flat::{BatchScorer, FlatForest, FlatGbdt};
+pub use flat::{BatchScorer, FlatForest};
 pub use forest::{ForestConfig, RandomForest};
-pub use gbdt::{Gbdt, GbdtConfig};
 pub use knn::{Knn, KnnConfig};
 pub use linear::{LinearSvm, LinearSvmConfig, LogisticRegression, LogisticRegressionConfig};
 pub use metrics::{roc_auc, roc_auc_weighted, Confusion, RocCurve, RocPoint};

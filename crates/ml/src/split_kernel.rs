@@ -1,5 +1,5 @@
 //! Pre-sorted and binned column split kernel over a per-tree row layout,
-//! shared by the CART tree and the GBDT.
+//! the Gini split finder of the CART tree and so of the random forest.
 //!
 //! The naive CART recipe clones and re-sorts every candidate feature column
 //! at every node — `O(d · n log n)` *per node*. This module never sorts
@@ -31,12 +31,6 @@
 //! distinct rows. A node is a segment `[lo, hi)` of the row list and of
 //! every sorted order, plus its weighted sample count, which the caller
 //! threads separately.
-//!
-//! The GBDT uses the same layout with unit multiplicities (its subsample
-//! draws without replacement). Its [`NewtonCriterion`] sums `f64`
-//! gradients, whose rounding depends on the order they are added in, so
-//! the GBDT runs on an all-sorted layout (`PresortedDataset::build_sorted`)
-//! and adds them in `(value, row)` order.
 //!
 //! # Determinism and bit-identity
 //!
@@ -111,15 +105,15 @@ pub fn split_threshold(v_lo: f32, v_hi: f32) -> f32 {
     }
 }
 
-/// A chosen split: the feature, the decision threshold, its gain under the
-/// active criterion, and how many of the node's samples go left.
+/// A chosen split: the feature, the decision threshold, its Gini gain, and
+/// how many of the node's samples go left.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitChoice {
     /// Feature column the split tests.
     pub feature: u16,
     /// Decision threshold; rows with `value <= threshold` go left.
     pub threshold: f32,
-    /// Criterion gain of the split (impurity decrease / objective gain).
+    /// Gini impurity decrease of the split.
     pub gain: f64,
     /// Number of the node's samples (draws, counted with multiplicity) on
     /// the left side.
@@ -132,21 +126,6 @@ pub struct SplitChoice {
 pub(crate) struct GiniSplit {
     pub(crate) choice: SplitChoice,
     pub(crate) pos_left: usize,
-}
-
-/// Left-accumulating split objective evaluated at candidate boundaries.
-///
-/// The scan walks a node's samples in ascending feature-value order,
-/// folding each into the left side, and asks for the gain at every
-/// boundary between distinct values. Implementations hold the node totals.
-pub trait SplitCriterion {
-    /// Reset the left-side accumulators before scanning a new feature.
-    fn begin_feature(&mut self);
-    /// Fold sample `i` (an index into the criterion's statistics) into
-    /// the left side.
-    fn add_left(&mut self, i: usize);
-    /// Gain of splitting with `n_left` samples on the left.
-    fn gain(&self, n_left: usize) -> f64;
 }
 
 /// Gini gain arithmetic for one node: its size, positive count and
@@ -206,126 +185,6 @@ impl GiniNode {
             *best = Some((split_threshold(v_lo, v_hi), gain, n_left, pos_left));
         }
     }
-}
-
-/// Gini impurity decrease for the classification tree, as a
-/// [`SplitCriterion`] for the naive reference finder.
-pub struct GiniCriterion<'a> {
-    labels: &'a [bool],
-    node: GiniNode,
-    pos_left: usize,
-}
-
-impl<'a> GiniCriterion<'a> {
-    /// Criterion for a node with `n` samples, `n_pos` positives, over
-    /// per-sample `labels`.
-    pub fn new(labels: &'a [bool], n: usize, n_pos: usize) -> Self {
-        GiniCriterion { labels, node: GiniNode::new(n, n_pos), pos_left: 0 }
-    }
-}
-
-impl SplitCriterion for GiniCriterion<'_> {
-    fn begin_feature(&mut self) {
-        self.pos_left = 0;
-    }
-
-    fn add_left(&mut self, i: usize) {
-        self.pos_left += usize::from(self.labels[i]);
-    }
-
-    fn gain(&self, n_left: usize) -> f64 {
-        self.node.gain(n_left, self.pos_left)
-    }
-}
-
-/// Newton objective gain for the GBDT:
-/// `G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)`.
-pub struct NewtonCriterion<'a> {
-    grad: &'a [f64],
-    hess: &'a [f64],
-    lambda: f64,
-    g_tot: f64,
-    h_tot: f64,
-    parent: f64,
-    gl: f64,
-    hl: f64,
-}
-
-impl<'a> NewtonCriterion<'a> {
-    /// Criterion for a node with gradient/hessian totals `(g_tot, h_tot)`
-    /// over per-sample `grad`/`hess` statistics.
-    pub fn new(grad: &'a [f64], hess: &'a [f64], g_tot: f64, h_tot: f64, lambda: f64) -> Self {
-        NewtonCriterion {
-            grad,
-            hess,
-            lambda,
-            g_tot,
-            h_tot,
-            parent: g_tot * g_tot / (h_tot + lambda),
-            gl: 0.0,
-            hl: 0.0,
-        }
-    }
-}
-
-impl SplitCriterion for NewtonCriterion<'_> {
-    fn begin_feature(&mut self) {
-        self.gl = 0.0;
-        self.hl = 0.0;
-    }
-
-    fn add_left(&mut self, i: usize) {
-        self.gl += self.grad[i];
-        self.hl += self.hess[i];
-    }
-
-    fn gain(&self, _n_left: usize) -> f64 {
-        let gr = self.g_tot - self.gl;
-        let hr = self.h_tot - self.hl;
-        self.gl * self.gl / (self.hl + self.lambda) + gr * gr / (hr + self.lambda)
-            - self.parent
-    }
-}
-
-/// Scans one pre-sorted node segment of unit-weight samples for the best
-/// split boundary.
-///
-/// `order` is the node's samples in ascending feature-value order; `values`
-/// is the full column for that feature, indexed like `order`'s entries.
-/// Candidates are the boundaries between distinct adjacent values whose
-/// sides both hold at least `min_leaf` samples. Ties in gain keep the
-/// earliest boundary, and gains must clear a small epsilon (`GAIN_EPS`).
-/// Returns `(threshold, gain, split_at)`.
-pub fn scan_feature<C: SplitCriterion>(
-    order: &[u32],
-    values: &[f32],
-    min_leaf: usize,
-    crit: &mut C,
-) -> Option<(f32, f64, usize)> {
-    let n = order.len();
-    if n < 2 {
-        return None;
-    }
-    crit.begin_feature();
-    let mut best: Option<(f32, f64, usize)> = None;
-    for k in 0..n - 1 {
-        let i = usize_from_u32(order[k]);
-        crit.add_left(i);
-        let v_here = values[i];
-        let v_next = values[usize_from_u32(order[k + 1])];
-        if v_here == v_next {
-            continue; // can only split between distinct values
-        }
-        let n_left = k + 1;
-        if n_left < min_leaf || n - n_left < min_leaf {
-            continue;
-        }
-        let gain = crit.gain(n_left);
-        if gain > GAIN_EPS && best.is_none_or(|b| gain > b.1) {
-            best = Some((split_threshold(v_here, v_next), gain, n_left));
-        }
-    }
-    best
 }
 
 /// The Gini scan of a sorted column: walks the node's distinct rows in
@@ -490,9 +349,9 @@ impl PresortedDataset {
         Self::build_with(data, MAX_BINS)
     }
 
-    /// Every column sorted, none binned: the layout of the GBDT, whose
-    /// Newton scan must add gradients in value order.
-    pub(crate) fn build_sorted(data: &Dataset) -> Self {
+    /// Every column sorted, none binned: the layout on which
+    /// [`presorted_best_split_gini`] tests the sorted scan alone.
+    fn build_sorted(data: &Dataset) -> Self {
         Self::build_with(data, 0)
     }
 
@@ -546,7 +405,7 @@ impl PresortedDataset {
 
     /// Sorted column `k`'s values by dataset row.
     #[inline]
-    pub(crate) fn values_of(&self, k: usize) -> &[f32] {
+    fn values_of(&self, k: usize) -> &[f32] {
         &self.values[k * self.n_rows..(k + 1) * self.n_rows]
     }
 
@@ -649,7 +508,7 @@ impl TreeScratch {
 
     /// The node segment `[lo, hi)` of sorted column `k`'s order.
     #[inline]
-    pub(crate) fn order_segment(&self, k: usize, lo: usize, hi: usize) -> &[u32] {
+    fn order_segment(&self, k: usize, lo: usize, hi: usize) -> &[u32] {
         let base = k * self.rows.len();
         &self.order[base + lo..base + hi]
     }
@@ -784,56 +643,41 @@ fn partition(seg: &mut [u32], right: &[u8], n_left: usize, tmp: &mut [u32]) {
 
 /// The naive per-node split finder the tree used before the pre-sorted
 /// kernel, retained as a test reference: per feature it copies the node's
-/// samples, sorts them by `(value, position)`, and scans —
-/// `O(d · n log n)` for a single call. `indices` lists dataset rows, one
-/// sample per entry. Semantics (candidate boundaries, `min_leaf`, tie
-/// handling, threshold clamp, gain epsilon) match the production kernel
-/// exactly.
+/// samples, sorts them by `(value, position)`, and scans them one sample
+/// at a time — `O(d · n log n)` for a single call. `indices` lists dataset
+/// rows, one sample per entry. Semantics (candidate boundaries,
+/// `min_leaf`, tie handling, threshold clamp, gain epsilon) match the
+/// production kernel exactly.
 pub fn reference_best_split_gini(
     data: &Dataset,
     indices: &[usize],
     min_leaf: usize,
 ) -> Option<SplitChoice> {
-    let labels: Vec<bool> = indices.iter().map(|&i| data.label(i)).collect();
-    let n_pos = labels.iter().filter(|&&l| l).count();
-    let mut crit = GiniCriterion::new(&labels, indices.len(), n_pos);
-    reference_scan(data, indices, min_leaf, &mut crit)
-}
-
-/// Naive reference for the GBDT's Newton-objective split finder; see
-/// [`reference_best_split_gini`]. `grad`/`hess` are per-sample statistics
-/// (parallel to `indices`); totals are summed in sample order.
-pub fn reference_best_split_newton(
-    data: &Dataset,
-    indices: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    lambda: f64,
-    min_leaf: usize,
-) -> Option<SplitChoice> {
-    let g_tot: f64 = grad.iter().sum();
-    let h_tot: f64 = hess.iter().sum();
-    let mut crit = NewtonCriterion::new(grad, hess, g_tot, h_tot, lambda);
-    reference_scan(data, indices, min_leaf, &mut crit)
-}
-
-fn reference_scan<C: SplitCriterion>(
-    data: &Dataset,
-    indices: &[usize],
-    min_leaf: usize,
-    crit: &mut C,
-) -> Option<SplitChoice> {
     let m = indices.len();
     if m < 2 {
         return None;
     }
+    let labels: Vec<bool> = indices.iter().map(|&i| data.label(i)).collect();
+    let node = GiniNode::new(m, labels.iter().filter(|&&l| l).count());
     let mut best: Option<SplitChoice> = None;
     for f in 0..u16_from_usize(data.n_features()) {
         let vals: Vec<f32> = indices.iter().map(|&i| data.row(i)[usize::from(f)]).collect();
         let order = naive_order(&vals);
-        if let Some((threshold, gain, split_at)) = scan_feature(&order, &vals, min_leaf, crit) {
-            if best.is_none_or(|b| gain > b.gain) {
-                best = Some(SplitChoice { feature: f, threshold, gain, split_at });
+        let mut pos_left = 0usize;
+        for k in 0..m - 1 {
+            let i = usize_from_u32(order[k]);
+            pos_left += usize::from(labels[i]);
+            let (v_here, v_next) = (vals[i], vals[usize_from_u32(order[k + 1])]);
+            let n_left = k + 1;
+            // Only a boundary between distinct values, with `min_leaf`
+            // samples on each side, is a candidate.
+            if v_here == v_next || n_left < min_leaf || m - n_left < min_leaf {
+                continue;
+            }
+            let gain = node.gain(n_left, pos_left);
+            if gain > GAIN_EPS && best.is_none_or(|b| gain > b.gain) {
+                let threshold = split_threshold(v_here, v_next);
+                best = Some(SplitChoice { feature: f, threshold, gain, split_at: n_left });
             }
         }
     }
@@ -887,40 +731,6 @@ fn root_split_gini(
         if let Some(s) = scratch.scan_gini(pre, f, 0, rows, min_leaf, node) {
             if best.is_none_or(|b| s.choice.gain > b.gain) {
                 best = Some(s.choice);
-            }
-        }
-    }
-    best
-}
-
-/// Pre-sorted counterpart of [`reference_best_split_newton`], on the
-/// GBDT's all-sorted layout. The sample is materialised as its own dataset
-/// so that every sample is a distinct row of unit weight, as in a GBDT
-/// round: ties then keep the reference's `(value, position)` order, on
-/// which the `f64` gradient sums depend.
-pub fn presorted_best_split_newton(
-    data: &Dataset,
-    indices: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    lambda: f64,
-    min_leaf: usize,
-) -> Option<SplitChoice> {
-    let sample = data.select(indices);
-    let pre = PresortedDataset::build_sorted(&sample);
-    let mut scratch = TreeScratch::new();
-    let (n, _) = scratch.sample(&pre, &sample, 0..indices.len());
-    let g_tot: f64 = grad.iter().sum();
-    let h_tot: f64 = hess.iter().sum();
-    let mut crit = NewtonCriterion::new(grad, hess, g_tot, h_tot, lambda);
-    let mut best: Option<SplitChoice> = None;
-    for f in 0..data.n_features() {
-        let order = scratch.order_segment(f, 0, n);
-        let found = scan_feature(order, pre.values_of(f), min_leaf, &mut crit);
-        if let Some((threshold, gain, split_at)) = found {
-            if best.is_none_or(|b| gain > b.gain) {
-                let feature = u16_from_usize(f);
-                best = Some(SplitChoice { feature, threshold, gain, split_at });
             }
         }
     }

@@ -1,8 +1,8 @@
-//! Equivalence battery for the flattened ensembles (`ssd_ml::flat`).
+//! Equivalence battery for the flattened forest (`ssd_ml::flat`).
 //!
-//! The flat scorers exist purely for speed: every prediction they make
-//! must be *bit-identical* to the pointer model they were flattened from.
-//! These properties fit small ensembles on adversarial random datasets —
+//! The flat scorer exists purely for speed: every prediction it makes
+//! must be *bit-identical* to the pointer forest it was flattened from.
+//! These properties fit small forests on adversarial random datasets —
 //! heavy ties, quantized columns, bootstrap-style duplicate rows — and
 //! compare pointer vs flat per row, per batch, and across block
 //! boundaries, down to the last mantissa bit. Non-finite values are
@@ -10,10 +10,7 @@
 //! (`Dataset::push_row` panics), while *scoring* rows may carry NaN/±inf
 //! and must route through flat trees exactly as through pointer trees.
 
-use ssd_ml::{
-    BatchScorer, Classifier, Dataset, FlatForest, FlatGbdt, ForestConfig, Gbdt, GbdtConfig,
-    RandomForest,
-};
+use ssd_ml::{BatchScorer, Classifier, Dataset, FlatForest, ForestConfig, RandomForest};
 use ssd_testkit::{for_each_case, Gen};
 
 /// Random train set with the tie-heavy shapes that break tree code:
@@ -83,29 +80,6 @@ fn flat_forest_is_bit_identical_on_random_tied_datasets() {
 }
 
 #[test]
-fn flat_gbdt_is_bit_identical_on_random_tied_datasets() {
-    for_each_case("flat_gbdt_is_bit_identical_on_random_tied_datasets", 32, |g| {
-        let data = tied_data(g);
-        let cfg = GbdtConfig {
-            n_trees: g.usize_in(1, 20),
-            ..Default::default()
-        };
-        let model = Gbdt::fit(&cfg, &data, g.u64());
-        let flat = FlatGbdt::from_gbdt(&model);
-        for i in 0..data.n_rows() {
-            let p = model.predict_proba(data.row(i));
-            let q = flat.predict_proba(data.row(i));
-            assert_eq!(p.to_bits(), q.to_bits(), "train row {i}");
-        }
-        let rows = probes(g, data.n_features(), 17);
-        let flat_buf: Vec<f32> = rows.iter().flatten().copied().collect();
-        let want: Vec<f64> = rows.iter().map(|r| model.predict_proba(r)).collect();
-        let got = flat.predict_rows(&flat_buf, data.n_features());
-        assert_bits_eq("gbdt probes", &want, &got);
-    });
-}
-
-#[test]
 fn flat_walks_route_non_finite_probes_like_pointer_trees() {
     // NaN fails every `x <= t` comparison, so both implementations must
     // send it to the right child at every split; ±inf exercises the
@@ -123,15 +97,6 @@ fn flat_walks_route_non_finite_probes_like_pointer_trees() {
             g.u64(),
         );
         let flat_f = FlatForest::from_forest(&forest);
-        let gbdt = Gbdt::fit(
-            &GbdtConfig {
-                n_trees: 8,
-                ..Default::default()
-            },
-            &data,
-            g.u64(),
-        );
-        let flat_g = FlatGbdt::from_gbdt(&gbdt);
 
         let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         for _ in 0..8 {
@@ -143,9 +108,6 @@ fn flat_walks_route_non_finite_probes_like_pointer_trees() {
             let p = forest.predict_proba(&row);
             let q = flat_f.predict_proba(&row);
             assert_eq!(p.to_bits(), q.to_bits(), "forest probe {row:?}");
-            let p = gbdt.predict_proba(&row);
-            let q = flat_g.predict_proba(&row);
-            assert_eq!(p.to_bits(), q.to_bits(), "gbdt probe {row:?}");
             // The blocked batch path must agree too.
             let batch = flat_f.predict_rows(&row, d);
             assert_eq!(batch[0].to_bits(), flat_f.predict_proba(&row).to_bits());

@@ -1,6 +1,6 @@
 //! Golden-prediction pins for the tree-family learners and k-NN.
 //!
-//! The exact scores of `DecisionTree`, `RandomForest`, and `Gbdt` on fixed
+//! The exact scores of `DecisionTree` and `RandomForest` on fixed
 //! seeds were captured from the per-node-sorting implementation that
 //! predates the pre-sorted column kernel (with the threshold-rounding
 //! clamp already applied, since that bugfix intentionally moves thresholds
@@ -17,7 +17,7 @@
 //! — but only after convincing yourself the change is *supposed* to move
 //! predictions.
 
-use ssd_ml::{Classifier, Dataset, ForestConfig, Gbdt, GbdtConfig, Knn, KnnConfig, RandomForest};
+use ssd_ml::{Classifier, Dataset, ForestConfig, Knn, KnnConfig, RandomForest};
 use ssd_ml::{DecisionTree, TreeConfig};
 use ssd_stats::SplitMix64;
 
@@ -86,30 +86,6 @@ fn random_forest_scores_are_pinned() {
 }
 
 #[test]
-fn gbdt_scores_are_pinned() {
-    let data = golden_data();
-    let cfg = GbdtConfig {
-        n_trees: 30,
-        ..Default::default()
-    };
-    let model = Gbdt::fit(&cfg, &data, 3);
-    let got: Vec<f64> = probe_rows().iter().map(|r| model.predict_proba(r)).collect();
-    check("gbdt", &got, &GBDT_GOLDEN);
-    // The kernel rewrite moved gradient/hessian accumulation to the
-    // deterministic sorted-scan order; float addition is not associative,
-    // so leaf values drifted a few ulps from the per-node-sorting
-    // implementation. Same trees, same splits: pin that the drift against
-    // the pre-rewrite scores stays in rounding noise.
-    for (i, (&p, &w)) in got.iter().zip(&GBDT_PRE_REWRITE).enumerate() {
-        let want = f64::from_bits(w);
-        assert!(
-            (p - want).abs() <= 1e-12,
-            "gbdt[{i}] drifted beyond rounding noise: {p} vs pre-rewrite {want}"
-        );
-    }
-}
-
-#[test]
 fn knn_scores_are_pinned() {
     let data = golden_data();
     let probes = probe_rows();
@@ -156,36 +132,6 @@ const FOREST_GOLDEN: [u64; 10] = [
     0x3FCDDDDDDDDDDDDE,
     0x3FE493A182222222,
     0x3FE6666666666666,
-];
-
-const GBDT_GOLDEN: [u64; 10] = [
-    0x3FD7FF1A43CE0C27,
-    0x3FE829DE7F85C18C,
-    0x3FDD4AFACA20574C,
-    0x3FE1B449811CA9CC,
-    0x3FE0A29DA10811EE,
-    0x3FDCB51F34782B4C,
-    0x3FE47289B24700FC,
-    0x3FD8E50A0089E3D7,
-    0x3FD5206C57224A82,
-    0x3FE061705E366612,
-];
-
-/// GBDT scores captured from the per-node-sorting implementation (with
-/// the threshold clamp), kept to pin that the kernel rewrite only moved
-/// predictions by float-summation-order rounding (≤ 4 ulps), never by a
-/// different split.
-const GBDT_PRE_REWRITE: [u64; 10] = [
-    0x3FD7FF1A43CE0C27,
-    0x3FE829DE7F85C18C,
-    0x3FDD4AFACA205750,
-    0x3FE1B449811CA9CD,
-    0x3FE0A29DA10811EE,
-    0x3FDCB51F34782B4C,
-    0x3FE47289B24700FC,
-    0x3FD8E50A0089E3D7,
-    0x3FD5206C57224A82,
-    0x3FE061705E366613,
 ];
 
 /// k = 15, inverse-distance votes.

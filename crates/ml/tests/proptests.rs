@@ -2,8 +2,7 @@
 //! invariants, and classifier output contracts.
 
 use ssd_ml::split_kernel::{
-    binned_best_split_gini, presorted_best_split_gini, presorted_best_split_newton,
-    reference_best_split_gini, reference_best_split_newton,
+    binned_best_split_gini, presorted_best_split_gini, reference_best_split_gini,
 };
 use ssd_ml::{
     downsample_majority, grouped_kfold, roc_auc, Classifier, Confusion, Dataset, DecisionTree,
@@ -255,31 +254,6 @@ fn presorted_gini_split_matches_naive_reference() {
                 }
                 _ => panic!("split disagreement: reference {want:?}, {name} {got:?}"),
             }
-        }
-    });
-}
-
-#[test]
-fn presorted_newton_split_matches_naive_reference() {
-    for_each_case("presorted_newton_split_matches_naive_reference", 512, |g| {
-        let (data, indices) = kernel_case(g);
-        let min_leaf = g.usize_in(1, 4);
-        // Per-slot gradient/hessian stats as the GBDT would gather them.
-        let grad: Vec<f64> = (0..indices.len()).map(|_| g.f64_in(-1.0, 1.0)).collect();
-        let hess: Vec<f64> = (0..indices.len()).map(|_| g.f64_in(1e-6, 0.25)).collect();
-        let want = reference_best_split_newton(&data, &indices, &grad, &hess, 1.0, min_leaf);
-        let got = presorted_best_split_newton(&data, &indices, &grad, &hess, 1.0, min_leaf);
-        match (&want, &got) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.feature, b.feature, "feature: {a:?} vs {b:?}");
-                assert_eq!(a.threshold.to_bits(), b.threshold.to_bits(), "{a:?} vs {b:?}");
-                assert_eq!(a.split_at, b.split_at, "{a:?} vs {b:?}");
-                // Both scans accumulate in the same (value, slot) order, so
-                // even the float sums agree bit-for-bit.
-                assert_eq!(a.gain.to_bits(), b.gain.to_bits(), "{a:?} vs {b:?}");
-            }
-            _ => panic!("split disagreement: reference {want:?}, presorted {got:?}"),
         }
     });
 }

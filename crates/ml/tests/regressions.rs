@@ -12,7 +12,7 @@
 //! 4. `validate()` on every config, with a descriptive panic per
 //!    degenerate hyperparameter.
 
-use ssd_ml::{Classifier, Dataset, ForestConfig, Gbdt, GbdtConfig, RandomForest};
+use ssd_ml::{Classifier, Dataset, ForestConfig, RandomForest};
 use ssd_ml::{DecisionTree, TreeConfig};
 use ssd_stats::SplitMix64;
 
@@ -58,28 +58,6 @@ fn tree_threshold_separates_adjacent_floats() {
     // leaf. Both rows must land in their own pure leaf.
     assert_eq!(m.predict_proba(&[v_lo]), 0.0, "v_lo must go left");
     assert_eq!(m.predict_proba(&[v_hi]), 1.0, "v_hi must go right");
-}
-
-#[test]
-fn gbdt_threshold_separates_adjacent_floats() {
-    let (d, v_lo, v_hi) = adjacent_data();
-    let m = Gbdt::fit(
-        &GbdtConfig {
-            n_trees: 25,
-            max_depth: 2,
-            min_samples_leaf: 1,
-            subsample: 1.0,
-            ..Default::default()
-        },
-        &d,
-        0,
-    );
-    // An unclamped threshold collapses both values into the left child of
-    // every tree, leaving both predictions at the 50% prior.
-    let p_lo = m.predict_proba(&[v_lo]);
-    let p_hi = m.predict_proba(&[v_hi]);
-    assert!(p_lo < 0.2, "v_lo scored {p_lo}, expected near 0");
-    assert!(p_hi > 0.8, "v_hi scored {p_hi}, expected near 1");
 }
 
 // ---------------------------------------------------------------------
@@ -242,66 +220,6 @@ fn forest_validates_nested_tree_config() {
     let mut cfg = ForestConfig::default();
     cfg.tree.max_depth = 0;
     RandomForest::fit(&cfg, &two_class_data(), 0);
-}
-
-#[test]
-#[should_panic(expected = "GbdtConfig.n_trees must be >= 1")]
-fn gbdt_rejects_zero_trees() {
-    let cfg = GbdtConfig {
-        n_trees: 0,
-        ..Default::default()
-    };
-    Gbdt::fit(&cfg, &two_class_data(), 0);
-}
-
-#[test]
-#[should_panic(expected = "GbdtConfig.learning_rate must be a finite positive number")]
-fn gbdt_rejects_zero_learning_rate() {
-    let cfg = GbdtConfig {
-        learning_rate: 0.0,
-        ..Default::default()
-    };
-    Gbdt::fit(&cfg, &two_class_data(), 0);
-}
-
-#[test]
-#[should_panic(expected = "GbdtConfig.max_depth must be >= 1")]
-fn gbdt_rejects_zero_depth() {
-    let cfg = GbdtConfig {
-        max_depth: 0,
-        ..Default::default()
-    };
-    Gbdt::fit(&cfg, &two_class_data(), 0);
-}
-
-#[test]
-#[should_panic(expected = "GbdtConfig.min_samples_leaf must be >= 1")]
-fn gbdt_rejects_zero_min_samples_leaf() {
-    let cfg = GbdtConfig {
-        min_samples_leaf: 0,
-        ..Default::default()
-    };
-    Gbdt::fit(&cfg, &two_class_data(), 0);
-}
-
-#[test]
-#[should_panic(expected = "GbdtConfig.subsample must be in (0, 1]")]
-fn gbdt_rejects_zero_subsample() {
-    let cfg = GbdtConfig {
-        subsample: 0.0,
-        ..Default::default()
-    };
-    Gbdt::fit(&cfg, &two_class_data(), 0);
-}
-
-#[test]
-#[should_panic(expected = "GbdtConfig.subsample must be in (0, 1]")]
-fn gbdt_rejects_subsample_above_one() {
-    let cfg = GbdtConfig {
-        subsample: 1.5,
-        ..Default::default()
-    };
-    Gbdt::fit(&cfg, &two_class_data(), 0);
 }
 
 // ---------------------------------------------------------------------

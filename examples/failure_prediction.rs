@@ -11,10 +11,10 @@
 //! ```
 
 use ssd_field_study::core::predict::six_model_trainers;
-use ssd_field_study::core::{build_dataset, ExtractOptions};
+use ssd_field_study::core::{build_dataset, ExtractOptions, PredictConfig};
+use ssd_field_study::ml::split::complement;
 use ssd_field_study::ml::{
-    cross_validate, downsample_majority, grouped_kfold, Confusion, CvError, CvOptions,
-    ForestConfig, GbdtConfig, RocCurve, Trainer,
+    cross_validate, grouped_kfold, Classifier, Confusion, CvError, CvOptions, RocCurve,
 };
 use ssd_field_study::sim::{FleetGen, SimConfig};
 
@@ -43,22 +43,22 @@ fn main() -> Result<(), CvError> {
         downsample_ratio: 1.0,
         seed: 9,
     };
-    // The paper's six families plus gradient boosting, the natural
-    // "improve prediction for large N" follow-up.
-    let mut trainers = six_model_trainers();
-    trainers.push(Box::new(GbdtConfig::default()));
     println!("cross-validated ROC AUC (N = 3 days):");
-    for t in &trainers {
+    for t in &six_model_trainers() {
         let r = cross_validate(t.as_ref(), &data, &cv)?;
         println!("  {:<16} {}", t.name(), r.display());
     }
 
     // -- Pick an operating point on a held-out fold -----------------------
+    // Step 2 of the protocol: the default forest on the 1:1-downsampled
+    // training side, downsample and fit both seeded 9.
+    let fit = PredictConfig {
+        cv,
+        seed: 9,
+        ..PredictConfig::default()
+    };
     let folds = grouped_kfold(&data, 5, 9)?;
-    let in_test: std::collections::HashSet<usize> = folds[0].iter().copied().collect();
-    let train_idx: Vec<usize> = (0..data.n_rows()).filter(|i| !in_test.contains(i)).collect();
-    let train_idx = downsample_majority(&data, &train_idx, 1.0, 9)?;
-    let model = ForestConfig::default().fit(&data.select(&train_idx), 9);
+    let model = fit.fit_forest(&data, &complement(&data, &folds[0]))?;
     let test = data.select(&folds[0]);
     let scores = model.predict_batch(&test);
     let curve = RocCurve::compute(&scores, test.labels());

@@ -51,10 +51,12 @@ cargo bench --no-run --offline --workspace
 echo "== bench smoke: bench_sim (incl. sparse span walker + encode_stream/decode_stream) + ML kernels + flat predict =="
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_sim
 
-# "train_" selects both training groups: train_2k_rows and train_imbalanced.
+# "train_" selects both training groups: train_2k_rows (one fit per
+# Table 6 family, the forest as forest_50) and train_imbalanced.
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels train_
 # Batch scoring of one Table-6-shaped CV fold: k-NN and a 100-tree forest.
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels score_cv_fold
+# Pointer vs flattened scoring of a 50-tree forest: pointer_forest_50, flat_forest.
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_flat_predict flat_predict
 
 echo "== streaming smoke: generate -> summarize, truncated/corrupt archives rejected =="
@@ -166,5 +168,27 @@ fi
 
 echo "== examples compile =="
 cargo build --offline --examples
+
+echo "== examples run: each example once in release, a nonzero exit fails =="
+cargo build -q --offline --release --examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  example_start="$(date +%s)"
+  if [ "$name" = observation_audit ]; then
+    # The audit exits 1 when an observation does not hold. On its own
+    # fleet (seed 13, 700 drives per model) observations 3 and 13 do
+    # not; any other exit status or set of failing observations fails.
+    status=0
+    target/release/examples/observation_audit > "$smoke_dir/audit.txt" || status=$?
+    failing="$(awk '$2 == "NO" { printf "%s ", $1 }' "$smoke_dir/audit.txt")"
+    if [ "$status" != 1 ] || [ "$failing" != "3 13 " ]; then
+      echo "ERROR: observation_audit exited $status with failing observations '$failing' (pinned: exit 1, '3 13 ')"
+      exit 1
+    fi
+  else
+    "target/release/examples/$name" > /dev/null
+  fi
+  echo "$name: $(( $(date +%s) - example_start ))s"
+done
 
 echo "verify: all green"

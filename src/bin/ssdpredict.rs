@@ -3,9 +3,8 @@
 //! swap risk.
 //!
 //! ```text
-//! ssdpredict --trace PATH [--horizon DAYS] [--model forest|gbdt]
-//!            [--lookahead N] [--trees T] [--seed S] [--sample-rate R]
-//!            [--top K]
+//! ssdpredict --trace PATH [--horizon DAYS] [--lookahead N] [--trees T]
+//!            [--seed S] [--sample-rate R] [--top K]
 //! ```
 //!
 //! `PATH` may be a `.ssdfs` binary archive, a `.json` export, or a CSV
@@ -14,8 +13,8 @@
 //!
 //! 1. **Train** — `serve::train_scorer`, the trainer `ssdserve` loads
 //!    with: every drive folds into a labeled dataset (swap within
-//!    `--lookahead` days), a random forest or GBDT is fitted, and the
-//!    ensemble is flattened into contiguous node arrays (`ssd_ml::flat`).
+//!    `--lookahead` days), a `--trees`-tree random forest is fitted, and
+//!    it is flattened into contiguous node arrays (`ssd_ml::flat`).
 //! 2. **Score** — each drive's history replays through [`OnlineFleet`]'s
 //!    incremental feature state; `OnlineFleet::rank` then scores the
 //!    whole fleet's current day in one batch call and orders it the way
@@ -27,8 +26,8 @@
 //! report, the only ones with a current day to score; `mean score`
 //! averages over those.
 //!
-//! `--model`, `--trees`, `--lookahead` and `--sample-rate` are checked
-//! before the trace is opened, with the same rules as `ssdserve`.
+//! `--trees`, `--lookahead` and `--sample-rate` are checked before the
+//! trace is opened, with the same rules as `ssdserve`.
 //!
 //! Output is deterministic for fixed inputs and flags, for every
 //! thread-pool size.
@@ -41,8 +40,8 @@ use ssd_field_study_core::OnlineFleet;
 use ssd_types::source::TraceSource;
 use ssd_types::{DriveId, DriveLog, DriveModel};
 
-const USAGE: &str = "ssdpredict --trace PATH [--horizon DAYS] [--model forest|gbdt] \
-                     [--lookahead N] [--trees T] [--seed S] [--sample-rate R] [--top K]";
+const USAGE: &str = "ssdpredict --trace PATH [--horizon DAYS] [--lookahead N] [--trees T] \
+                     [--seed S] [--sample-rate R] [--top K]";
 
 struct Args {
     trace: String,
@@ -57,7 +56,6 @@ struct Args {
 fn parse_args() -> Result<Args, UsageError> {
     let mut trace = String::new();
     let mut horizon = None;
-    let mut model = "forest".to_string();
     let mut trees = 30;
     let mut lookahead = 7;
     let mut seed = 0;
@@ -68,7 +66,6 @@ fn parse_args() -> Result<Args, UsageError> {
         match a.as_str() {
             "--trace" => trace = it.value("--trace")?,
             "--horizon" => horizon = Some(it.parsed("--horizon")?),
-            "--model" => model = it.value("--model")?,
             "--lookahead" => lookahead = it.parsed("--lookahead")?,
             "--trees" => trees = it.parsed("--trees")?,
             "--seed" => seed = it.parsed("--seed")?,
@@ -80,7 +77,7 @@ fn parse_args() -> Result<Args, UsageError> {
     if trace.is_empty() {
         return Err("--trace is required".into());
     }
-    let scorer = ScorerSpec::parse(&model, trees, false)?;
+    let scorer = ScorerSpec::Forest { trees };
     scorer.check(lookahead, sample_rate)?;
     Ok(Args {
         trace,

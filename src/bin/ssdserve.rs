@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ssdserve --trace PATH [--horizon DAYS] [--shards N] [--queue-cap CONNS]
-//!          [--model forest|gbdt|none] [--trees T] [--seed S]
+//!          [--model forest|none] [--trees T] [--seed S]
 //!          [--lookahead N] [--sample-rate R] [--socket PATH]
 //! ```
 //!
@@ -32,7 +32,7 @@ use ssd_types::source::TraceSource;
 use std::sync::Arc;
 
 const USAGE: &str = "ssdserve --trace PATH [--horizon DAYS] [--shards N] \
-                     [--queue-cap CONNS] [--model forest|gbdt|none] [--trees T] [--seed S] \
+                     [--queue-cap CONNS] [--model forest|none] [--trees T] [--seed S] \
                      [--lookahead N] [--sample-rate R] [--socket PATH]";
 
 struct Args {
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Args, UsageError> {
     if cfg.shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    cfg.scorer = ScorerSpec::parse(&model, trees, true)?;
+    cfg.scorer = ScorerSpec::parse(&model, trees)?;
     cfg.scorer.check(cfg.lookahead_days, cfg.sample_rate)?;
     Ok(Args {
         trace,

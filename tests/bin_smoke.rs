@@ -445,30 +445,6 @@ fn ssdpredict_ranks_fleet_from_binary_archive() {
 }
 
 #[test]
-fn ssdpredict_gbdt_model_runs_on_the_same_archive() {
-    let dir = scratch("predict_gbdt");
-    gen_predict_trace(&dir);
-    let out = run(
-        env!("CARGO_BIN_EXE_ssdpredict"),
-        &[
-            "--trace",
-            dir.join("trace.ssdfs").to_str().unwrap(),
-            "--model",
-            "gbdt",
-            "--lookahead",
-            "14",
-            "--sample-rate",
-            "0.5",
-            "--trees",
-            "10",
-        ],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("trained Flat GBDT"), "missing train line:\n{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn training_flags_are_usage_errors_before_the_trace_is_opened() {
     // The trace does not exist: a bin that opened it before checking its
     // flags would exit 1 with a read error instead of 2.
@@ -477,12 +453,13 @@ fn training_flags_are_usage_errors_before_the_trace_is_opened() {
         ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--trees", "0"], "--trees"),
         ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--sample-rate", "0"], "--sample-rate"),
         ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--lookahead", "0"], "--lookahead"),
-        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--model", "bogus"], "unknown model 'bogus'"),
-        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--model", "none"], "unknown model 'none'"),
+        // The forest is ssdpredict's only scorer, so it has no --model flag.
+        ("ssdpredict", env!("CARGO_BIN_EXE_ssdpredict"), &["--model", "forest"], "unknown argument --model"),
         ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--trees", "0"], "--trees"),
         ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--sample-rate", "0"], "--sample-rate"),
         ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--lookahead", "0"], "--lookahead"),
         ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--model", "bogus"], "unknown model 'bogus'"),
+        ("ssdserve", env!("CARGO_BIN_EXE_ssdserve"), &["--model", "gbdt"], "unknown model 'gbdt' (use forest|none)"),
         (
             "ssdserve",
             env!("CARGO_BIN_EXE_ssdserve"),
