@@ -87,29 +87,43 @@ impl OnlineFleet {
     /// every [`TraceSource`](ssd_types::source::TraceSource) yields
     /// them); drives may interleave arbitrarily.
     pub fn observe(&mut self, id: DriveId, model: DriveModel, report: &DailyReport) {
-        let slot = match self.slots.get(&id.0) {
-            Some(&s) => s,
-            None => {
-                let s = self.ids.len();
-                self.slots.insert(id.0, s);
-                self.ids.push(id);
-                self.models.push(model);
-                self.state.push(RollingFeatures::new());
-                self.features.extend(std::iter::repeat_n(0.0, N_FEATURES));
-                s
-            }
-        };
+        let slot = self.slot_of(id, model);
         let st = &mut self.state[slot];
         st.accumulate(report);
         st.write_row(report, &mut self.features[slot * N_FEATURES..(slot + 1) * N_FEATURES]);
     }
 
-    /// Replays a whole drive history through [`observe`](Self::observe) —
-    /// the drive-major shape archives stream in.
+    /// Folds a run of a drive's reports, in age order, the drive-major
+    /// shape archives stream in: the same state and feature row as
+    /// [`observe`](Self::observe) once per report, from one slot lookup
+    /// and one row write (a row holds only the cumulative counters and the
+    /// last report). The log may continue a history observed earlier. An
+    /// empty log changes nothing; in particular it adds no drive.
     pub fn observe_drive(&mut self, log: &DriveLog) {
+        let Some(last) = log.reports.last() else {
+            return;
+        };
+        let slot = self.slot_of(log.id, log.model);
+        let st = &mut self.state[slot];
         for r in &log.reports {
-            self.observe(log.id, log.model, r);
+            st.accumulate(r);
         }
+        st.write_row(last, &mut self.features[slot * N_FEATURES..(slot + 1) * N_FEATURES]);
+    }
+
+    /// The slot of drive `id`, added with `model` and a zero row on its
+    /// first observation.
+    fn slot_of(&mut self, id: DriveId, model: DriveModel) -> usize {
+        if let Some(&s) = self.slots.get(&id.0) {
+            return s;
+        }
+        let s = self.ids.len();
+        self.slots.insert(id.0, s);
+        self.ids.push(id);
+        self.models.push(model);
+        self.state.push(RollingFeatures::new());
+        self.features.extend(std::iter::repeat_n(0.0, N_FEATURES));
+        s
     }
 
     /// The current feature row for a drive, if it has been observed.
@@ -255,6 +269,52 @@ mod tests {
                 log.id.0
             );
         }
+    }
+
+    #[test]
+    fn observe_drive_matches_halves_and_per_report_folds() {
+        let trace = sub_trace(40);
+        let (mut whole, mut halves, mut per_report) =
+            (OnlineFleet::new(), OnlineFleet::new(), OnlineFleet::new());
+        for log in trace.drives.iter().filter(|l| l.reports.len() >= 2) {
+            whole.observe_drive(log);
+            let (head, tail) = log.reports.split_at(log.reports.len() / 2);
+            for part in [head, tail] {
+                let mut half = log.clone();
+                half.reports = part.to_vec();
+                halves.observe_drive(&half);
+            }
+            for r in &log.reports {
+                per_report.observe(log.id, log.model, r);
+            }
+        }
+        assert!(whole.n_drives() > 0);
+        for other in [&halves, &per_report] {
+            assert_eq!(other.ids(), whole.ids());
+            assert_eq!(other.models, whole.models);
+            for &id in whole.ids() {
+                assert_eq!(other.features_of(id), whole.features_of(id), "drive {}", id.0);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_log_adds_no_drive() {
+        let trace = sub_trace(5);
+        let mut fleet = OnlineFleet::new();
+        let mut empty = trace.drives[0].clone();
+        empty.reports.clear();
+        fleet.observe_drive(&empty);
+        assert_eq!(fleet.n_drives(), 0);
+        assert_eq!(fleet.features_of(empty.id), None);
+        let seen = trace.drives.iter().find(|l| !l.reports.is_empty()).unwrap();
+        fleet.observe_drive(seen);
+        let row = fleet.features_of(seen.id).unwrap().to_vec();
+        let mut again = seen.clone();
+        again.reports.clear();
+        fleet.observe_drive(&again);
+        assert_eq!(fleet.n_drives(), 1);
+        assert_eq!(fleet.features_of(seen.id), Some(&row[..]));
     }
 
     #[test]

@@ -4,10 +4,10 @@ use ssd_types::cast::f64_from_usize;
 
 /// A supervised binary-classification dataset.
 ///
-/// Features are stored row-major in one contiguous `Vec<f32>` (structure of
-/// arrays was measured slower for the tree learner's per-feature sorts at
-/// our row counts once gather costs are included; row-major also makes
-/// single-row prediction cache-friendly).
+/// Features are stored row-major in one contiguous `Vec<f32>`: rows are
+/// pushed, selected and scored whole, so single-row prediction stays
+/// cache-friendly. The tree learner reads columns from its own copy, the
+/// per-fit layout [`crate::split_kernel`] builds once from these rows.
 ///
 /// `groups` carries the drive ID of each row: the paper partitions
 /// cross-validation folds *by drive* because "error and workload for a

@@ -4,7 +4,8 @@
 //! The naive CART recipe clones and re-sorts every candidate feature column
 //! at every node — `O(d · n log n)` *per node*. This module never sorts
 //! inside a tree. `PresortedDataset::build` looks at each feature column
-//! once per ensemble fit and stores it as one of two kinds:
+//! once per ensemble fit and stores it, in vectors of its own, as one of
+//! two kinds:
 //!
 //! * **Sorted columns** (the sklearn/XGBoost recipe). The column's row
 //!   order is sorted once; every tree filters its sample's order out of it
@@ -17,6 +18,45 @@
 //!   it by building a per-code `(count, positives)` histogram over the
 //!   node's rows and walking the occupied codes in ascending order —
 //!   `O(n + occupied code range)`, not `O(256)`. A split never moves it.
+//!
+//! # The run-end rule
+//!
+//! The sorted scan walks every row of its segment to keep its counts, but
+//! computes a gain only where the best one can be. Take a node of `n`
+//! samples, `P` of them positive, and a boundary with `l` samples and
+//! `p` positives on its left. With `gini(q) = 2q(1 − q)` the weighted
+//! child impurity is
+//!
+//! ```text
+//! (l·gini(p/l) + (n−l)·gini((P−p)/(n−l))) / n
+//!     = (2P − 2·(p²/l + (P−p)²/(n−l))) / n
+//! ```
+//!
+//! and the gain is the node's impurity minus it. Along a *run* — the
+//! consecutive boundaries between which no value group holds a positive,
+//! so `p` is the same at each — `p²/l` and `(P−p)²/(n−l)` are convex in
+//! `l`, and strictly convex unless their numerators vanish, which for both
+//! at once means `P = 0` and a zero gain everywhere. So the gain is
+//! strictly convex in `l` along a run: every interior boundary's gain is
+//! strictly below the larger of the gains at the run's two feasible ends
+//! (the ends that `min_leaf` allows). The naive finder's winner, the
+//! earliest boundary with the largest gain, is therefore always a run
+//! end, and evaluating the run ends in order with the same strict `>`
+//! picks the same boundary. The scan evaluates the first feasible
+//! boundary, the boundaries on both sides of each value group that holds
+//! a positive (a boundary waits until the group it closes shows whether
+//! it holds one), and the last feasible boundary, and stops at the first
+//! boundary that leaves fewer than `min_leaf` samples on the right. On
+//! rare-failure data, with a fraction of a percent positives, that is a
+//! few gain evaluations per positive instead of one per distinct value.
+//!
+//! The argument holds in exact arithmetic. Computed gains are rounded,
+//! and the argument alone does not exclude an interior boundary next to a
+//! near-flat end rounding to a gain at or above the end's; the bit-level
+//! pins (the three-way finder proptests, the ML goldens, `verify.sh`'s
+//! result checksums and the benchmark digests) check the float behaviour.
+//! The binned walk, at most one boundary per occupied code, evaluates
+//! every boundary.
 //!
 //! # The row layout
 //!
@@ -54,6 +94,8 @@
 //!   code stores `+0.0`; [`split_threshold`] returns the same bits for
 //!   either sign of a zero operand.)
 //! * Feature subsampling draws nothing from the column kinds.
+//! * The sorted scan skips only boundaries the run-end rule shows cannot
+//!   win.
 //!
 //! [`reference_best_split_gini`] retains the naive finder, and the
 //! property suite pins the binned, sorted and naive finders to each other.
@@ -180,6 +222,19 @@ impl GiniNode {
         if n_left < min_leaf || self.size - n_left < min_leaf {
             return;
         }
+        self.offer(best, (n_left, pos_left), v_lo, v_hi);
+    }
+
+    /// [`consider`](Self::consider) at a boundary the caller already
+    /// knows to leave `min_leaf` samples on each side.
+    #[inline]
+    fn offer(
+        &self,
+        best: &mut Option<(f32, f64, usize, usize)>,
+        (n_left, pos_left): (usize, usize),
+        v_lo: f32,
+        v_hi: f32,
+    ) {
         let gain = self.gain(n_left, pos_left);
         if gain > GAIN_EPS && best.is_none_or(|b| gain > b.1) {
             *best = Some((split_threshold(v_lo, v_hi), gain, n_left, pos_left));
@@ -189,8 +244,12 @@ impl GiniNode {
 
 /// The Gini scan of a sorted column: walks the node's distinct rows in
 /// value order, adding each row's `[multiplicity, positives]` to the left
-/// side, and evaluates every boundary between distinct values. Returns
-/// `(threshold, gain, n_left, pos_left)`, counts weighted.
+/// side, and evaluates the boundaries between distinct values that can
+/// hold the column's best split — the two feasible ends of every run of
+/// boundaries with one `pos_left` (the module doc's run-end rule). It
+/// stops at the first boundary that leaves fewer than `min_leaf` samples
+/// on the right. Returns `(threshold, gain, n_left, pos_left)`, counts
+/// weighted.
 fn scan_sorted_gini(
     order: &[u32],
     values: &[f32],
@@ -203,17 +262,44 @@ fn scan_sorted_gini(
     let [count, pos] = weight[usize_from_u32(first)];
     let (mut n_left, mut pos_left) = (usize_from_u32(count), usize_from_u32(pos));
     let mut v_prev = values[usize_from_u32(first)];
+    // Boundaries past `max_left` leave fewer than `min_leaf` on the right.
+    let max_left = node.size.saturating_sub(min_leaf);
+    // Whether a positive was added since the last feasible boundary: if
+    // so, the next feasible boundary starts a run and the pending one ended
+    // the previous run. It starts set, so the first feasible boundary
+    // starts a run.
+    let mut group_pos = true;
+    // The latest feasible boundary not yet evaluated: an interior of its
+    // run until it turns out to be the run's last boundary.
+    let mut pending: Option<(usize, usize, f32, f32)> = None;
     for &row in rest {
         let row = usize_from_u32(row);
         let v = values[row];
         // Only a boundary between distinct values is a candidate.
         if v != v_prev {
-            node.consider(&mut best, (n_left, pos_left), min_leaf, v_prev, v);
+            if n_left > max_left {
+                break;
+            }
+            if n_left >= min_leaf {
+                if group_pos {
+                    if let Some((nl, pl, lo, hi)) = pending.take() {
+                        node.offer(&mut best, (nl, pl), lo, hi);
+                    }
+                    node.offer(&mut best, (n_left, pos_left), v_prev, v);
+                } else {
+                    pending = Some((n_left, pos_left, v_prev, v));
+                }
+                group_pos = false;
+            }
             v_prev = v;
         }
         let [count, pos] = weight[row];
         n_left += usize_from_u32(count);
         pos_left += usize_from_u32(pos);
+        group_pos |= pos > 0;
+    }
+    if let Some((nl, pl, lo, hi)) = pending {
+        node.offer(&mut best, (nl, pl), lo, hi);
     }
     best
 }
@@ -330,15 +416,58 @@ pub(crate) struct PresortedDataset {
     n_rows: usize,
     /// Per feature, where its column lives.
     columns: Vec<Column>,
-    /// Sorted columns' values, column-major: `values[k * n_rows + row]`.
+    sorted: Vec<SortedColumn>,
+    binned: Vec<BinnedColumn>,
+}
+
+/// A sorted column: its values by dataset row and its row ids ordered by
+/// `(value, row)`.
+struct SortedColumn {
     values: Vec<f32>,
-    /// Sorted columns' row ids by `(value, row)`: `order[k * n_rows + i]`.
     order: Vec<u32>,
-    /// Binned columns' codes, column-major: `codes[b * n_rows + row]`.
+}
+
+/// A binned column: its codes by dataset row, and its distinct values
+/// ascending — code `c` stands for `bins[c]`.
+struct BinnedColumn {
     codes: Vec<u8>,
-    /// Binned columns' distinct values, ascending: code `c` of binned
-    /// column `b` stands for `bins[b][c]`.
-    bins: Vec<Vec<f32>>,
+    bins: Vec<f32>,
+}
+
+/// One column as [`PresortedDataset::build_with`] lays it out.
+enum BuiltColumn {
+    Sorted(SortedColumn),
+    Binned(BinnedColumn),
+}
+
+/// Lays out feature `f` of `data`: binned when it has at most `max_bins`
+/// distinct values, sorted otherwise. `keyed` is sort scratch.
+fn build_column(data: &Dataset, f: usize, max_bins: usize, keyed: &mut Vec<u64>) -> BuiltColumn {
+    let col: Vec<f32> = (0..data.n_rows()).map(|row| data.row(row)[f]).collect();
+    if let Some(bins) = distinct_keys(&col, max_bins) {
+        let codes = col
+            .iter()
+            .map(|&v| {
+                let key = bin_key(v);
+                u8_from_usize(bins.partition_point(|k| k.total_cmp(&key).is_lt()))
+            })
+            .collect();
+        return BuiltColumn::Binned(BinnedColumn { codes, bins });
+    }
+    // Sorting `(value key, row)` packed into one `u64` orders rows by
+    // `(value, row)` without an indirect comparator.
+    keyed.clear();
+    keyed.extend(
+        col.iter()
+            .enumerate()
+            .map(|(row, &v)| u64::from(total_order_key(v)) << 32 | u64_from_usize(row)),
+    );
+    keyed.sort_unstable();
+    let order = keyed
+        .iter()
+        .map(|&k| u32_from_u64(k & u64::from(u32::MAX)))
+        .collect();
+    BuiltColumn::Sorted(SortedColumn { values: col, order })
 }
 
 impl PresortedDataset {
@@ -355,40 +484,30 @@ impl PresortedDataset {
         Self::build_with(data, 0)
     }
 
+    /// Builds the columns one after another on the calling thread, each
+    /// into vectors of its own sized once, which are then moved into place.
     fn build_with(data: &Dataset, max_bins: usize) -> Self {
-        let n = data.n_rows();
         let d = data.n_features();
+        let mut keyed = Vec::new();
+        let built: Vec<BuiltColumn> = (0..d)
+            .map(|f| build_column(data, f, max_bins, &mut keyed))
+            .collect();
         let mut pre = PresortedDataset {
-            n_rows: n,
+            n_rows: data.n_rows(),
             columns: Vec::with_capacity(d),
-            values: Vec::new(),
-            order: Vec::new(),
-            codes: Vec::new(),
-            bins: Vec::new(),
+            sorted: Vec::new(),
+            binned: Vec::new(),
         };
-        let mut col = Vec::with_capacity(n);
-        let mut keyed: Vec<u64> = Vec::new();
-        for f in 0..d {
-            col.clear();
-            col.extend((0..n).map(|row| data.row(row)[f]));
-            if let Some(keys) = distinct_keys(&col, max_bins) {
-                pre.columns.push(Column::Binned(pre.bins.len()));
-                pre.codes.extend(col.iter().map(|&v| {
-                    let key = bin_key(v);
-                    u8_from_usize(keys.partition_point(|k| k.total_cmp(&key).is_lt()))
-                }));
-                pre.bins.push(keys);
-            } else {
-                pre.columns.push(Column::Sorted(pre.n_sorted()));
-                // Sorting `(value key, row)` packed into one `u64` orders
-                // rows by `(value, row)` without an indirect comparator.
-                keyed.clear();
-                keyed.extend(col.iter().enumerate().map(|(row, &v)| {
-                    u64::from(total_order_key(v)) << 32 | u64_from_usize(row)
-                }));
-                keyed.sort_unstable();
-                pre.order.extend(keyed.iter().map(|&k| u32_from_u64(k & u64::from(u32::MAX))));
-                pre.values.extend_from_slice(&col);
+        for column in built {
+            match column {
+                BuiltColumn::Sorted(c) => {
+                    pre.columns.push(Column::Sorted(pre.sorted.len()));
+                    pre.sorted.push(c);
+                }
+                BuiltColumn::Binned(c) => {
+                    pre.columns.push(Column::Binned(pre.binned.len()));
+                    pre.binned.push(c);
+                }
             }
         }
         pre
@@ -400,19 +519,19 @@ impl PresortedDataset {
     }
 
     fn n_sorted(&self) -> usize {
-        self.columns.len() - self.bins.len()
+        self.sorted.len()
     }
 
     /// Sorted column `k`'s values by dataset row.
     #[inline]
     fn values_of(&self, k: usize) -> &[f32] {
-        &self.values[k * self.n_rows..(k + 1) * self.n_rows]
+        &self.sorted[k].values
     }
 
     /// Binned column `b`'s codes by dataset row.
     #[inline]
     fn codes_of(&self, b: usize) -> &[u8] {
-        &self.codes[b * self.n_rows..(b + 1) * self.n_rows]
+        &self.binned[b].codes
     }
 }
 
@@ -429,6 +548,9 @@ pub(crate) struct TreeScratch {
     /// Per dataset row: `[multiplicity, positive multiplicity]` in the
     /// sample (zero for unsampled rows).
     weight: Vec<[u32; 2]>,
+    /// Bit `r % 64` of word `r / 64` is set when dataset row `r` is in
+    /// the sample: the filter's membership test, small enough for L1.
+    sampled: Vec<u64>,
     /// The distinct sampled rows, ascending within each node segment.
     rows: Vec<u32>,
     /// Sorted columns' orders over the distinct sampled rows:
@@ -450,6 +572,7 @@ impl TreeScratch {
     pub(crate) fn new() -> Self {
         TreeScratch {
             weight: Vec::new(),
+            sampled: Vec::new(),
             rows: Vec::new(),
             order: Vec::new(),
             right: Vec::new(),
@@ -463,6 +586,13 @@ impl TreeScratch {
     /// multiplicity and positives, lists the distinct rows ascending, and
     /// filters every sorted column's full order down to them. Returns the
     /// sample's `(size, positives)`, counted with multiplicity.
+    ///
+    /// The filter has no data-dependent branch: it stores every row of a
+    /// full order at the write cursor and advances the cursor by the row's
+    /// membership bit, so an unsampled row is overwritten by the next
+    /// store. The buffer holds one spare slot past the last kept row for
+    /// the final store of the last column to land in, and is then cut to
+    /// size.
     pub(crate) fn sample(
         &mut self,
         pre: &PresortedDataset,
@@ -472,12 +602,15 @@ impl TreeScratch {
         let big_n = pre.n_rows;
         self.weight.clear();
         self.weight.resize(big_n, [0; 2]);
+        self.sampled.clear();
+        self.sampled.resize(big_n.div_ceil(64), 0);
         let (mut n, mut n_pos) = (0usize, 0usize);
         for row in draws {
             let label = data.label(row);
             let w = &mut self.weight[row];
             w[0] += 1;
             w[1] += u32::from(label);
+            self.sampled[row / 64] |= 1 << (row % 64);
             n += 1;
             n_pos += usize::from(label);
         }
@@ -486,17 +619,37 @@ impl TreeScratch {
             "a sample of {n} draws overflows the u32 weights"
         );
 
-        let weight = &self.weight;
         self.rows.clear();
-        self.rows
-            .extend((0..u32_from_usize(big_n)).filter(|&r| weight[usize_from_u32(r)][0] > 0));
-        self.order.clear();
-        for k in 0..pre.n_sorted() {
-            let full = &pre.order[k * big_n..(k + 1) * big_n];
-            self.order
-                .extend(full.iter().filter(|&&r| weight[usize_from_u32(r)][0] > 0));
+        for (word_at, &word) in self.sampled.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                self.rows
+                    .push(u32_from_usize(word_at * 64) + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
-        self.right.clear();
+        let sampled = &self.sampled;
+        let kept = self.rows.len() * pre.n_sorted();
+        // Later samples differ in size by a fraction of a percent: grow
+        // with headroom, not by doubling.
+        if self.order.capacity() <= kept {
+            self.order
+                .reserve_exact(kept + 1 + kept / 8 - self.order.len());
+        }
+        // Every slot below `kept` is written before it is read, so the
+        // buffer is resized, not cleared.
+        self.order.resize(kept + 1, 0);
+        let mut at = 0usize;
+        for column in &pre.sorted {
+            for &r in &column.order {
+                let r_at = usize_from_u32(r);
+                self.order[at] = r;
+                at += usize::from(sampled[r_at / 64] >> (r_at % 64) & 1 == 1);
+            }
+        }
+        debug_assert_eq!(at, kept);
+        self.order.truncate(kept);
+        // Written for a node's rows before the partition reads them.
         self.right.resize(big_n, 0);
         (n, n_pos)
     }
@@ -536,7 +689,7 @@ impl TreeScratch {
             Column::Binned(b) => scan_binned_gini(
                 &self.rows[lo..hi],
                 pre.codes_of(b),
-                &pre.bins[b],
+                &pre.binned[b].bins,
                 &self.weight,
                 min_leaf,
                 node,
@@ -588,7 +741,7 @@ impl TreeScratch {
             Column::Binned(b) => {
                 // Codes at or above `cut` stand for values above the
                 // threshold.
-                let cut = pre.bins[b].partition_point(|&v| v <= threshold);
+                let cut = pre.binned[b].bins.partition_point(|&v| v <= threshold);
                 let codes = pre.codes_of(b);
                 for &row in node {
                     let row = usize_from_u32(row);
@@ -762,13 +915,13 @@ mod tests {
         }
         let pre = PresortedDataset::build(&d);
         assert_eq!(pre.columns, vec![Column::Binned(0), Column::Sorted(0), Column::Binned(1)]);
-        assert_eq!(pre.bins[0].len(), 256);
-        assert_eq!(pre.bins[1], vec![0.0]);
-        assert_eq!(pre.codes[..3], [0, 1, 2]);
-        assert_eq!(pre.codes[256], 0, "-0.0 shares +0.0's code");
-        assert!(pre.codes[257..].iter().all(|&c| c == 0));
+        assert_eq!(pre.binned[0].bins.len(), 256);
+        assert_eq!(pre.binned[1].bins, vec![0.0]);
+        assert_eq!(pre.codes_of(0)[..3], [0, 1, 2]);
+        assert_eq!(pre.codes_of(0)[256], 0, "-0.0 shares +0.0's code");
+        assert!(pre.codes_of(1).iter().all(|&c| c == 0));
         let sorted = PresortedDataset::build_sorted(&d);
-        assert!(sorted.bins.is_empty());
+        assert!(sorted.binned.is_empty());
         assert_eq!(sorted.n_sorted(), 3);
     }
 
@@ -896,6 +1049,65 @@ mod tests {
             });
             assert_eq!(scratch.order_segment(k, 0, 5), &want[..]);
         }
+    }
+
+    /// One feature `0..n` as `f32`, positive at the listed rows; returns
+    /// the split every finder agrees on.
+    fn agreed_split(n: u32, positives: &[u32], min_leaf: usize) -> Option<SplitChoice> {
+        let mut d = Dataset::with_dims(1);
+        for i in 0..n {
+            d.push_row(&[i as f32], positives.contains(&i), i);
+        }
+        let indices: Vec<usize> = (0..d.n_rows()).collect();
+        let want = reference_best_split_gini(&d, &indices, min_leaf);
+        assert_eq!(presorted_best_split_gini(&d, &indices, min_leaf), want, "sorted");
+        assert_eq!(binned_best_split_gini(&d, &indices, min_leaf), want, "binned");
+        want
+    }
+
+    #[test]
+    fn run_ends_catch_positives_in_the_first_and_last_groups() {
+        // One run of negatives between a positive first and last row: the
+        // best split is the run's start (cutting off row 0) or its end.
+        let got = agreed_split(30, &[0, 29], 1).expect("split");
+        assert!(got.split_at == 1 || got.split_at == 29, "{got:?}");
+        // A tie between the first group's positive and a negative is a
+        // group that holds a positive, so the boundary after it is a run
+        // start.
+        let mut d = Dataset::with_dims(1);
+        for (i, (v, label)) in [(0.0, true), (0.0, false), (1.0, false), (2.0, false), (3.0, true)]
+            .into_iter()
+            .enumerate()
+        {
+            d.push_row(&[v], label, i as u32);
+        }
+        let indices: Vec<usize> = (0..d.n_rows()).collect();
+        let want = reference_best_split_gini(&d, &indices, 1);
+        assert!(want.is_some());
+        assert_eq!(presorted_best_split_gini(&d, &indices, 1), want);
+        assert_eq!(binned_best_split_gini(&d, &indices, 1), want);
+    }
+
+    #[test]
+    fn run_ends_catch_a_single_positive() {
+        // The only candidates are the boundaries on either side of it.
+        let got = agreed_split(40, &[17], 1).expect("split");
+        assert!(got.split_at == 17 || got.split_at == 18, "{got:?}");
+        // At an end of the order, one boundary isolates it.
+        assert_eq!(agreed_split(40, &[39], 1).expect("split").split_at, 39);
+    }
+
+    #[test]
+    fn min_leaf_cuts_a_run_at_both_ends() {
+        // Feasible boundaries are n_left in [5, 35], all inside one run.
+        // Its two ends tie exactly, and the earlier one wins.
+        let got = agreed_split(40, &[0, 39], 5).expect("split");
+        assert_eq!(got.split_at, 5);
+        // An asymmetric pair: the nearer-to-a-positive end wins.
+        let got = agreed_split(40, &[0, 1, 39], 6).expect("split");
+        assert_eq!(got.split_at, 6);
+        // A min_leaf past half the node leaves no feasible boundary.
+        assert_eq!(agreed_split(40, &[0, 39], 21), None);
     }
 
     #[test]

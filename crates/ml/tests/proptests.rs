@@ -231,30 +231,89 @@ fn kernel_case(g: &mut Gen) -> (Dataset, Vec<usize>) {
     (data, indices)
 }
 
+/// Asserts that the binned and sorted finders return the naive
+/// reference's split bit for bit.
+fn assert_finders_agree(data: &Dataset, indices: &[usize], min_leaf: usize) {
+    let want = reference_best_split_gini(data, indices, min_leaf);
+    let finders = [
+        ("presorted", presorted_best_split_gini(data, indices, min_leaf)),
+        ("binned", binned_best_split_gini(data, indices, min_leaf)),
+    ];
+    for (name, got) in finders {
+        match (&want, &got) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.feature, b.feature, "{name} feature: {a:?} vs {b:?}");
+                let (ta, tb) = (a.threshold.to_bits(), b.threshold.to_bits());
+                assert_eq!(ta, tb, "{name}: {a:?} vs {b:?}");
+                assert_eq!(a.split_at, b.split_at, "{name}: {a:?} vs {b:?}");
+                // Every path evaluates the identical count arithmetic.
+                assert_eq!(a.gain.to_bits(), b.gain.to_bits(), "{name}: {a:?} vs {b:?}");
+            }
+            _ => panic!("split disagreement: reference {want:?}, {name} {got:?}"),
+        }
+    }
+}
+
 #[test]
 fn presorted_gini_split_matches_naive_reference() {
     for_each_case("presorted_gini_split_matches_naive_reference", 512, |g| {
         let (data, indices) = kernel_case(g);
         let min_leaf = g.usize_in(1, 4);
-        let want = reference_best_split_gini(&data, &indices, min_leaf);
-        let finders = [
-            ("presorted", presorted_best_split_gini(&data, &indices, min_leaf)),
-            ("binned", binned_best_split_gini(&data, &indices, min_leaf)),
-        ];
-        for (name, got) in finders {
-            match (&want, &got) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.feature, b.feature, "{name} feature: {a:?} vs {b:?}");
-                    let (ta, tb) = (a.threshold.to_bits(), b.threshold.to_bits());
-                    assert_eq!(ta, tb, "{name}: {a:?} vs {b:?}");
-                    assert_eq!(a.split_at, b.split_at, "{name}: {a:?} vs {b:?}");
-                    // Every path evaluates the identical count arithmetic.
-                    assert_eq!(a.gain.to_bits(), b.gain.to_bits(), "{name}: {a:?} vs {b:?}");
+        assert_finders_agree(&data, &indices, min_leaf);
+    });
+}
+
+/// The failure-prediction shape: at most 3 % positives, so a sorted
+/// column is long runs of negatives; tied values that mix labels; every
+/// kept row drawn 1-4 times; and `min_leaf` from 1 to just past half the
+/// sample, where it cuts runs short at both ends or leaves no split.
+#[test]
+fn imbalanced_gini_split_matches_naive_reference() {
+    for_each_case("imbalanced_gini_split_matches_naive_reference", 512, |g| {
+        let n = if g.bool() { g.usize_in(34, 121) } else { g.usize_in(257, 701) };
+        let n_pos = g.usize_in(1, (n * 3 / 100).max(1) + 1);
+        let mut labels = vec![false; n];
+        for _ in 0..n_pos {
+            let at = g.usize_in(0, n);
+            labels[at] = true;
+        }
+        let d = g.usize_in(1, 4);
+        let cols: Vec<Vec<f32>> = (0..d)
+            .map(|_| match g.usize_in(0, 3) {
+                // Few levels: every level mixes labels once a positive lands.
+                0 => {
+                    let levels = g.usize_in(2, 13);
+                    (0..n).map(|_| g.usize_in(0, levels) as f32).collect()
                 }
-                _ => panic!("split disagreement: reference {want:?}, {name} {got:?}"),
+                // Ascending in row order, in tied stretches of 1-3 rows.
+                1 => {
+                    let stretch = g.usize_in(1, 4);
+                    (0..n).map(|i| (i / stretch) as f32 * 0.25).collect()
+                }
+                _ => kernel_column(g, n),
+            })
+            .collect();
+        let mut data = Dataset::with_dims(d);
+        let mut row = vec![0f32; d];
+        for (i, &label) in labels.iter().enumerate() {
+            for (v, col) in row.iter_mut().zip(&cols) {
+                *v = col[i];
+            }
+            data.push_row(&row, label, i as u32);
+        }
+        let keep_all = g.bool();
+        let mut indices: Vec<usize> = Vec::new();
+        for (i, &label) in labels.iter().enumerate() {
+            if keep_all || label || g.ratio(0.7) {
+                indices.extend(std::iter::repeat_n(i, g.usize_in(1, 5)));
             }
         }
+        for i in (1..indices.len()).rev() {
+            indices.swap(i, g.usize_in(0, i + 1));
+        }
+        let min_leaf = g.usize_in(1, indices.len() / 2 + 2);
+        assert_finders_agree(&data, &indices, min_leaf);
     });
 }
 
