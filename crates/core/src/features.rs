@@ -8,6 +8,11 @@
 //! One dataset row = one reported drive-day. The label marks whether a
 //! swap-inducing failure (or, for Table 8, a given error type) occurs
 //! within the next `N` days.
+//!
+//! There is one dataset per label and lookahead. The young/old partitions
+//! of Section 5.3 and the per-model partitions of Figure 13 and Table 7
+//! are row selections of it ([`age_rows`], [`model_rows`]), never
+//! extractions of their own.
 
 use crate::failure::failure_records;
 use ssd_ml::Dataset;
@@ -15,6 +20,7 @@ use ssd_parallel::prelude::*;
 use ssd_stats::SplitMix64;
 use ssd_types::source::{TraceReadError, TraceReader};
 use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel, ErrorKind, FleetTrace, INFANCY_DAYS};
+use std::collections::BTreeMap;
 
 /// Number of features per row.
 pub const N_FEATURES: usize = 31;
@@ -62,31 +68,9 @@ pub enum LabelKind {
     BadBlock,
 }
 
-/// Restrict rows by drive age at observation (the young/old partitioned
-/// training of Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AgeFilter {
-    /// Keep every row.
-    #[default]
-    All,
-    /// Keep rows with age ≤ 90 days.
-    Young,
-    /// Keep rows with age > 90 days.
-    Old,
-}
-
-impl AgeFilter {
-    /// Whether a row of this age passes the filter.
-    pub fn accepts(self, age_days: u32) -> bool {
-        match self {
-            AgeFilter::All => true,
-            AgeFilter::Young => age_days <= INFANCY_DAYS,
-            AgeFilter::Old => age_days > INFANCY_DAYS,
-        }
-    }
-}
-
-/// Options for [`build_dataset`].
+/// Options for [`build_dataset`]: the lookahead, the label and the
+/// negative sampling. They select no drive or age; a partition is a row
+/// selection of the built dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractOptions {
     /// Lookahead window `N` in days (`N ≥ 1`).
@@ -99,11 +83,6 @@ pub struct ExtractOptions {
     pub negative_sample_rate: f64,
     /// Seed for the deterministic negative-sampling hash.
     pub seed: u64,
-    /// Age restriction (Section 5.3 young/old partitioning).
-    pub age_filter: AgeFilter,
-    /// Restrict to one drive model (`None` = the whole fleet, as in the
-    /// Table 6 classifiers, which "are for the entire log").
-    pub model: Option<DriveModel>,
 }
 
 impl Default for ExtractOptions {
@@ -113,8 +92,6 @@ impl Default for ExtractOptions {
             label: LabelKind::Swap,
             negative_sample_rate: 0.05,
             seed: 0,
-            age_filter: AgeFilter::All,
-            model: None,
         }
     }
 }
@@ -220,13 +197,10 @@ fn validate_options(opts: &ExtractOptions) {
 
 /// Emits one drive's labeled rows into `data`; `row` is reusable scratch.
 /// Labels need the drive's full history (lookahead), so this is the unit
-/// of work for both the resident and streaming builders.
+/// of work for both the resident and streaming builders. Every report
+/// draws its keep decision, so whether a row is kept depends only on its
+/// drive, its day, its label and the options.
 fn extract_drive(log: &DriveLog, opts: &ExtractOptions, row: &mut [f32], data: &mut Dataset) {
-    if let Some(m) = opts.model {
-        if log.model != m {
-            return;
-        }
-    }
     let fail_days: Vec<u32> = failure_records(log).iter().map(|f| f.fail_day).collect();
     // One deterministic sampling stream per drive: row retention does
     // not depend on which other drives are in the trace.
@@ -235,9 +209,6 @@ fn extract_drive(log: &DriveLog, opts: &ExtractOptions, row: &mut [f32], data: &
     for ri in 0..log.reports.len() {
         let r = &log.reports[ri];
         cum.accumulate(r);
-        if !opts.age_filter.accepts(r.age_days) {
-            continue;
-        }
         let label = label_for(log, ri, &fail_days, opts);
         // Sample negatives; always advance the RNG so retention of a
         // given day is independent of the label definition.
@@ -248,6 +219,39 @@ fn extract_drive(log: &DriveLog, opts: &ExtractOptions, row: &mut [f32], data: &
         cum.write_row(r, row);
         data.push_row(row, label, log.id.0);
     }
+}
+
+/// Whether a row's drive age (its [`AGE_COLUMN`] value) is an infant's,
+/// at most [`INFANCY_DAYS`] (the young side of Section 5.3's split).
+pub(crate) fn is_young(age_days: f32) -> bool {
+    f64::from(age_days) <= f64::from(INFANCY_DAYS)
+}
+
+/// Section 5.3's age partitions of `data` as row selections: the rows of
+/// young drives, then those of old drives, each ascending. Together they
+/// hold every row once.
+pub fn age_rows(data: &Dataset) -> [Vec<usize>; 2] {
+    let mut rows = [Vec::new(), Vec::new()];
+    for i in 0..data.n_rows() {
+        rows[usize::from(!is_young(data.row(i)[AGE_COLUMN]))].push(i);
+    }
+    rows
+}
+
+/// The rows of `data` from each drive model's drives in `trace` (the
+/// row's group is its drive id), in [`DriveModel::ALL`] order, each
+/// ascending. Selecting them equals building the dataset over a trace of
+/// that model's drives alone, since each drive samples its own stream.
+pub fn model_rows(trace: &FleetTrace, data: &Dataset) -> Vec<Vec<usize>> {
+    let model_of: BTreeMap<u32, usize> =
+        trace.drives.iter().map(|d| (d.id.0, d.model.index())).collect();
+    let mut rows = vec![Vec::new(); DriveModel::ALL.len()];
+    for (i, g) in data.groups().iter().enumerate() {
+        if let Some(&m) = model_of.get(g) {
+            rows[m].push(i);
+        }
+    }
+    rows
 }
 
 /// Builds a labeled dataset from a fleet trace.
@@ -406,25 +410,13 @@ mod tests {
     }
 
     #[test]
-    fn age_filters_partition_rows() {
+    fn age_rows_partition_rows() {
         let t = tiny_trace();
-        let young = build_dataset(
-            &t,
-            &ExtractOptions {
-                age_filter: AgeFilter::Young,
-                ..opts_all()
-            },
-        );
-        let old = build_dataset(
-            &t,
-            &ExtractOptions {
-                age_filter: AgeFilter::Old,
-                ..opts_all()
-            },
-        );
-        assert_eq!(young.n_rows() + old.n_rows(), 100);
-        assert!((0..young.n_rows()).all(|i| young.row(i)[29] <= 90.0));
-        assert!((0..old.n_rows()).all(|i| old.row(i)[29] > 90.0));
+        let d = build_dataset(&t, &opts_all());
+        let [young, old] = age_rows(&d);
+        assert_eq!(young.len() + old.len(), 100);
+        assert!(young.iter().all(|&i| d.row(i)[AGE_COLUMN] <= 90.0));
+        assert!(old.iter().all(|&i| d.row(i)[AGE_COLUMN] > 90.0));
     }
 
     #[test]
@@ -445,24 +437,13 @@ mod tests {
     }
 
     #[test]
-    fn model_filter_excludes_other_models() {
+    fn model_rows_select_each_models_drives() {
         let t = tiny_trace(); // single MLC-A drive
-        let none = build_dataset(
-            &t,
-            &ExtractOptions {
-                model: Some(DriveModel::MlcB),
-                ..opts_all()
-            },
-        );
-        assert_eq!(none.n_rows(), 0);
-        let some = build_dataset(
-            &t,
-            &ExtractOptions {
-                model: Some(DriveModel::MlcA),
-                ..opts_all()
-            },
-        );
-        assert_eq!(some.n_rows(), 100);
+        let d = build_dataset(&t, &opts_all());
+        let rows = model_rows(&t, &d);
+        assert_eq!(rows[DriveModel::MlcA.index()], (0..100).collect::<Vec<usize>>());
+        assert!(rows[DriveModel::MlcB.index()].is_empty());
+        assert!(rows[DriveModel::MlcD.index()].is_empty());
     }
 
     #[test]

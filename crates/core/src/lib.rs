@@ -58,7 +58,7 @@ pub mod streaming;
 
 pub use failure::{failure_records, operational_periods, FailureRecord, OperationalPeriod};
 pub use features::{
-    build_dataset, build_dataset_streaming, feature_names, AgeFilter, ExtractOptions, LabelKind,
+    build_dataset, build_dataset_streaming, feature_names, ExtractOptions, LabelKind,
     RollingFeatures,
 };
 pub use predict::online::OnlineFleet;

@@ -7,7 +7,7 @@
 //! 0.970 vs 0.890 AUC.
 
 use super::PredictConfig;
-use crate::features::{build_dataset, AgeFilter, ExtractOptions, AGE_COLUMN};
+use crate::features::{age_rows, is_young, AGE_COLUMN};
 use crate::report::Series;
 use ssd_ml::split::complement;
 use ssd_ml::{grouped_kfold, Classifier, CvError, Dataset, RocCurve};
@@ -110,13 +110,12 @@ pub struct YoungOldRoc {
 /// dataset cannot be cross-validated or a held-out age partition lacks a
 /// class.
 pub fn young_old_roc(trace: &FleetTrace, config: &PredictConfig) -> Result<YoungOldRoc, CvError> {
-    // The joint dataset is dropped before the two partitions are built.
-    let held = held_out_scores(&config.dataset(trace, 1), config)?;
-    let boundary = 90.0f32;
+    let data = config.dataset(trace, 1);
+    let held = held_out_scores(&data, config)?;
     let mut split: [(Vec<f64>, Vec<bool>); 2] =
         [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
     for ((&s, &l), &age) in held.scores.iter().zip(&held.labels).zip(&held.ages_days) {
-        let slot = usize::from(age > boundary);
+        let slot = usize::from(!is_young(age));
         split[slot].0.push(s);
         split[slot].1.push(l);
     }
@@ -139,14 +138,11 @@ pub fn young_old_roc(trace: &FleetTrace, config: &PredictConfig) -> Result<Young
     let (young_curve, young_auc) = curve_of(&split[0].0, &split[0].1, "Young")?;
     let (old_curve, old_auc) = curve_of(&split[1].0, &split[1].1, "Old")?;
 
-    // Separately trained models on age-partitioned datasets,
-    // cross-validated as one batch.
-    let partitions: Vec<Dataset> = [AgeFilter::Young, AgeFilter::Old]
-        .iter()
-        .map(|&age_filter| {
-            build_dataset(trace, &ExtractOptions { age_filter, ..config.extract_opts(1) })
-        })
-        .collect();
+    // Separately trained models on the age partitions of the joint
+    // dataset, cross-validated as one batch once the joint dataset is
+    // dropped.
+    let partitions: Vec<Dataset> = age_rows(&data).iter().map(|rows| data.select(rows)).collect();
+    drop(data);
     let trained = config
         .forest_cvs(&partitions)
         .into_iter()

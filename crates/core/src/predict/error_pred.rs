@@ -3,9 +3,9 @@
 //! young/old partitioning of Section 5.3/5.4).
 
 use super::PredictConfig;
-use crate::features::{build_dataset, AgeFilter, ExtractOptions, LabelKind};
+use crate::features::{age_rows, build_dataset, ExtractOptions, LabelKind};
 use crate::report::TextTable;
-use ssd_ml::cross_validate;
+use ssd_ml::{cross_validate, Dataset};
 use ssd_types::{ErrorKind, FleetTrace};
 
 /// The targets of Table 8, in the paper's row order.
@@ -45,23 +45,14 @@ pub struct ErrorPrediction {
     pub rows: Vec<ErrorPredictionRow>,
 }
 
-fn try_cv(
-    trace: &FleetTrace,
-    config: &PredictConfig,
-    label: LabelKind,
-    filter: AgeFilter,
-) -> Option<f64> {
-    let data = build_dataset(
-        trace,
-        &ExtractOptions { label, age_filter: filter, ..config.extract_opts(2) },
-    );
+fn try_cv(data: &Dataset, config: &PredictConfig) -> Option<f64> {
     let (pos, neg) = data.class_counts();
     // Too-rare targets cannot be cross-validated meaningfully.
     if pos < 25 || neg < 25 {
         return None;
     }
     // A target whose folds cannot all be filled or evaluated is "--" too.
-    cross_validate(&config.forest, &data, &config.cv)
+    cross_validate(&config.forest, data, &config.cv)
         .ok()
         .map(|r| r.mean())
 }
@@ -71,9 +62,11 @@ pub fn error_prediction(trace: &FleetTrace, config: &PredictConfig) -> ErrorPred
     let rows = table8_targets()
         .into_iter()
         .map(|(name, label)| {
-            let combined = try_cv(trace, config, label, AgeFilter::All);
-            let young = try_cv(trace, config, label, AgeFilter::Young);
-            let old = try_cv(trace, config, label, AgeFilter::Old);
+            let data = build_dataset(trace, &ExtractOptions { label, ..config.extract_opts(2) });
+            let [young, old] = age_rows(&data);
+            let combined = try_cv(&data, config);
+            let young = try_cv(&data.select(&young), config);
+            let old = try_cv(&data.select(&old), config);
             (name, combined, young, old)
         })
         .collect();

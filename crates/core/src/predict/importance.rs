@@ -2,7 +2,7 @@
 //! drives (Section 5.4).
 
 use super::PredictConfig;
-use crate::features::{build_dataset, AgeFilter, ExtractOptions};
+use crate::features::age_rows;
 use crate::report::TextTable;
 use ssd_ml::CvError;
 use ssd_types::FleetTrace;
@@ -35,10 +35,10 @@ impl ImportanceRanking {
     }
 }
 
-/// Trains age-partitioned forests and extracts their MDI rankings, young
-/// then old. Each partition fails on its own when its downsampled
-/// training rows lack a class (a short trace has no old drives, a tiny
-/// fleet no failures).
+/// Trains a forest on each age partition's rows of the N = 1 dataset and
+/// extracts their MDI rankings, young then old. Each partition fails on
+/// its own when its downsampled training rows lack a class (a short trace
+/// has no old drives, a tiny fleet no failures).
 pub fn feature_importance(
     trace: &FleetTrace,
     config: &PredictConfig,
@@ -46,19 +46,16 @@ pub fn feature_importance(
     Result<ImportanceRanking, CvError>,
     Result<ImportanceRanking, CvError>,
 ) {
-    let rank_for = |age_filter: AgeFilter, label: &str| {
-        let data = build_dataset(trace, &ExtractOptions { age_filter, ..config.extract_opts(1) });
-        let all: Vec<usize> = (0..data.n_rows()).collect();
-        let forest = config.fit_forest(&data, &all)?;
+    let data = config.dataset(trace, 1);
+    let [young, old] = age_rows(&data);
+    let rank_for = |rows: &[usize], label: &str| {
+        let forest = config.fit_forest(&data, rows)?;
         Ok(ImportanceRanking {
             partition: label.to_string(),
             ranked: forest.ranked_importances(data.feature_names()),
         })
     };
-    (
-        rank_for(AgeFilter::Young, "Young Drives"),
-        rank_for(AgeFilter::Old, "Old Drives"),
-    )
+    (rank_for(&young, "Young Drives"), rank_for(&old, "Old Drives"))
 }
 
 #[cfg(test)]

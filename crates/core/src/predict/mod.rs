@@ -63,8 +63,10 @@ impl PredictConfig {
     }
 
     /// Extraction options for a swap-prediction dataset with lookahead `n`:
-    /// the one dataset recipe, whose model, age or label variants override
-    /// a field (`ExtractOptions { model, ..config.extract_opts(1) }`).
+    /// the one dataset recipe. Table 8's variants override the label
+    /// (`ExtractOptions { label, ..config.extract_opts(2) }`); age and
+    /// model partitions are row selections of the built dataset
+    /// ([`crate::features::age_rows`], [`crate::features::model_rows`]).
     pub fn extract_opts(&self, lookahead_days: u32) -> ExtractOptions {
         ExtractOptions {
             lookahead_days,
@@ -98,8 +100,11 @@ impl PredictConfig {
 }
 
 /// Full-fleet datasets a cross-validation batch keeps resident, which
-/// bounds the stage's peak memory. The three per-model datasets of
-/// Figure 13 and Table 7 partition one fleet and count as one.
+/// bounds the stage's peak memory. Partitions cut from one dataset (the
+/// three drive models of Figure 13 and Table 7, the young and old rows
+/// of Figure 15 and Table 8) hold its rows once and count as one, so
+/// Table 8's batch of a label's joint dataset and its two age partitions
+/// holds two.
 pub(crate) const RESIDENT_DATASETS: usize = 2;
 
 /// The paper's six classifier families (Table 6 row order), each at its

@@ -1,12 +1,11 @@
 //! Figure 13 (per-model ROC curves) and Table 7 (cross-model transfer).
 
 use super::PredictConfig;
-use crate::features::{build_dataset, ExtractOptions};
+use crate::features::model_rows;
 use crate::report::{Series, TextTable};
 use ssd_ml::split::complement;
 use ssd_ml::{grouped_kfold, roc_auc, Classifier, CvError, Dataset, RandomForest, RocCurve};
 use ssd_types::{DriveModel, FleetTrace};
-use std::collections::BTreeSet;
 
 /// A ROC curve labeled with its AUC, for one drive model (Figure 13).
 #[derive(Debug, Clone)]
@@ -20,14 +19,10 @@ pub struct ModelRoc {
     pub curve: Series,
 }
 
-/// The N = 1 dataset of each drive model.
-fn per_model_datasets(trace: &FleetTrace, config: &PredictConfig) -> Vec<Dataset> {
-    DriveModel::ALL
-        .iter()
-        .map(|&m| {
-            build_dataset(trace, &ExtractOptions { model: Some(m), ..config.extract_opts(1) })
-        })
-        .collect()
+/// Each drive model's dataset, cut from `all` by its `rows` (see
+/// [`model_rows`]), in [`DriveModel::ALL`] order.
+fn per_model_datasets(all: &Dataset, rows: &[Vec<usize>]) -> Vec<Dataset> {
+    rows.iter().map(|rows| all.select(rows)).collect()
 }
 
 /// Runs Figure 13: random forest, N = 1, evaluated per drive model. Fails
@@ -36,7 +31,11 @@ pub fn per_model_roc(
     trace: &FleetTrace,
     config: &PredictConfig,
 ) -> Result<Vec<ModelRoc>, CvError> {
-    let datasets = per_model_datasets(trace, config);
+    // The fleet's dataset is dropped once the models' rows are cut.
+    let datasets = {
+        let all = config.dataset(trace, 1);
+        per_model_datasets(&all, &model_rows(trace, &all))
+    };
     DriveModel::ALL
         .iter()
         .zip(&datasets)
@@ -84,30 +83,27 @@ pub fn transfer_matrix(
     trace: &FleetTrace,
     config: &PredictConfig,
 ) -> Result<TransferMatrix, CvError> {
-    let datasets = per_model_datasets(trace, config);
+    let all = config.dataset(trace, 1);
+    let rows = model_rows(trace, &all);
+    let datasets = per_model_datasets(&all, &rows);
     let diagonal = config
         .forest_cvs(&datasets)
         .into_iter()
         .map(|r| r.map(|r| r.mean()))
         .collect::<Result<Vec<f64>, CvError>>()?;
-    let all = config.dataset(trace, 1);
     let mut auc = vec![vec![0.0; 4]; 3];
     for (ti, test) in datasets.iter().enumerate() {
         let score = |model: RandomForest| roc_auc(&model.predict_batch(test), test.labels());
-        for (si, train) in datasets.iter().enumerate() {
+        for (si, train) in rows.iter().enumerate() {
             auc[ti][si] = if ti == si {
                 diagonal[ti]
             } else {
-                let rows: Vec<usize> = (0..train.n_rows()).collect();
-                score(config.fit_forest(train, &rows)?)
+                score(config.fit_forest(&all, train)?)
             };
         }
-        // "All" trains on the union of models minus the test model's
-        // drives, then scores that model's rows.
-        let test_drives: BTreeSet<u32> = test.groups().iter().copied().collect();
-        let rows: Vec<usize> =
-            (0..all.n_rows()).filter(|&i| !test_drives.contains(&all.group(i))).collect();
-        auc[ti][3] = score(config.fit_forest(&all, &rows)?);
+        // "All" trains on the other models' rows, then scores this
+        // model's rows.
+        auc[ti][3] = score(config.fit_forest(&all, &complement(&all, &rows[ti]))?);
     }
     Ok(TransferMatrix { auc })
 }

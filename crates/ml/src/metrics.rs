@@ -76,14 +76,11 @@ impl RocCurve {
         area
     }
 
-    /// TPR at the largest threshold whose FPR does not exceed `max_fpr`
-    /// (operating-point lookup for low-false-positive deployment).
-    pub fn tpr_at_fpr(&self, max_fpr: f64) -> f64 {
-        self.points
-            .iter()
-            .take_while(|p| p.fpr <= max_fpr)
-            .last()
-            .map_or(0.0, |p| p.tpr)
+    /// The point of the largest threshold whose FPR does not exceed
+    /// `max_fpr` (operating-point lookup for low-false-positive
+    /// deployment); `None` only when `max_fpr` is below 0.
+    pub fn operating_point(&self, max_fpr: f64) -> Option<&RocPoint> {
+        self.points.iter().take_while(|p| p.fpr <= max_fpr).last()
     }
 }
 
@@ -324,14 +321,17 @@ mod tests {
     }
 
     #[test]
-    fn tpr_at_fpr_lookup() {
+    fn operating_point_lookup() {
         let scores = [0.9, 0.8, 0.7, 0.6, 0.5];
         let labels = [true, true, false, true, false];
         let c = RocCurve::compute(&scores, &labels);
         // At FPR = 0 we already have TPR = 2/3 (two positives above the
-        // first negative).
-        assert!((c.tpr_at_fpr(0.0) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.tpr_at_fpr(0.6) - 1.0).abs() < 1e-12);
+        // first negative), at threshold 0.8.
+        let p = c.operating_point(0.0).unwrap();
+        assert!((p.tpr - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(p.threshold, 0.8);
+        assert!((c.operating_point(0.6).unwrap().tpr - 1.0).abs() < 1e-12);
+        assert!(c.operating_point(-0.1).is_none());
     }
 
     #[test]

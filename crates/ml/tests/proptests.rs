@@ -81,7 +81,9 @@ fn operating_point_lookup_is_monotone_and_consistent() {
         let c = RocCurve::compute(&scores, &labels);
         let mut prev = 0.0;
         for max_fpr in [0.0, 0.01, 0.05, 0.1, 0.5, 1.0] {
-            let t = c.tpr_at_fpr(max_fpr);
+            let p = c.operating_point(max_fpr).expect("curve starts at fpr 0");
+            assert!(p.fpr <= max_fpr, "FPR {} over budget {max_fpr}", p.fpr);
+            let t = p.tpr;
             assert!((0.0..=1.0).contains(&t), "TPR {t} out of range");
             assert!(t >= prev, "lookup must be monotone in the FPR budget");
             // Spec: the best TPR among operating points within budget.
@@ -95,7 +97,7 @@ fn operating_point_lookup_is_monotone_and_consistent() {
             prev = t;
         }
         // The whole curve is within an FPR budget of 1.
-        assert_eq!(c.tpr_at_fpr(1.0), 1.0);
+        assert_eq!(c.operating_point(1.0).map(|p| p.tpr), Some(1.0));
     });
 }
 

@@ -71,12 +71,7 @@ fn main() -> Result<(), CvError> {
     );
     for max_fpr in [0.001, 0.01, 0.05] {
         // Largest threshold whose FPR stays within budget.
-        let point = curve
-            .points
-            .iter()
-            .take_while(|p| p.fpr <= max_fpr)
-            .last()
-            .expect("curve starts at fpr 0");
+        let point = curve.operating_point(max_fpr).expect("curve starts at fpr 0");
         let c = Confusion::at_threshold(&scores, test.labels(), point.threshold);
         println!(
             "  {:>9.3}  {:>5.1}%  {:>7.2}%  {:>8.1}%  {:>11.1}",

@@ -111,10 +111,10 @@ pin "$smoke_dir/repro/tab7.json" "268017444 363"
 pin "$smoke_dir/repro/fig12.json" "1822555806 1055"
 pin "$smoke_dir/repro/fig13.json" "2280682227 271656"
 pin "$smoke_dir/repro/fig14.json" "371239996 2357"
-pin "$smoke_dir/repro/fig15.json" "2057510009 386415"
+pin "$smoke_dir/repro/fig15.json" "3947713693 386417"
 pin "$smoke_dir/repro/fig16_young.json" "804316766 1748"
-pin "$smoke_dir/repro/fig16_old.json" "4134573443 1833"
-pin "$smoke_dir/repro/tab8.json" "3109856621 969"
+pin "$smoke_dir/repro/fig16_old.json" "1470032522 1852"
+pin "$smoke_dir/repro/tab8.json" "1836768382 967"
 
 echo "== online prediction smoke: train + rank streamed fleet, bad archives rejected =="
 # A larger fleet so the training pass sees both classes (swaps are rare).

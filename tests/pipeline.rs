@@ -1,12 +1,13 @@
 //! End-to-end integration: fleet simulation → feature extraction →
 //! training → evaluation, across crate boundaries.
 
-use ssd_field_study::core::{build_dataset, AgeFilter, ExtractOptions, LabelKind};
+use ssd_field_study::core::features::{age_rows, model_rows};
+use ssd_field_study::core::{build_dataset, ExtractOptions, LabelKind};
 use ssd_field_study::ml::{
-    cross_validate, CvOptions, ForestConfig, LogisticRegressionConfig,
+    cross_validate, CvOptions, Dataset, ForestConfig, LogisticRegressionConfig,
 };
 use ssd_field_study::sim::{FleetGen, SimConfig};
-use ssd_field_study::types::ErrorKind;
+use ssd_field_study::types::{DriveModel, ErrorKind, FleetTrace};
 
 fn trace() -> ssd_field_study::types::FleetTrace {
     FleetGen::new(&SimConfig {
@@ -113,34 +114,70 @@ fn longer_lookahead_is_harder_end_to_end() {
 #[test]
 fn young_partition_is_more_predictable_end_to_end() {
     let trace = trace();
-    let mk = |filter: AgeFilter| {
-        let data = build_dataset(
-            &trace,
-            &ExtractOptions {
-                lookahead_days: 1,
-                negative_sample_rate: 0.05,
-                age_filter: filter,
-                ..Default::default()
-            },
-        );
+    let data = build_dataset(
+        &trace,
+        &ExtractOptions {
+            lookahead_days: 1,
+            negative_sample_rate: 0.05,
+            ..Default::default()
+        },
+    );
+    let mk = |rows: &[usize]| {
         cross_validate(
             &ForestConfig {
                 n_trees: 40,
                 ..Default::default()
             },
-            &data,
+            &data.select(rows),
             &CvOptions::default(),
         )
         .unwrap()
         .mean()
     };
-    let young = mk(AgeFilter::Young);
-    let old = mk(AgeFilter::Old);
+    let [young, old] = age_rows(&data);
+    let young = mk(&young);
+    let old = mk(&old);
     // Section 5.3: 0.970 young vs 0.890 old. Assert ordering with slack.
     assert!(
         young > old - 0.05,
         "young {young} should not trail old {old} meaningfully"
     );
+}
+
+/// Features (as bits), labels and groups, for bit-equality checks.
+fn contents(d: &Dataset) -> (Vec<u32>, Vec<bool>, Vec<u32>) {
+    (
+        d.raw_features().iter().map(|v| v.to_bits()).collect(),
+        d.labels().to_vec(),
+        d.groups().to_vec(),
+    )
+}
+
+#[test]
+fn age_and_model_partitions_are_row_selections_of_one_dataset() {
+    let trace = trace();
+    let opts = ExtractOptions {
+        lookahead_days: 1,
+        negative_sample_rate: 0.05,
+        ..Default::default()
+    };
+    let data = build_dataset(&trace, &opts);
+    // Young and old split the joint rows exactly, at the infancy bound.
+    let [young, old] = age_rows(&data);
+    assert!(!young.is_empty() && !old.is_empty());
+    let mut both: Vec<usize> = young.iter().chain(&old).copied().collect();
+    both.sort_unstable();
+    assert_eq!(both, (0..data.n_rows()).collect::<Vec<usize>>());
+    assert!(young.iter().all(|&i| data.row(i)[29] <= 90.0));
+    assert!(old.iter().all(|&i| data.row(i)[29] > 90.0));
+    // A model's selection is the dataset of a trace of its drives alone.
+    for (m, rows) in DriveModel::ALL.iter().zip(model_rows(&trace, &data)) {
+        let mut alone = FleetTrace::new(trace.horizon_days);
+        alone.drives = trace.drives.iter().filter(|d| d.model == *m).cloned().collect();
+        let selected = data.select(&rows);
+        assert!(selected.n_rows() > 0, "{m} has no rows");
+        assert_eq!(contents(&selected), contents(&build_dataset(&alone, &opts)), "{m}");
+    }
 }
 
 #[test]
