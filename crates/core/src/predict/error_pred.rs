@@ -5,7 +5,7 @@
 use super::PredictConfig;
 use crate::features::{age_rows, build_dataset, ExtractOptions, LabelKind};
 use crate::report::TextTable;
-use ssd_ml::{cross_validate, Dataset};
+use ssd_ml::Dataset;
 use ssd_types::{ErrorKind, FleetTrace};
 
 /// The targets of Table 8, in the paper's row order.
@@ -45,28 +45,32 @@ pub struct ErrorPrediction {
     pub rows: Vec<ErrorPredictionRow>,
 }
 
-fn try_cv(data: &Dataset, config: &PredictConfig) -> Option<f64> {
-    let (pos, neg) = data.class_counts();
-    // Too-rare targets cannot be cross-validated meaningfully.
-    if pos < 25 || neg < 25 {
-        return None;
-    }
-    // A target whose folds cannot all be filled or evaluated is "--" too.
-    cross_validate(&config.forest, data, &config.cv)
-        .ok()
-        .map(|r| r.mean())
-}
-
-/// Runs Table 8 (N = 2, as in the paper).
+/// Runs Table 8 (N = 2, as in the paper). Each target builds one dataset,
+/// cuts its young and old rows, and cross-validates the evaluable ones
+/// of the three as one batch; the next target's dataset is built once
+/// this batch is done.
 pub fn error_prediction(trace: &FleetTrace, config: &PredictConfig) -> ErrorPrediction {
     let rows = table8_targets()
         .into_iter()
         .map(|(name, label)| {
             let data = build_dataset(trace, &ExtractOptions { label, ..config.extract_opts(2) });
-            let [young, old] = age_rows(&data);
-            let combined = try_cv(&data, config);
-            let young = try_cv(&data.select(&young), config);
-            let old = try_cv(&data.select(&old), config);
+            let [young, old] = age_rows(&data).map(|rows| data.select(&rows));
+            // Too-rare targets cannot be cross-validated meaningfully.
+            let (cells, datasets): (Vec<usize>, Vec<Dataset>) = [data, young, old]
+                .into_iter()
+                .enumerate()
+                .filter(|(_, d)| {
+                    let (pos, neg) = d.class_counts();
+                    pos >= 25 && neg >= 25
+                })
+                .unzip();
+            let mut aucs = [None; 3];
+            for (cell, cv) in cells.into_iter().zip(config.forest_cvs(&datasets)) {
+                // A target whose folds cannot all be filled or evaluated
+                // is "--" too.
+                aucs[cell] = cv.ok().map(|r| r.mean());
+            }
+            let [combined, young, old] = aucs;
             (name, combined, young, old)
         })
         .collect();

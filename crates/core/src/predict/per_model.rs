@@ -19,12 +19,6 @@ pub struct ModelRoc {
     pub curve: Series,
 }
 
-/// Each drive model's dataset, cut from `all` by its `rows` (see
-/// [`model_rows`]), in [`DriveModel::ALL`] order.
-fn per_model_datasets(all: &Dataset, rows: &[Vec<usize>]) -> Vec<Dataset> {
-    rows.iter().map(|rows| all.select(rows)).collect()
-}
-
 /// Runs Figure 13: random forest, N = 1, evaluated per drive model. Fails
 /// when a model's dataset cannot be cross-validated.
 pub fn per_model_roc(
@@ -32,9 +26,9 @@ pub fn per_model_roc(
     config: &PredictConfig,
 ) -> Result<Vec<ModelRoc>, CvError> {
     // The fleet's dataset is dropped once the models' rows are cut.
-    let datasets = {
+    let datasets: Vec<Dataset> = {
         let all = config.dataset(trace, 1);
-        per_model_datasets(&all, &model_rows(trace, &all))
+        model_rows(trace, &all).iter().map(|rows| all.select(rows)).collect()
     };
     DriveModel::ALL
         .iter()
@@ -85,7 +79,7 @@ pub fn transfer_matrix(
 ) -> Result<TransferMatrix, CvError> {
     let all = config.dataset(trace, 1);
     let rows = model_rows(trace, &all);
-    let datasets = per_model_datasets(&all, &rows);
+    let datasets: Vec<Dataset> = rows.iter().map(|rows| all.select(rows)).collect();
     let diagonal = config
         .forest_cvs(&datasets)
         .into_iter()

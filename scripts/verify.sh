@@ -176,13 +176,13 @@ for example in examples/*.rs; do
   example_start="$(date +%s)"
   if [ "$name" = observation_audit ]; then
     # The audit exits 1 when an observation does not hold. On its own
-    # fleet (seed 13, 700 drives per model) observations 3 and 13 do
-    # not; any other exit status or set of failing observations fails.
+    # fleet (seed 13, 700 drives per model) observation 3 does not; any
+    # other exit status or set of failing observations fails.
     status=0
     target/release/examples/observation_audit > "$smoke_dir/audit.txt" || status=$?
     failing="$(awk '$2 == "NO" { printf "%s ", $1 }' "$smoke_dir/audit.txt")"
-    if [ "$status" != 1 ] || [ "$failing" != "3 13 " ]; then
-      echo "ERROR: observation_audit exited $status with failing observations '$failing' (pinned: exit 1, '3 13 ')"
+    if [ "$status" != 1 ] || [ "$failing" != "3 " ]; then
+      echo "ERROR: observation_audit exited $status with failing observations '$failing' (pinned: exit 1, '3 ')"
       exit 1
     fi
   elif [ "$name" = failure_prediction ]; then
